@@ -40,7 +40,7 @@ from .constraints import (
     _parts,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Transfer, Zero, is_standard_form, rho
+from .machine import Jump, Program, Succ, Transfer, Zero
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"
@@ -172,7 +172,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     field names the applied evaluation rule, e.g. "s·r" for a non-final
     increment or "jt·l" for a taken jump to position 0.
     """
-    if not is_standard_form(p):
+    if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
     n = len(p)
     if not 1 <= s.pc <= n:
@@ -230,96 +230,88 @@ def _atom_registers(a: Atom) -> set[int]:
 
 
 def _universe(p: Program, cert: Cert) -> list[int]:
-    return sorted(set(range(1, rho(p) + 1)) | _cert_registers(cert))
-
-
-def _initial_state(p: Program, cert: Cert) -> SymState:
-    regs = {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)}
-    return SymState(1, regs)
-
-
-def _fresh_state(p: Program, cert: Cert) -> SymState:
-    regs: dict[int, SymValue] = {i: VarPlus(f"_{reg_var(i)}") for i in _universe(p, cert)}
-    return SymState(cert.loop_head, regs)
+    return sorted(set(range(1, p.rho + 1)) | _cert_registers(cert))
 
 
 def _reject(code: str, pc: int | None = None, atom: Atom | None = None) -> CertReport:
     return CertReport(accepted=False, reason=Reason(code, pc=pc, atom=atom))
 
 
-def _run_prefix(p: Program, s: SymState, cs: ConstraintSet, head: int, bound: int):
-    for _ in range(bound):
-        if s.pc == head:
-            return s
-        res = sym_step(p, s, cs)
-        if isinstance(res, Undecided):
-            return _reject(UNDECIDED_BRANCH, pc=res.pc)
-        if isinstance(res, Halt):
-            return _reject(PREFIX_FAILED)
-        s = res.state
-    if s.pc == head:
-        return s
-    return _reject(PREFIX_FAILED)
+def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | None = None):
+    """Symbolic run from `s` of at most `bound` steps.
 
-
-def _run_loop(p: Program, s: SymState, cs: ConstraintSet, head: int, bound: int):
-    """Run from the head until it is reached again; at least one step."""
+    Stops on Undecided, on Halt, or on a Next that arrives at `head`, and
+    returns that result, or None when the bound runs out first, together
+    with the trail of the steps taken.
+    """
     trail: list[TrailEntry] = []
     for _ in range(bound):
         res = sym_step(p, s, cs)
         if isinstance(res, Undecided):
-            return _reject(UNDECIDED_BRANCH, pc=res.pc), trail
-        if isinstance(res, Halt):
-            trail.append((s.pc, res.rule))
-            return _reject(HALTED_DURING_LOOP, pc=s.pc), trail
+            return res, trail
         trail.append((s.pc, res.rule))
+        if isinstance(res, Halt) or res.state.pc == head:
+            return res, trail
         s = res.state
-        if s.pc == head:
-            return s, trail
-    return _reject(LOOP_NOT_CLOSED), trail
+    return None, trail
 
 
-def _run_to_halt(p: Program, s: SymState, cs: ConstraintSet, bound: int):
-    trail: list[TrailEntry] = []
-    for _ in range(bound):
-        res = sym_step(p, s, cs)
-        if isinstance(res, Undecided):
-            return _reject(UNDECIDED_BRANCH, pc=res.pc), trail
-        trail.append((s.pc, res.rule))
-        if isinstance(res, Halt):
-            return None, trail
-        s = res.state
-    return _reject(EXIT_DOES_NOT_HALT), trail
+def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintSet]:
+    """Fresh symbolic state at the loop head, constrained by the invariant and `extra`."""
+    start = SymState(cert.loop_head, {i: VarPlus(f"_{reg_var(i)}") for i in _universe(p, cert)})
+    atoms = (*cert.invariant, *extra)
+    return start, ConstraintSet(frozenset(substitute(a, start.regs) for a in atoms))
 
 
-def _enter_loop(p: Program, cert: Cert):
+def _unentailed(cs: ConstraintSet, atoms: tuple[Atom, ...], regs: Mapping[int, SymValue]) -> Atom | None:
+    """First atom that `cs` does not entail once its registers read `regs`."""
+    return next((a for a in atoms if not entails(cs, substitute(a, regs))), None)
+
+
+def _enter_loop(p: Program, cert: Cert) -> CertReport | None:
     """Prefix phase: reach the head and establish the invariant there."""
-    if not is_standard_form(p):
+    if not p.standard:
         raise NotStandardForm("certificates require a standard-form program")
     if cert.loop_head > len(p):
         raise PcOutOfRange(f"loop head {cert.loop_head} outside 1..{len(p)}")
-    res = _run_prefix(p, _initial_state(p, cert), cert.param_constraints, cert.loop_head, cert.step_bound)
-    if isinstance(res, CertReport):
-        return res
-    for a in cert.invariant:
-        if not entails(cert.param_constraints, substitute(a, res.regs)):
-            return _reject(INVARIANT_NOT_ESTABLISHED, atom=a)
-    return res
+    s = SymState(1, {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)})
+    if s.pc != cert.loop_head:
+        res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
+        if isinstance(res, Undecided):
+            return _reject(UNDECIDED_BRANCH, pc=res.pc)
+        if not isinstance(res, Next):
+            return _reject(PREFIX_FAILED)
+        s = res.state
+    atom = _unentailed(cert.param_constraints, cert.invariant, s.regs)
+    return None if atom is None else _reject(INVARIANT_NOT_ESTABLISHED, atom=atom)
+
+
+def _close_loop(p: Program, cert: Cert, *extra: Atom):
+    """Loop phase: from the head under the invariant and `extra` back to it,
+    re-establishing the invariant; a rejection, or (start, end, cs, trail)."""
+    start, cs = _assume(p, cert, *extra)
+    res, trail = _walk(p, start, cs, cert.step_bound, cert.loop_head)
+    if isinstance(res, Undecided):
+        return _reject(UNDECIDED_BRANCH, pc=res.pc)
+    if isinstance(res, Halt):
+        return _reject(HALTED_DURING_LOOP, pc=res.state.pc)
+    if res is None:
+        return _reject(LOOP_NOT_CLOSED)
+    atom = _unentailed(cs, cert.invariant, res.state.regs)
+    if atom is not None:
+        return _reject(INVARIANT_NOT_PRESERVED, atom=atom)
+    return start, res.state, cs, trail
 
 
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     """Accept iff the certified lasso proves the program never halts."""
-    entered = _enter_loop(p, cert)
-    if isinstance(entered, CertReport):
-        return entered
-    start = _fresh_state(p, cert)
-    cs = ConstraintSet(frozenset(substitute(a, start.regs) for a in cert.invariant))
-    res, trail = _run_loop(p, start, cs, cert.loop_head, cert.step_bound)
-    if isinstance(res, CertReport):
-        return res
-    for a in cert.invariant:
-        if not entails(cs, substitute(a, res.regs)):
-            return _reject(INVARIANT_NOT_PRESERVED, atom=a)
+    rejected = _enter_loop(p, cert)
+    if rejected is not None:
+        return rejected
+    loop = _close_loop(p, cert)
+    if isinstance(loop, CertReport):
+        return loop
+    _, _, _, trail = loop
     return CertReport(accepted=True, trail=tuple(trail))
 
 
@@ -360,31 +352,23 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
 
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
-    entered = _enter_loop(p, cert)
-    if isinstance(entered, CertReport):
-        return entered
-    rank_atom = Atom(reg_var(cert.ranking[0]), reg_var(cert.ranking[1]), ">=", 0)
-
-    start = _fresh_state(p, cert)
-    inv_here = tuple(substitute(a, start.regs) for a in cert.invariant)
-    cs_cont = ConstraintSet(frozenset(inv_here) | {substitute(cert.continue_atom(), start.regs)})
-    res, cont_trail = _run_loop(p, start, cs_cont, cert.loop_head, cert.step_bound)
-    if isinstance(res, CertReport):
-        return res
-    for a in cert.invariant:
-        if not entails(cs_cont, substitute(a, res.regs)):
-            return _reject(INVARIANT_NOT_PRESERVED, atom=a)
-    if not entails(cs_cont, substitute(rank_atom, start.regs)):
+    rejected = _enter_loop(p, cert)
+    if rejected is not None:
+        return rejected
+    loop = _close_loop(p, cert, cert.continue_atom())
+    if isinstance(loop, CertReport):
+        return loop
+    start, end, cs, cont_trail = loop
+    x, y = cert.ranking
+    if not entails(cs, substitute(Atom(reg_var(x), reg_var(y), ">=", 0), start.regs)):
         return _reject(RANKING_NOT_NONNEGATIVE)
-    before = (start.value(cert.ranking[0]), start.value(cert.ranking[1]))
-    after = (res.value(cert.ranking[0]), res.value(cert.ranking[1]))
-    if not _rank_decreases(cs_cont, before, after):
+    if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
         return _reject(RANKING_NOT_DECREASING)
 
-    start = _fresh_state(p, cert)
-    inv_here = tuple(substitute(a, start.regs) for a in cert.invariant)
-    cs_exit = ConstraintSet(frozenset(inv_here) | {substitute(cert.exit_atom(), start.regs)})
-    res, exit_trail = _run_to_halt(p, start, cs_exit, cert.step_bound)
-    if res is not None:
-        return res
-    return CertReport(accepted=True, trail=tuple(cont_trail) + tuple(exit_trail))
+    start, cs = _assume(p, cert, cert.exit_atom())
+    res, exit_trail = _walk(p, start, cs, cert.step_bound)
+    if isinstance(res, Undecided):
+        return _reject(UNDECIDED_BRANCH, pc=res.pc)
+    if res is None:
+        return _reject(EXIT_DOES_NOT_HALT)
+    return CertReport(accepted=True, trail=tuple(cont_trail + exit_trail))

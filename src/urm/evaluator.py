@@ -9,6 +9,11 @@ applies).  Divergence is never asserted by the runner; `run` merely
 reports that the fuel budget ran out.  Positive divergence verdicts come
 from `decide_abstract` (jump-only programs, where the question is
 decidable) and from certificate checking.
+
+There are two concrete interpreters.  `step` is the rule-level relation;
+`trace`, `decide_abstract` and the CLI's `--show-steps` drive it.  `run`
+compiles the program to a list loop over the registers it mentions, for
+speed; the test suite checks that the two agree.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ from .machine import (
     Zero,
     compatible,
     include,
-    is_standard_form,
     mv,
-    rho,
     sc,
     zr,
 )
@@ -85,7 +88,7 @@ AbstractVerdict = Union[Converges, Diverges]
 
 
 def _require_standard(p: Program) -> None:
-    if not is_standard_form(p):
+    if not p.standard:
         raise NotStandardForm("program is not in standard form")
 
 
@@ -120,45 +123,44 @@ def step(s: MachineState) -> StepResult:
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
 
 
-def _compile(p: Program) -> list[tuple[int, int, int, int]]:
+def _compile(p: Program) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """Code over register slots, numbered by first mention, and the
+    register each slot stands for."""
+    slots: dict[int, int] = {}
+
+    def slot(reg: int) -> int:
+        return slots.setdefault(reg, len(slots))
+
     code = []
     for instr in p:
         if isinstance(instr, Zero):
-            code.append((_ZERO, instr.i, 0, 0))
+            code.append((_ZERO, slot(instr.i), 0, 0))
         elif isinstance(instr, Succ):
-            code.append((_SUCC, instr.i, 0, 0))
+            code.append((_SUCC, slot(instr.i), 0, 0))
         elif isinstance(instr, Transfer):
-            code.append((_TRANSFER, instr.i, instr.j, 0))
+            code.append((_TRANSFER, slot(instr.i), slot(instr.j), 0))
         else:
-            code.append((_JUMP, instr.i, instr.j, instr.k))
-    return code
+            code.append((_JUMP, slot(instr.i), slot(instr.j), instr.k))
+    return code, list(slots)
 
 
 def run(p: Program, c: Config, fuel: int) -> Outcome:
     """Iterate `step` from (p, 1, c) for at most `fuel` applications.
 
-    Uses a dense register array internally for speed; agreement with the
-    rule-by-rule `step` is covered by the test suite.  Registers above
-    rho(p) are untouchable by the program and pass through unchanged.
+    The registers the program mentions are copied into a list with one
+    slot each, so memory follows the program, never the register indices;
+    every other register of `c` is untouchable by the program and passes
+    through unchanged.
     """
     _require_standard(p)
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    m = rho(p)
-    regs = [0] * (m + 1)
-    extras: dict[int, int] = {}
-    for reg, val in c.items():
-        if reg <= m:
-            regs[reg] = val
-        else:
-            extras[reg] = val
+    code, live = _compile(p)
+    regs = [c.get(reg) for reg in live]
 
     def snapshot() -> Config:
-        entries = {i: regs[i] for i in range(1, m + 1)}
-        entries.update(extras)
-        return Config(entries)
+        return c._updated(zip(live, regs))
 
-    code = _compile(p)
     n = len(code)
     pc = 1
     steps = 0
@@ -203,7 +205,7 @@ def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
     """Like `run`, but over the list view; the final config keeps length m."""
     if not compatible(sigma, p):
         raise Incompatible(
-            f"program needs registers up to {rho(p)} in standard form, "
+            f"program needs registers up to {p.rho} in standard form, "
             f"got a length-{len(sigma)} configuration"
         )
     outcome = run(p, include(sigma), fuel)
@@ -225,15 +227,9 @@ def decide_abstract(p: Program, c: Config) -> AbstractVerdict:
     for instr in p:
         if not isinstance(instr, Jump):
             raise NotAbstractProgram(f"non-jump instruction {instr!r}")
-    seen = {1: 0}
-    state = MachineState(p, 1, c)
-    steps = 0
-    while True:
-        result = step(state)
-        steps += 1
-        if isinstance(result, Halt):
-            return Converges(steps)
-        state = result.state
+    seen: dict[int, int] = {}
+    for steps, state in enumerate(trace(p, c)):
         if state.pc in seen:
             return Diverges(cycle_entry_pc=state.pc, cycle_length=steps - seen[state.pc])
         seen[state.pc] = steps
+    return Converges(len(seen))

@@ -18,7 +18,8 @@ couples soundly with a program whose register operands all fall inside
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Union
 
 
 def _check_register(value: int, what: str = "register index") -> None:
@@ -97,6 +98,25 @@ class Program:
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
+    # Computed on first use and kept in the instance dict; dataclass
+    # equality and hashing look only at `instructions`.
+    @cached_property
+    def standard(self) -> bool:
+        """True iff every jump target k satisfies k <= len(self)."""
+        n = len(self.instructions)
+        return all(instr.k <= n for instr in self.instructions if isinstance(instr, Jump))
+
+    @cached_property
+    def rho(self) -> int:
+        """Maximal register index mentioned; jump targets are not registers."""
+        best = 1
+        for instr in self.instructions:
+            if isinstance(instr, (Zero, Succ)):
+                best = max(best, instr.i)
+            else:
+                best = max(best, instr.i, instr.j)
+        return best
+
 
 class Config:
     """Total register valuation with finite support.
@@ -115,6 +135,19 @@ class Config:
             if val != 0:
                 canon[reg] = val
         object.__setattr__(self, "_entries", canon)
+
+    def _updated(self, changes: Iterable[tuple[int, int]]) -> Config:
+        """Copy with the (register, value) pairs assigned; the pairs must be
+        valid, as `__init__`'s checks are skipped."""
+        entries = dict(self._entries)
+        for reg, val in changes:
+            if val:
+                entries[reg] = val
+            else:
+                entries.pop(reg, None)
+        new = object.__new__(Config)
+        object.__setattr__(new, "_entries", entries)
+        return new
 
     def get(self, i: int) -> int:
         _check_register(i)
@@ -161,24 +194,13 @@ class FiniteConfig:
 
 
 def rho(p: Program) -> int:
-    """Maximal register index mentioned by any instruction of `p`.
-
-    A jump's target indexes instructions, not registers, so it is not
-    counted.
-    """
-    best = 1
-    for instr in p:
-        if isinstance(instr, (Zero, Succ)):
-            best = max(best, instr.i)
-        else:
-            best = max(best, instr.i, instr.j)
-    return best
+    """Maximal register index mentioned by any instruction of `p`."""
+    return p.rho
 
 
 def is_standard_form(p: Program) -> bool:
     """True iff every jump target k satisfies k <= len(p)."""
-    n = len(p)
-    return all(instr.k <= n for instr in p if isinstance(instr, Jump))
+    return p.standard
 
 
 def compatible(sigma: FiniteConfig, p: Program) -> bool:
@@ -189,30 +211,20 @@ def compatible(sigma: FiniteConfig, p: Program) -> bool:
 def zr(c: Config, i: int) -> Config:
     """Config equal to `c` except register i holds 0."""
     _check_register(i)
-    entries = dict(c._entries)
-    entries.pop(i, None)
-    return Config(entries)
+    return c._updated(((i, 0),))
 
 
 def sc(c: Config, i: int) -> Config:
     """Config equal to `c` except register i is incremented."""
     _check_register(i)
-    entries = dict(c._entries)
-    entries[i] = entries.get(i, 0) + 1
-    return Config(entries)
+    return c._updated(((i, c._entries.get(i, 0) + 1),))
 
 
 def mv(c: Config, i: int, j: int) -> Config:
     """Config equal to `c` except register j holds the value of register i."""
     _check_register(i)
     _check_register(j)
-    entries = dict(c._entries)
-    value = entries.get(i, 0)
-    if value == 0:
-        entries.pop(j, None)
-    else:
-        entries[j] = value
-    return Config(entries)
+    return c._updated(((j, c._entries.get(i, 0)),))
 
 
 def include(sigma: FiniteConfig) -> Config:

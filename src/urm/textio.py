@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 
+from .certificates import DivergenceCert, TerminationCert
 from .constraints import Atom, Const, ConstraintSet, SymValue, VarPlus, parse_reg_var
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero
@@ -51,7 +52,10 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 def _nat(tok: str, line: int, column: int) -> int:
     if not (tok.isascii() and tok.isdigit()):
         raise SourceError(line, column, f"expected a natural number, got {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise SourceError(line, column, f"number too long ({len(tok)} digits)") from None
 
 
 def parse_program(text: str) -> Program:
@@ -142,7 +146,7 @@ def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, in
     if base.isascii() and base.isdigit():
         if plus:
             raise SourceError(ln, col, f"offset on a constant in {tok!r}")
-        return None, int(base)
+        return None, _nat(base, ln, col)
     if not _IDENT.match(base):
         raise SourceError(ln, col, f"expected a {names} operand, got {tok!r}")
     offset = _nat(offset_tok, ln, col) if plus else 0
@@ -264,8 +268,6 @@ class _CertParser:
             raise SourceError(ln, 1, f"unknown key {key!r}")
 
     def finish(self):
-        from .certificates import DivergenceCert, TerminationCert
-
         for name, value in (("kind", self.kind), ("head", self.head), ("bound", self.bound)):
             if value is None:
                 raise SourceError(1, 1, f"missing {name!r} line")

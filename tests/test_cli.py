@@ -6,6 +6,9 @@ import pytest
 
 from urm.cli import main
 
+# More digits than CPython converts to int by default (4300)
+LONG = "9" * 5000
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -50,6 +53,10 @@ def test_validate_parse_error_position(capsys, tmp_path):
     bad = tmp_path / "bad.urm"
     bad.write_text("Z 0\n")
     code, _, err = _run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "line 1" in err and "column 3" in err
+    bad.write_text(f"Z {LONG}\n")
+    code, _, err = _run(capsys, "run", str(bad))
     assert code == 1
     assert "line 1" in err and "column 3" in err
 
@@ -97,6 +104,9 @@ def test_run_rejects_bad_init(capsys, samples_dir):
     code, _, err = _run(capsys, "run", str(samples_dir / "minus.urm"), "--init", "x,y")
     assert code == 1
     assert "--init" in err
+    code, _, err = _run(capsys, "run", str(samples_dir / "minus.urm"), "--init", f"1,{LONG}")
+    assert code == 1
+    assert "--init" in err and "column 3" in err
 
 
 def test_run_rejects_negative_fuel(capsys, samples_dir):
@@ -180,6 +190,10 @@ def test_cert_parse_errors_exit_1(capsys, samples_dir, tmp_path):
     code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
     assert code == 1
     assert "missing 'head'" in err
+    cert.write_text(f"kind: diverges\nhead: 1\nbound: {LONG}\n")
+    code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
+    assert code == 1
+    assert "line 3" in err and "too long" in err
 
 
 def test_cert_head_outside_program_exits_1(capsys, samples_dir, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from urm import (
     PcOutOfRange,
     Program,
     Succ,
+    Transfer,
     Zero,
     decide_abstract,
     include,
@@ -32,11 +34,23 @@ from urm import (
     step,
     trace,
 )
-from oracles import naive_pcs, naive_run, random_program
+from oracles import apply_instr, naive_run, random_program
 
 
 def _sparse(c: Config) -> dict[int, int]:
     return dict(c.items())
+
+
+def _renumbered(p: Program, to: dict[int, int]) -> Program:
+    out = []
+    for instr in p:
+        if isinstance(instr, Jump):
+            out.append(Jump(to[instr.i], to[instr.j], instr.k))
+        elif isinstance(instr, Transfer):
+            out.append(Transfer(to[instr.i], to[instr.j]))
+        else:
+            out.append(type(instr)(to[instr.i]))
+    return Program(tuple(out))
 
 
 def test_step_walks_the_minus_program(u_minus):
@@ -96,15 +110,23 @@ def test_run_agrees_with_the_naive_interpreter():
         p = random_program(rng)
         regs = {i: rng.randint(0, 3) for i in range(1, rho(p) + 1)}
         fuel = rng.choice((0, 1, 2, 7, 50, 200))
-        got = run(p, Config(regs), fuel)
-        verdict, final, steps = naive_run(p, regs, fuel)
-        if verdict == "halted":
-            assert isinstance(got, Halted), (case, p)
-            assert got.steps == steps
-            assert _sparse(got.final) == final
-        else:
-            assert isinstance(got, OutOfFuel), (case, p)
-            assert got.steps == steps
+        # the same program on large, sparse register indices, next to
+        # registers it never mentions
+        far = rng.sample(range(1, 10**9), 5)
+        to = dict(zip((1, 2, 3), far))
+        sparse = {to[i]: v for i, v in regs.items()}
+        sparse.update({far[3]: rng.randint(0, 3), far[4]: rng.randint(0, 3)})
+        for prog, start in ((p, regs), (_renumbered(p, to), sparse)):
+            got = run(prog, Config(start), fuel)
+            verdict, final, steps = naive_run(prog, start, fuel)
+            if verdict == "halted":
+                assert isinstance(got, Halted), (case, prog)
+                assert got.steps == steps
+                assert _sparse(got.final) == final
+            else:
+                assert isinstance(got, OutOfFuel), (case, prog)
+                assert got.steps == steps
+                assert _sparse(got.last.config) == final
 
 
 def test_run_touches_registers_beyond_the_initial_config():
@@ -115,14 +137,33 @@ def test_run_touches_registers_beyond_the_initial_config():
 
 
 def test_trace_yields_every_state(u_minus):
-    states = []
-    for s in trace(u_minus, include(FiniteConfig((2, 1, 0)))):
-        states.append(s)
-        if len(states) >= 20:
-            break
-    pcs = [s.pc for s in states]
-    assert pcs == naive_pcs(u_minus, {1: 2, 2: 1}, len(pcs))
-    assert states[0].pc == 1
+    rng = random.Random(20261017)
+    cases = [(u_minus, {1: 2, 2: 1})]
+    cases += [(random_program(rng), {i: rng.randint(0, 3) for i in (1, 2, 3)}) for _ in range(300)]
+    for p, regs in cases:
+        want = {i: v for i, v in regs.items() if v}
+        pc = 1
+        states = trace(p, Config(regs))
+        for _ in range(20):
+            s = next(states)
+            assert (s.pc, _sparse(s.config)) == (pc, want), p
+            pc = apply_instr(p.at(pc), pc, want)
+            if not 1 <= pc <= len(p):
+                assert next(states, None) is None, p
+                break
+
+
+def test_run_memory_follows_the_program_not_the_register_indices():
+    big = 10**7
+    tracemalloc.start()
+    try:
+        out = run(Program((Zero(big),)), Config({big + 5: 3}), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert isinstance(out, Halted)
+    assert _sparse(out.final) == {big + 5: 3}
 
 
 def test_run_finite_requires_compatibility(prog_b):

@@ -76,6 +76,14 @@ def test_standard_form_bounds_jump_targets(u_minus, prog_b, prog_v, prog_loop):
     assert is_standard_form(Program((Jump(1, 1, 0),)))
 
 
+def test_cached_program_facts_leave_equality_and_hashing_alone(u_minus):
+    fresh = Program(u_minus.instructions)
+    assert (rho(u_minus), is_standard_form(u_minus)) == (3, True)
+    assert u_minus == fresh
+    assert hash(u_minus) == hash(fresh)
+    assert len({u_minus, fresh}) == 1
+
+
 def test_config_is_canonical_sparse():
     c = Config({1: 5, 2: 0, 3: 7})
     assert dict(c.items()) == {1: 5, 3: 7}

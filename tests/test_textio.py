@@ -29,6 +29,8 @@ from urm import (
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
+# More digits than CPython converts to int by default (4300)
+LONG = "9" * 5000
 
 
 def test_parse_program_on_the_subtraction_listing(u_minus):
@@ -63,6 +65,9 @@ def test_parse_program_error_positions():
     with pytest.raises(SourceError) as info:
         parse_program("# only comments\n\n")
     assert info.value.line == 1
+    with pytest.raises(SourceError, match="too long") as info:
+        parse_program(f"S 1\nZ {LONG}")
+    assert (info.value.line, info.value.column) == (2, 3)
 
 
 def test_parse_program_rejects_negative_looking_tokens():
@@ -102,6 +107,9 @@ def test_parse_config_errors():
         parse_config("1\n2")
     with pytest.raises(SourceError):
         parse_config("-1")
+    with pytest.raises(SourceError, match="too long") as info:
+        parse_config(f"1,{LONG}")
+    assert info.value.column == 3
 
 
 def test_format_config_round_trips():
@@ -202,6 +210,10 @@ def test_certificate_errors():
         parse_cert(_lines(split="r1 - r2 >= 1"))
     with pytest.raises(SourceError, match="split"):
         parse_cert(_lines(split="r1 + r2 > 0"))
+    with pytest.raises(SourceError, match="too long"):
+        parse_cert(_lines(bound=LONG))
+    with pytest.raises(SourceError, match="too long"):
+        parse_cert(_lines(constraint=f"m < {LONG}"))
 
 
 def test_certificate_error_positions():

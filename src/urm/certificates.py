@@ -40,7 +40,7 @@ from .constraints import (
     _parts,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Transfer, Zero
+from .machine import Jump, Program, Succ, Zero
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"
@@ -65,13 +65,13 @@ class SymState:
 
 
 @dataclass(frozen=True)
-class Next:
+class SymNext:
     state: SymState
     rule: str
 
 
 @dataclass(frozen=True)
-class Halt:
+class SymHalt:
     state: SymState
     rule: str
 
@@ -83,7 +83,7 @@ class Undecided:
     j: int
 
 
-SymStepResult = Union[Next, Halt, Undecided]
+SymStepResult = Union[SymNext, SymHalt, Undecided]
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,10 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
 
     Jumps are resolved by three-valued equality of the compared values
     under `cs`; an unresolved comparison yields Undecided.  The rule
-    field names the applied evaluation rule, e.g. "s·r" for a non-final
-    increment or "jt·l" for a taken jump to position 0.
+    field names the applied evaluation rule: "jt"/"jf" for a taken or
+    failed jump, "z"/"s"/"t" for the others, then "·l" when the next
+    position is 0 and the step halts, "·r" otherwise.  So "s·r" is a
+    non-final increment and "jt·l" a taken jump to position 0.
     """
     if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
@@ -178,34 +180,30 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     if not 1 <= s.pc <= n:
         raise PcOutOfRange(f"position {s.pc} outside 1..{n}")
     instr = p.at(s.pc)
-    last = s.pc == n
+    nxt = s.pc + 1 if s.pc < n else 0
+    regs = s.regs
     if isinstance(instr, Jump):
         eq = decide_eq(s.value(instr.i), s.value(instr.j), cs)
         if eq is None:
             return Undecided(s.pc, instr.i, instr.j)
+        tag = "jt" if eq else "jf"
         if eq:
-            if instr.k == 0:
-                return Halt(s, "jt·l")
-            return Next(SymState(instr.k, s.regs), "jt·r")
-        if last:
-            return Halt(s, "jf·l")
-        return Next(SymState(s.pc + 1, s.regs), "jf·r")
-    regs = dict(s.regs)
-    if isinstance(instr, Zero):
-        regs[instr.i] = Const(0)
-        tag = "z"
-    elif isinstance(instr, Succ):
-        var, offset = _parts(s.value(instr.i))
-        regs[instr.i] = Const(offset + 1) if var is None else VarPlus(var, offset + 1)
-        tag = "s"
-    elif isinstance(instr, Transfer):
-        regs[instr.j] = s.value(instr.i)
-        tag = "t"
+            nxt = instr.k
     else:
-        raise TypeError(f"unknown instruction {instr!r}")
-    if last:
-        return Halt(SymState(s.pc, regs), f"{tag}·l")
-    return Next(SymState(s.pc + 1, regs), f"{tag}·r")
+        regs = dict(s.regs)
+        if isinstance(instr, Zero):
+            regs[instr.i] = Const(0)
+            tag = "z"
+        elif isinstance(instr, Succ):
+            var, offset = _parts(s.value(instr.i))
+            regs[instr.i] = Const(offset + 1) if var is None else VarPlus(var, offset + 1)
+            tag = "s"
+        else:
+            regs[instr.j] = s.value(instr.i)
+            tag = "t"
+    if not nxt:
+        return SymHalt(SymState(s.pc, regs), f"{tag}·l")
+    return SymNext(SymState(nxt, regs), f"{tag}·r")
 
 
 def _cert_registers(cert: Cert) -> set[int]:
@@ -229,8 +227,10 @@ def _atom_registers(a: Atom) -> set[int]:
     return out
 
 
-def _universe(p: Program, cert: Cert) -> list[int]:
-    return sorted(set(range(1, p.rho + 1)) | _cert_registers(cert))
+def _universe(p: Program, cert: Cert) -> set[int]:
+    """The registers the program or the certificate mentions; no other
+    register is ever read, so the symbolic state leaves them out."""
+    return set(p.registers) | _cert_registers(cert)
 
 
 def _reject(code: str, pc: int | None = None, atom: Atom | None = None) -> CertReport:
@@ -240,9 +240,9 @@ def _reject(code: str, pc: int | None = None, atom: Atom | None = None) -> CertR
 def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | None = None):
     """Symbolic run from `s` of at most `bound` steps.
 
-    Stops on Undecided, on Halt, or on a Next that arrives at `head`, and
-    returns that result, or None when the bound runs out first, together
-    with the trail of the steps taken.
+    Stops on Undecided, on SymHalt, or on a SymNext that arrives at
+    `head`, and returns that result, or None when the bound runs out
+    first, together with the trail of the steps taken.
     """
     trail: list[TrailEntry] = []
     for _ in range(bound):
@@ -250,7 +250,7 @@ def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | No
         if isinstance(res, Undecided):
             return res, trail
         trail.append((s.pc, res.rule))
-        if isinstance(res, Halt) or res.state.pc == head:
+        if isinstance(res, SymHalt) or res.state.pc == head:
             return res, trail
         s = res.state
     return None, trail
@@ -279,7 +279,7 @@ def _enter_loop(p: Program, cert: Cert) -> CertReport | None:
         res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
         if isinstance(res, Undecided):
             return _reject(UNDECIDED_BRANCH, pc=res.pc)
-        if not isinstance(res, Next):
+        if not isinstance(res, SymNext):
             return _reject(PREFIX_FAILED)
         s = res.state
     atom = _unentailed(cert.param_constraints, cert.invariant, s.regs)
@@ -293,7 +293,7 @@ def _close_loop(p: Program, cert: Cert, *extra: Atom):
     res, trail = _walk(p, start, cs, cert.step_bound, cert.loop_head)
     if isinstance(res, Undecided):
         return _reject(UNDECIDED_BRANCH, pc=res.pc)
-    if isinstance(res, Halt):
+    if isinstance(res, SymHalt):
         return _reject(HALTED_DURING_LOOP, pc=res.state.pc)
     if res is None:
         return _reject(LOOP_NOT_CLOSED)

@@ -23,7 +23,6 @@ from .evaluator import (
     MachineState,
     decide_abstract,
     run,
-    run_finite,
     step,
 )
 from .machine import Config, FiniteConfig, Program, compatible, include, is_standard_form, restrict, rho
@@ -111,20 +110,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _require_standard(args.program, p)
     if args.fuel < 0:
         raise _Failure("--fuel: must be nonnegative")
-    m = rho(p)
     sigma = _parse_init(args.init, "--init") if args.init is not None else None
-    if args.finite:
-        if sigma is None:
-            sigma = FiniteConfig((0,) * m)
-        if not compatible(sigma, p):
-            raise _Failure(f"--init: needs at least {m} registers for this program")
-        if args.show_steps:
-            return _run_showing_steps(p, include(sigma), args.fuel)
-        outcome = run_finite(p, sigma, args.fuel)
-        if isinstance(outcome, Halted):
-            return _show_halted(outcome.final.values[:m], outcome.steps)
-        print(f"fuel exhausted after {outcome.steps} steps")
-        return 2
+    # `--finite` changes no result: its default, zeros over r1..r_rho, is
+    # the empty configuration, so all it adds is the compatibility check.
+    if args.finite and sigma is not None and not compatible(sigma, p):
+        raise _Failure(f"--init: needs at least {rho(p)} registers for this program")
     start = include(sigma) if sigma is not None else Config()
     if args.show_steps:
         return _run_showing_steps(p, start, args.fuel)

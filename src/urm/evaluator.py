@@ -1,14 +1,15 @@
 """Program execution: single steps, fuel-bounded runs, lazy traces.
 
 A step from a running state (program, pc, config) either produces the
-next running state or halts with the final configuration.  Halting
-happens in exactly three ways: a jump whose condition holds and whose
-target is 0, a jump whose condition fails at the last instruction, or a
-non-jump executed at the last instruction (its register update still
-applies).  Divergence is never asserted by the runner; `run` merely
-reports that the fuel budget ran out.  Positive divergence verdicts come
-from `decide_abstract` (jump-only programs, where the question is
-decidable) and from certificate checking.
+next running state or halts with the final configuration.  Every step
+has a next position: the taken jump's target, or else pc + 1, read as 0
+past the last instruction.  The step halts exactly when that position is
+0, which covers a taken jump to 0, a failed jump at the last
+instruction, and a non-jump at the last instruction (its register
+update still applies).  Divergence is never asserted by the runner;
+`run` merely reports that the fuel budget ran out.  Positive divergence
+verdicts come from `decide_abstract` (jump-only programs, where the
+question is decidable) and from certificate checking.
 
 There are two concrete interpreters.  `step` is the rule-level relation;
 `trace`, `decide_abstract` and the CLI's `--show-steps` drive it.  `run`
@@ -101,92 +102,86 @@ def step(s: MachineState) -> StepResult:
     if not 1 <= pc <= n:
         raise PcOutOfRange(f"pc {pc} not in [1..{n}]")
     instr = p.at(pc)
+    c = s.config
+    nxt = pc + 1 if pc < n else 0
     if isinstance(instr, Jump):
-        if s.config.get(instr.i) == s.config.get(instr.j):
-            if instr.k == 0:
-                return Halt(s.config)
-            return Next(MachineState(p, instr.k, s.config))
-        if pc == n:
-            return Halt(s.config)
-        return Next(MachineState(p, pc + 1, s.config))
-    if isinstance(instr, Zero):
-        updated = zr(s.config, instr.i)
+        if c.get(instr.i) == c.get(instr.j):
+            nxt = instr.k
+    elif isinstance(instr, Zero):
+        c = zr(c, instr.i)
     elif isinstance(instr, Succ):
-        updated = sc(s.config, instr.i)
+        c = sc(c, instr.i)
     else:
-        updated = mv(s.config, instr.i, instr.j)
-    if pc == n:
-        return Halt(updated)
-    return Next(MachineState(p, pc + 1, updated))
+        c = mv(c, instr.i, instr.j)
+    if not nxt:
+        return Halt(c)
+    return Next(MachineState(p, nxt, c))
 
 
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
 
 
-def _compile(p: Program) -> tuple[list[tuple[int, int, int, int]], list[int]]:
-    """Code over register slots, numbered by first mention, and the
-    register each slot stands for."""
-    slots: dict[int, int] = {}
+def _compile(p: Program) -> list[tuple[int, int, int, int, int]]:
+    """Code over register slots, slot s standing for `p.registers[s]`.
 
-    def slot(reg: int) -> int:
-        return slots.setdefault(reg, len(slots))
-
+    Each entry is (tag, a, b, jump target, next position), the next
+    position being 0 after the last instruction."""
+    slot = {reg: s for s, reg in enumerate(p.registers)}
+    n = len(p)
     code = []
-    for instr in p:
+    for pos, instr in enumerate(p, start=1):
+        nxt = pos + 1 if pos < n else 0
         if isinstance(instr, Zero):
-            code.append((_ZERO, slot(instr.i), 0, 0))
+            code.append((_ZERO, slot[instr.i], 0, 0, nxt))
         elif isinstance(instr, Succ):
-            code.append((_SUCC, slot(instr.i), 0, 0))
+            code.append((_SUCC, slot[instr.i], 0, 0, nxt))
         elif isinstance(instr, Transfer):
-            code.append((_TRANSFER, slot(instr.i), slot(instr.j), 0))
+            code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
         else:
-            code.append((_JUMP, slot(instr.i), slot(instr.j), instr.k))
-    return code, list(slots)
+            code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
+    return code
 
 
 def run(p: Program, c: Config, fuel: int) -> Outcome:
     """Iterate `step` from (p, 1, c) for at most `fuel` applications.
 
-    The registers the program mentions are copied into a list with one
-    slot each, so memory follows the program, never the register indices;
-    every other register of `c` is untouchable by the program and passes
-    through unchanged.
+    The registers the program mentions, `p.registers`, are copied into a
+    list with one slot each, so memory follows the program, never the
+    register indices; every other register of `c` is untouchable by the
+    program and passes through unchanged.  As in `step`, the run halts
+    when the next position is 0.
     """
     _require_standard(p)
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    code, live = _compile(p)
+    code = _compile(p)
+    live = p.registers
     regs = [c.get(reg) for reg in live]
-
-    def snapshot() -> Config:
-        return c._updated(zip(live, regs))
-
-    n = len(code)
     pc = 1
     steps = 0
     while steps < fuel:
-        tag, a, b, k = code[pc - 1]
+        tag, a, b, k, nxt = code[pc - 1]
         steps += 1
         if tag == _JUMP:
             if regs[a] == regs[b]:
-                if k == 0:
-                    return Halted(snapshot(), steps)
+                # a taken jump to 0 halts; kept apart from the fall-through
+                # exit below, which measured faster than one shared test
+                if not k:
+                    break
                 pc = k
                 continue
-            if pc == n:
-                return Halted(snapshot(), steps)
-            pc += 1
-            continue
-        if tag == _SUCC:
+        elif tag == _SUCC:
             regs[a] += 1
         elif tag == _ZERO:
             regs[a] = 0
         else:
             regs[b] = regs[a]
-        if pc == n:
-            return Halted(snapshot(), steps)
-        pc += 1
-    return OutOfFuel(MachineState(p, pc, snapshot()), fuel)
+        if not nxt:
+            break
+        pc = nxt
+    else:
+        return OutOfFuel(MachineState(p, pc, c._updated(zip(live, regs))), fuel)
+    return Halted(c._updated(zip(live, regs)), steps)
 
 
 def trace(p: Program, c: Config) -> Iterator[MachineState]:
@@ -211,7 +206,8 @@ def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
     outcome = run(p, include(sigma), fuel)
     if isinstance(outcome, Halted):
         assert isinstance(outcome.final, Config)
-        values = tuple(outcome.final.get(i) for i in range(1, len(sigma) + 1))
+        entries = outcome.final._entries
+        values = tuple(entries.get(i, 0) for i in range(1, len(sigma) + 1))
         return Halted(FiniteConfig(values), outcome.steps)
     return outcome
 

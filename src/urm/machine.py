@@ -107,15 +107,20 @@ class Program:
         return all(instr.k <= n for instr in self.instructions if isinstance(instr, Jump))
 
     @cached_property
-    def rho(self) -> int:
-        """Maximal register index mentioned; jump targets are not registers."""
-        best = 1
+    def registers(self) -> tuple[int, ...]:
+        """Distinct register operands in order of first mention; jump
+        targets are not registers."""
+        seen: dict[int, None] = {}
         for instr in self.instructions:
-            if isinstance(instr, (Zero, Succ)):
-                best = max(best, instr.i)
-            else:
-                best = max(best, instr.i, instr.j)
-        return best
+            seen[instr.i] = None
+            if not isinstance(instr, (Zero, Succ)):
+                seen[instr.j] = None
+        return tuple(seen)
+
+    @cached_property
+    def rho(self) -> int:
+        """Maximal register index mentioned."""
+        return max(self.registers)
 
 
 class Config:
@@ -228,11 +233,13 @@ def mv(c: Config, i: int, j: int) -> Config:
 
 
 def include(sigma: FiniteConfig) -> Config:
-    """Embed a finite configuration: positions beyond m read as 0."""
-    return Config({pos: val for pos, val in enumerate(sigma.values, start=1)})
+    """Embed a finite configuration: positions beyond m read as 0.
+
+    `FiniteConfig` has checked every value, so no entry is checked again."""
+    return EMPTY_CONFIG._updated(enumerate(sigma.values, start=1))
 
 
 def restrict(c: Config, p: Program) -> FiniteConfig:
     """Cut `c` down to the registers `p` can touch, positions 1..rho(p)."""
-    m = rho(p)
-    return FiniteConfig(tuple(c.get(i) for i in range(1, m + 1)))
+    entries = c._entries
+    return FiniteConfig(tuple(entries.get(i, 0) for i in range(1, p.rho + 1)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -33,13 +34,13 @@ from urm.certificates import (
     RANKING_NOT_DECREASING,
     RANKING_NOT_NONNEGATIVE,
     UNDECIDED_BRANCH,
+    SymHalt,
+    SymNext,
 )
-from urm.certificates import Halt as SymHalt
-from urm.certificates import Next as SymNext
 from urm.constraints import reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
-from oracles import head_visits, naive_pcs, naive_run
+from oracles import head_visits, naive_pcs, naive_run, random_program
 
 FRESH = {i: VarPlus(f"v{i}") for i in (1, 2, 3)}
 
@@ -90,7 +91,6 @@ def test_sym_step_requires_standard_form():
 def test_sym_step_on_constants_mirrors_concrete_execution():
     from urm import Config, MachineState, step
     from urm.evaluator import Halt as ConcreteHalt
-    from oracles import random_program
 
     rng = random.Random(31)
     empty = ConstraintSet()
@@ -362,3 +362,81 @@ def test_accepted_termination_bounds_head_visits(u_minus, samples_dir):
         verdict, visits = head_visits(u_minus, regs, cert.loop_head, 10000)
         assert verdict == "halted", (m, n, z)
         assert len(visits) <= rank + 1, (m, n, z)
+
+
+_RELATIONS = ("<", "<=", "=", ">=", ">", "!=")
+
+
+def _random_atoms(rng, names):
+    """0-2 atoms over `names`, None standing for an absent side."""
+    return tuple(
+        Atom(rng.choice(names), rng.choice(names), rng.choice(_RELATIONS), rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 2))
+    )
+
+
+def _accepted_claim_holds(p, cert, params):
+    """Check `cert`; if accepted, run `p` on every assignment of `params`
+    (name -> range) that the constraints allow and assert the claim.
+    Returns whether the certificate was accepted."""
+    diverges = isinstance(cert, DivergenceCert)
+    report = check_divergence(p, cert) if diverges else check_termination(p, cert)
+    if not report.accepted:
+        return False
+    for values in itertools.product(*params.values()):
+        assignment = dict(zip(params, values))
+        if satisfies(cert.param_constraints, assignment):
+            # 400 steps cover a ranking value up to 15 at bound 8
+            verdict, _, _ = naive_run(p, _instantiate(cert, assignment), 400)
+            assert verdict == ("fuel" if diverges else "halted"), (p, cert, assignment)
+    return True
+
+
+def test_accepted_random_certificates_are_sound():
+    """Every accepted claim must hold on every small input it covers."""
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(20000):
+        p = random_program(rng, 5, 3)
+        fields = dict(
+            param_constraints=ConstraintSet.of(*_random_atoms(rng, (None, "m", "n"))),
+            init={1: VarPlus("m", rng.randint(0, 1)), 2: VarPlus("n"), 3: Const(rng.randint(0, 2))},
+            loop_head=rng.randint(1, len(p)),
+            invariant=_random_atoms(rng, (None, "r1", "r2", "r3")),
+            step_bound=rng.randint(1, 8),
+        )
+        if rng.random() < 0.5:
+            cert = DivergenceCert(**fields)
+        else:
+            split = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2))
+            cert = TerminationCert(**fields, split=split, ranking=(rng.randint(1, 3), rng.randint(1, 3)))
+        accepted += _accepted_claim_holds(p, cert, {"m": range(7), "n": range(7)})
+    assert accepted > 100
+
+
+def test_accepted_mutations_of_the_minus_certificates_are_sound(u_minus, samples_dir):
+    """Random certificates for random programs are almost never accepted
+    termination claims, so mutate the subtraction samples too: one field
+    of the certificate, and half the time one instruction of the program."""
+    rng = random.Random(20261019)
+    samples = [_load(samples_dir, "minus-div.cert"), _load(samples_dir, "minus-term.cert")]
+    mutations = {
+        "param_constraints": lambda cert: ConstraintSet.of(*_random_atoms(rng, (None, "m", "n", "z"))),
+        "init": lambda cert: {**cert.init, rng.randint(1, 3): Const(rng.randint(0, 2))},
+        "loop_head": lambda cert: rng.randint(1, 5),
+        "invariant": lambda cert: _random_atoms(rng, (None, "r1", "r2", "r3")),
+        "step_bound": lambda cert: rng.randint(1, 8),
+        "split": lambda cert: (rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)),
+        "ranking": lambda cert: (rng.randint(1, 3), rng.randint(1, 3)),
+    }
+    params = {"m": range(6), "n": range(6), "z": range(2)}
+    accepted = {DivergenceCert: 0, TerminationCert: 0}
+    for _ in range(800):
+        instructions = list(u_minus.instructions)
+        if rng.random() < 0.5:
+            instructions[rng.randrange(5)] = random_program(rng, 5, 3).at(1)
+        cert = rng.choice(samples)
+        field = rng.choice([f for f in mutations if hasattr(cert, f)])
+        cert = dataclasses.replace(cert, **{field: mutations[field](cert)})
+        accepted[type(cert)] += _accepted_claim_holds(Program(tuple(instructions)), cert, params)
+    assert min(accepted.values()) > 40

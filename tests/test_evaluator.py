@@ -9,7 +9,9 @@ import pytest
 
 from urm import (
     Config,
+    ConstraintSet,
     Converges,
+    DivergenceCert,
     Diverges,
     FiniteConfig,
     Halt,
@@ -25,6 +27,7 @@ from urm import (
     Succ,
     Transfer,
     Zero,
+    check_divergence,
     decide_abstract,
     include,
     restrict,
@@ -164,6 +167,21 @@ def test_run_memory_follows_the_program_not_the_register_indices():
     assert peak < 2**20
     assert isinstance(out, Halted)
     assert _sparse(out.final) == {big + 5: 3}
+
+
+def test_certificate_memory_follows_the_program_not_the_register_indices():
+    big = 10**6
+    p = Program((Zero(big), Jump(1, 1, 2)))
+    cert = DivergenceCert(ConstraintSet(), {}, loop_head=2, invariant=(), step_bound=4)
+    tracemalloc.start()
+    try:
+        report = check_divergence(p, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert report.accepted
+    assert report.trail == ((2, "jt·r"),)
 
 
 def test_run_finite_requires_compatibility(prog_b):

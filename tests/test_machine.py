@@ -69,6 +69,13 @@ def test_rho_is_the_largest_register_operand(u_minus, prog_b, prog_v):
     assert rho(Program((Zero(1), Jump(2, 3, 0)))) == 3
 
 
+def test_registers_are_the_operands_in_first_mention_order(u_minus):
+    assert u_minus.registers == (1, 2, 3)
+    p = Program((Jump(3, 1, 0), Transfer(7, 3), Succ(2), Zero(7), Jump(9, 9, 1)))
+    assert p.registers == (3, 1, 7, 2, 9)
+    assert rho(p) == max(p.registers) == 9
+
+
 def test_standard_form_bounds_jump_targets(u_minus, prog_b, prog_v, prog_loop):
     for p in (u_minus, prog_b, prog_v, prog_loop):
         assert is_standard_form(p)
@@ -78,7 +85,7 @@ def test_standard_form_bounds_jump_targets(u_minus, prog_b, prog_v, prog_loop):
 
 def test_cached_program_facts_leave_equality_and_hashing_alone(u_minus):
     fresh = Program(u_minus.instructions)
-    assert (rho(u_minus), is_standard_form(u_minus)) == (3, True)
+    assert (u_minus.registers, rho(u_minus), is_standard_form(u_minus)) == ((1, 2, 3), 3, True)
     assert u_minus == fresh
     assert hash(u_minus) == hash(fresh)
     assert len({u_minus, fresh}) == 1

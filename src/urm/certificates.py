@@ -233,22 +233,26 @@ def _universe(p: Program, cert: Cert) -> set[int]:
     return set(p.registers) | _cert_registers(cert)
 
 
-def _reject(code: str, pc: int | None = None, atom: Atom | None = None) -> CertReport:
-    return CertReport(accepted=False, reason=Reason(code, pc=pc, atom=atom))
+class _Rejected(Exception):
+    """A certificate fails; raised where the failure is found."""
+
+    def __init__(self, code: str, pc: int | None = None, atom: Atom | None = None) -> None:
+        super().__init__(code)
+        self.report = CertReport(accepted=False, reason=Reason(code, pc=pc, atom=atom))
 
 
 def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | None = None):
     """Symbolic run from `s` of at most `bound` steps.
 
-    Stops on Undecided, on SymHalt, or on a SymNext that arrives at
-    `head`, and returns that result, or None when the bound runs out
-    first, together with the trail of the steps taken.
+    Stops on SymHalt, or on a SymNext that arrives at `head`, and returns
+    that result, or None when the bound runs out first, together with the
+    trail of the steps taken.  An undecided jump rejects the certificate.
     """
     trail: list[TrailEntry] = []
     for _ in range(bound):
         res = sym_step(p, s, cs)
         if isinstance(res, Undecided):
-            return res, trail
+            raise _Rejected(UNDECIDED_BRANCH, pc=res.pc)
         trail.append((s.pc, res.rule))
         if isinstance(res, SymHalt) or res.state.pc == head:
             return res, trail
@@ -263,12 +267,15 @@ def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintS
     return start, ConstraintSet(frozenset(substitute(a, start.regs) for a in atoms))
 
 
-def _unentailed(cs: ConstraintSet, atoms: tuple[Atom, ...], regs: Mapping[int, SymValue]) -> Atom | None:
-    """First atom that `cs` does not entail once its registers read `regs`."""
-    return next((a for a in atoms if not entails(cs, substitute(a, regs))), None)
+def _require_entailed(code: str, cs: ConstraintSet, atoms: tuple[Atom, ...], regs: Mapping[int, SymValue]) -> None:
+    """Reject with `code` at the first atom that `cs` does not entail once
+    its registers read `regs`."""
+    for a in atoms:
+        if not entails(cs, substitute(a, regs)):
+            raise _Rejected(code, atom=a)
 
 
-def _enter_loop(p: Program, cert: Cert) -> CertReport | None:
+def _enter_loop(p: Program, cert: Cert) -> None:
     """Prefix phase: reach the head and establish the invariant there."""
     if not p.standard:
         raise NotStandardForm("certificates require a standard-form program")
@@ -277,41 +284,32 @@ def _enter_loop(p: Program, cert: Cert) -> CertReport | None:
     s = SymState(1, {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)})
     if s.pc != cert.loop_head:
         res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
-        if isinstance(res, Undecided):
-            return _reject(UNDECIDED_BRANCH, pc=res.pc)
         if not isinstance(res, SymNext):
-            return _reject(PREFIX_FAILED)
+            raise _Rejected(PREFIX_FAILED)
         s = res.state
-    atom = _unentailed(cert.param_constraints, cert.invariant, s.regs)
-    return None if atom is None else _reject(INVARIANT_NOT_ESTABLISHED, atom=atom)
+    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert.invariant, s.regs)
 
 
 def _close_loop(p: Program, cert: Cert, *extra: Atom):
     """Loop phase: from the head under the invariant and `extra` back to it,
-    re-establishing the invariant; a rejection, or (start, end, cs, trail)."""
+    re-establishing the invariant; returns (start, end, cs, trail)."""
     start, cs = _assume(p, cert, *extra)
     res, trail = _walk(p, start, cs, cert.step_bound, cert.loop_head)
-    if isinstance(res, Undecided):
-        return _reject(UNDECIDED_BRANCH, pc=res.pc)
     if isinstance(res, SymHalt):
-        return _reject(HALTED_DURING_LOOP, pc=res.state.pc)
+        raise _Rejected(HALTED_DURING_LOOP, pc=res.state.pc)
     if res is None:
-        return _reject(LOOP_NOT_CLOSED)
-    atom = _unentailed(cs, cert.invariant, res.state.regs)
-    if atom is not None:
-        return _reject(INVARIANT_NOT_PRESERVED, atom=atom)
+        raise _Rejected(LOOP_NOT_CLOSED)
+    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert.invariant, res.state.regs)
     return start, res.state, cs, trail
 
 
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     """Accept iff the certified lasso proves the program never halts."""
-    rejected = _enter_loop(p, cert)
-    if rejected is not None:
-        return rejected
-    loop = _close_loop(p, cert)
-    if isinstance(loop, CertReport):
-        return loop
-    _, _, _, trail = loop
+    try:
+        _enter_loop(p, cert)
+        _, _, _, trail = _close_loop(p, cert)
+    except _Rejected as rejected:
+        return rejected.report
     return CertReport(accepted=True, trail=tuple(trail))
 
 
@@ -352,23 +350,18 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
 
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
-    rejected = _enter_loop(p, cert)
-    if rejected is not None:
-        return rejected
-    loop = _close_loop(p, cert, cert.continue_atom())
-    if isinstance(loop, CertReport):
-        return loop
-    start, end, cs, cont_trail = loop
-    x, y = cert.ranking
-    if not entails(cs, substitute(Atom(reg_var(x), reg_var(y), ">=", 0), start.regs)):
-        return _reject(RANKING_NOT_NONNEGATIVE)
-    if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
-        return _reject(RANKING_NOT_DECREASING)
-
-    start, cs = _assume(p, cert, cert.exit_atom())
-    res, exit_trail = _walk(p, start, cs, cert.step_bound)
-    if isinstance(res, Undecided):
-        return _reject(UNDECIDED_BRANCH, pc=res.pc)
-    if res is None:
-        return _reject(EXIT_DOES_NOT_HALT)
+    try:
+        _enter_loop(p, cert)
+        start, end, cs, cont_trail = _close_loop(p, cert, cert.continue_atom())
+        x, y = cert.ranking
+        if not entails(cs, substitute(Atom(reg_var(x), reg_var(y), ">=", 0), start.regs)):
+            raise _Rejected(RANKING_NOT_NONNEGATIVE)
+        if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
+            raise _Rejected(RANKING_NOT_DECREASING)
+        start, cs = _assume(p, cert, cert.exit_atom())
+        res, exit_trail = _walk(p, start, cs, cert.step_bound)
+        if res is None:
+            raise _Rejected(EXIT_DOES_NOT_HALT)
+    except _Rejected as rejected:
+        return rejected.report
     return CertReport(accepted=True, trail=tuple(cont_trail + exit_trail))

@@ -9,22 +9,17 @@ validation error, 2 fuel exhausted, 3 certificate rejected.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 
+from itertools import islice
 from typing import NoReturn
 
 from .certificates import CertReport, Reason, TerminationCert, check_divergence, check_termination
 from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
-from .evaluator import (
-    Converges,
-    Halt,
-    Halted,
-    MachineState,
-    decide_abstract,
-    run,
-    step,
-)
+from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, FiniteConfig, Program, compatible, include, is_standard_form, restrict, rho
 from .textio import format_config, parse_cert, parse_config, parse_program
 
@@ -85,26 +80,6 @@ def _require_standard(path: str, p: Program) -> None:
         raise _Failure(f"{path}: program is not in standard form")
 
 
-def _show_halted(values, steps: int) -> int:
-    print(f"halted: {format_config(values)}")
-    print(f"steps: {steps}")
-    return 0
-
-
-def _run_showing_steps(p: Program, start: Config, fuel: int) -> int:
-    state = MachineState(p, 1, start)
-    steps = 0
-    while steps < fuel:
-        print(f"{state.pc} {format_config(restrict(state.config, p).values)}")
-        result = step(state)
-        steps += 1
-        if isinstance(result, Halt):
-            return _show_halted(restrict(result.config, p).values, steps)
-        state = result.state
-    print(f"fuel exhausted after {fuel} steps")
-    return 2
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
     _require_standard(args.program, p)
@@ -117,10 +92,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise _Failure(f"--init: needs at least {rho(p)} registers for this program")
     start = include(sigma) if sigma is not None else Config()
     if args.show_steps:
-        return _run_showing_steps(p, start, args.fuel)
+        # `trace` yields one state per step taken, so these are exactly the
+        # states `run` steps from; printed first, so that they stream
+        for state in islice(trace(p, start), args.fuel):
+            print(f"{state.pc} {format_config(restrict(state.config, p).values)}")
     outcome = run(p, start, args.fuel)
     if isinstance(outcome, Halted):
-        return _show_halted(restrict(outcome.final, p).values, outcome.steps)
+        print(f"halted: {format_config(restrict(outcome.final, p).values)}")
+        print(f"steps: {outcome.steps}")
+        return 0
     print(f"fuel exhausted after {outcome.steps} steps")
     return 2
 
@@ -205,10 +185,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _Failure as failure:
         print(str(failure), file=sys.stderr)
         return failure.code
+    except BrokenPipeError:
+        # The reader closed stdout early.  As Python's `signal` docs advise,
+        # point the descriptor at devnull, so that the interpreter's flush
+        # at exit fails quietly too.
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:  # an in-process caller's StringIO
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

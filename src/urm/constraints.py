@@ -149,9 +149,6 @@ class ConstraintSet:
     def of(cls, *atoms: Atom) -> "ConstraintSet":
         return cls(frozenset(atoms))
 
-    def and_also(self, *atoms: Atom) -> "ConstraintSet":
-        return ConstraintSet(self.atoms | set(atoms))
-
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
         for a in self.atoms:
@@ -159,7 +156,11 @@ class ConstraintSet:
         return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+# Bounded, because an unbounded memo grows for the life of a process that
+# checks many certificates.  A check reuses the closures of its own few
+# constraint sets, and the certificates of one program are checked
+# together, so a small bound loses almost no hits.
+@lru_cache(maxsize=64)
 def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
     """All-pairs tightest difference bounds; second part is feasibility.
 

@@ -11,10 +11,11 @@ update still applies).  Divergence is never asserted by the runner;
 verdicts come from `decide_abstract` (jump-only programs, where the
 question is decidable) and from certificate checking.
 
-There are two concrete interpreters.  `step` is the rule-level relation;
-`trace`, `decide_abstract` and the CLI's `--show-steps` drive it.  `run`
-compiles the program to a list loop over the registers it mentions, for
-speed; the test suite checks that the two agree.
+There are two concrete interpreters.  `step` is the rule-level relation,
+and `trace` alone drives it; `decide_abstract` and the CLI's
+`--show-steps` consume `trace`'s states.  `run` compiles the program to
+a list loop over the registers it mentions, for speed; the test suite
+checks that the two agree.
 """
 
 from __future__ import annotations

@@ -27,9 +27,11 @@ def _check_register(value: int, what: str = "register index") -> None:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
-def _check_natural(value: int, what: str) -> None:
+def _check_natural(value: int, what: str, *args: object) -> None:
+    """`what` is formatted with `args` only when the check fails, so that
+    bulk checks of valid values build no message."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{what} must be a natural number, got {value!r}")
+        raise ValueError(f"{what.format(*args)} must be a natural number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class Config:
         canon: dict[int, int] = {}
         for reg, val in (entries or {}).items():
             _check_register(reg)
-            _check_natural(val, f"value of register {reg}")
+            _check_natural(val, "value of register {}", reg)
             if val != 0:
                 canon[reg] = val
         object.__setattr__(self, "_entries", canon)
@@ -187,7 +189,7 @@ class FiniteConfig:
         if not self.values:
             raise ValueError("a finite configuration must be non-empty")
         for pos, val in enumerate(self.values, start=1):
-            _check_natural(val, f"value at position {pos}")
+            _check_natural(val, "value at position {}", pos)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -30,13 +30,12 @@ from __future__ import annotations
 import re
 
 from .certificates import DivergenceCert, TerminationCert
-from .constraints import Atom, Const, ConstraintSet, SymValue, VarPlus, parse_reg_var
+from .constraints import REL_SYMBOLS, Atom, Const, ConstraintSet, SymValue, VarPlus, parse_reg_var
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero
 
 _TOKEN = re.compile(r"\S+")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RELS = ("<", "<=", "=", ">=", ">", "!=")
 
 _ARITY = {"Z": 1, "S": 1, "T": 2, "J": 3}
 
@@ -188,7 +187,7 @@ class _CertParser:
             col = toks[0][1] if toks else 1
             raise SourceError(ln, col, "expected 'A rel B'")
         (ltok, lcol), (rel, rcol), (rtok, ccol) = toks
-        if rel not in _RELS:
+        if rel not in REL_SYMBOLS:
             raise SourceError(ln, rcol, f"unknown relation {rel!r}")
         vx, cx = operand(ltok, ln, lcol)
         vy, cy = operand(rtok, ln, ccol)

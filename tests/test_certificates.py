@@ -37,7 +37,7 @@ from urm.certificates import (
     SymHalt,
     SymNext,
 )
-from urm.constraints import reg_var
+from urm.constraints import _closure, reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
 from oracles import head_visits, naive_pcs, naive_run, random_program
@@ -292,6 +292,23 @@ def test_loop_head_must_be_a_position(u_minus):
 def test_checkers_require_standard_form():
     with pytest.raises(NotStandardForm):
         check_divergence(Program((Jump(1, 1, 9),)), _minus_cert())
+
+
+def test_the_closure_memo_stays_bounded(u_minus):
+    """A process that checks many certificates keeps a bounded memo."""
+    _closure.cache_clear()
+    for k in range(1, 101):
+        cert = DivergenceCert(
+            param_constraints=ConstraintSet.of(Atom("m", "n", "<=", -k)),
+            init={1: VarPlus("m"), 2: VarPlus("n")},
+            loop_head=1,
+            invariant=(Atom("r1", "r2", "<=", -k),),
+            step_bound=8,
+        )
+        assert check_divergence(u_minus, cert).accepted
+    info = _closure.cache_info()
+    assert info.misses > 100
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def _instantiate(cert, assignment):

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import random
+import shlex
+import subprocess
+import sys
+
 import pytest
 
+from urm import print_program
 from urm.cli import main
+from oracles import apply_instr, naive_run, random_program
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # More digits than CPython converts to int by default (4300)
 LONG = "9" * 5000
@@ -83,6 +94,73 @@ def test_run_streams_steps(capsys, samples_dir):
     code, out, _ = _run(capsys, "run", str(samples_dir / "b.urm"), "--init", "0,1", "--show-steps")
     assert code == 0
     assert out == "1 0,1\n2 0,1\nhalted: 0,1\nsteps: 2\n"
+
+
+def _expected_show_steps(p, init, fuel):
+    """Exit code and `--show-steps` text, stepped by the oracle."""
+    regs = {i: v for i, v in enumerate(init, start=1) if v}
+
+    def registers():
+        return ",".join(str(regs.get(i, 0)) for i in range(1, p.rho + 1))
+
+    lines = []
+    pc = 1
+    for steps in range(1, fuel + 1):
+        lines.append(f"{pc} {registers()}")
+        pc = apply_instr(p.at(pc), pc, regs)
+        if not 1 <= pc <= len(p):
+            return 0, "\n".join([*lines, f"halted: {registers()}", f"steps: {steps}", ""])
+    return 2, "\n".join([*lines, f"fuel exhausted after {fuel} steps", ""])
+
+
+def test_run_show_steps_agrees_with_the_naive_interpreter(capsys, tmp_path, prog_v):
+    """Fuel 0 and around the halting step count k, and runs that never halt."""
+    rng = random.Random(20261020)
+    path = tmp_path / "p.urm"
+    cases = [(prog_v, (0, 0, 0), (0, 1, 2, 60))]
+    for _ in range(150):
+        p = random_program(rng, 5, 3)
+        init = tuple(rng.randint(0, 3) for _ in range(3))
+        verdict, _, k = naive_run(p, dict(enumerate(init, start=1)), 200)
+        cases.append((p, init, (0, k - 1, k, k + 1) if verdict == "halted" else (0, 1, 60)))
+    for p, init, fuels in cases:
+        path.write_text(print_program(p))
+        for fuel in fuels:
+            argv = ["run", str(path), "--init", ",".join(map(str, init)), "--fuel", str(fuel), "--show-steps"]
+            if rng.random() < 0.5:
+                argv.append("--finite")
+            assert _run(capsys, *argv)[:2] == _expected_show_steps(p, init, fuel), (p, init, fuel)
+
+
+def test_readme_command_line_examples(capsys, monkeypatch):
+    """Every `$ urm ...` line of README's command-line block prints what
+    the README shows below it."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    examples = [chunk.strip("\n").split("\n", 1) for chunk in block.split("$ ")[1:]]
+    assert len(examples) == 7
+    for command, shown in examples:
+        argv = shlex.split(command)
+        assert argv[0] == "urm"
+        assert _run(capsys, *argv[1:])[1] == shown + "\n", command
+
+
+def test_closed_stdout_exits_1_without_a_traceback(samples_dir):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = ["run", str(samples_dir / "loop.urm"), "--fuel", "1000000", "--show-steps"]
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from urm.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"1 0\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert b"Traceback" not in err, err.decode()
 
 
 def test_run_finite_matches_the_infinite_view(capsys, samples_dir):

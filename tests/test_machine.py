@@ -104,8 +104,9 @@ def test_config_is_canonical_sparse():
 def test_config_rejects_bad_entries():
     with pytest.raises(ValueError):
         Config({0: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         Config({1: -1})
+    assert str(excinfo.value) == "value of register 1 must be a natural number, got -1"
 
 
 def test_zr_sc_mv_update_single_registers():
@@ -151,8 +152,9 @@ def test_finite_config_shape():
     assert sigma.at(3) == 0
     with pytest.raises(ValueError):
         FiniteConfig(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         FiniteConfig((1, -1))
+    assert str(excinfo.value) == "value at position 2 must be a natural number, got -1"
 
 
 def test_include_pads_with_zeros():

@@ -179,7 +179,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     n = len(p)
     if not 1 <= s.pc <= n:
         raise PcOutOfRange(f"position {s.pc} outside 1..{n}")
-    instr = p.at(s.pc)
+    instr = p.instructions[s.pc - 1]
     nxt = s.pc + 1 if s.pc < n else 0
     regs = s.regs
     if isinstance(instr, Jump):

@@ -35,6 +35,7 @@ from .machine import (
     compatible,
     include,
     mv,
+    restrict,
     sc,
     zr,
 )
@@ -102,11 +103,11 @@ def step(s: MachineState) -> StepResult:
     pc = s.pc
     if not 1 <= pc <= n:
         raise PcOutOfRange(f"pc {pc} not in [1..{n}]")
-    instr = p.at(pc)
+    instr = p.instructions[pc - 1]
     c = s.config
     nxt = pc + 1 if pc < n else 0
     if isinstance(instr, Jump):
-        if c.get(instr.i) == c.get(instr.j):
+        if c._entries.get(instr.i, 0) == c._entries.get(instr.j, 0):
             nxt = instr.k
     elif isinstance(instr, Zero):
         c = zr(c, instr.i)
@@ -157,7 +158,7 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
         raise ValueError("fuel must be >= 0")
     code = _compile(p)
     live = p.registers
-    regs = [c.get(reg) for reg in live]
+    regs = [c._entries.get(reg, 0) for reg in live]
     pc = 1
     steps = 0
     while steps < fuel:
@@ -206,10 +207,9 @@ def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
         )
     outcome = run(p, include(sigma), fuel)
     if isinstance(outcome, Halted):
-        assert isinstance(outcome.final, Config)
-        entries = outcome.final._entries
-        values = tuple(entries.get(i, 0) for i in range(1, len(sigma) + 1))
-        return Halted(FiniteConfig(values), outcome.steps)
+        # `p` writes only r1..r_rho, so sigma's tail past rho is unchanged
+        values = restrict(outcome.final, p).values + sigma.values[p.rho:]
+        return Halted(FiniteConfig._of(values), outcome.steps)
     return outcome
 
 

@@ -191,6 +191,14 @@ class FiniteConfig:
         for pos, val in enumerate(self.values, start=1):
             _check_natural(val, "value at position {}", pos)
 
+    @classmethod
+    def _of(cls, values: tuple[int, ...]) -> FiniteConfig:
+        """From a non-empty tuple of naturals; `__post_init__`'s checks are
+        skipped."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "values", values)
+        return new
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -244,4 +252,4 @@ def include(sigma: FiniteConfig) -> Config:
 def restrict(c: Config, p: Program) -> FiniteConfig:
     """Cut `c` down to the registers `p` can touch, positions 1..rho(p)."""
     entries = c._entries
-    return FiniteConfig(tuple(entries.get(i, 0) for i in range(1, p.rho + 1)))
+    return FiniteConfig._of(tuple(entries.get(i, 0) for i in range(1, p.rho + 1)))

@@ -37,7 +37,11 @@ from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Z
 _TOKEN = re.compile(r"\S+")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-_ARITY = {"Z": 1, "S": 1, "T": 2, "J": 3}
+# The instruction syntax: a mnemonic, then one natural per field of its
+# class, in constructor order (`__match_args__`); the first two operands
+# are registers, a jump's third its target.
+_SYNTAX = {"Z": Zero, "S": Succ, "T": Transfer, "J": Jump}
+_MNEMONIC = {kind: mnemonic for mnemonic, kind in _SYNTAX.items()}
 
 
 def _strip_comment(line: str) -> str:
@@ -65,24 +69,17 @@ def parse_program(text: str) -> Program:
         if not toks:
             continue
         (mnemonic, mcol), args = toks[0], toks[1:]
-        arity = _ARITY.get(mnemonic)
-        if arity is None:
+        kind = _SYNTAX.get(mnemonic)
+        if kind is None:
             raise SourceError(ln, mcol, f"unknown mnemonic {mnemonic!r}")
+        arity = len(kind.__match_args__)
         if len(args) != arity:
             raise SourceError(ln, mcol, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
         values = [_nat(tok, ln, col) for tok, col in args]
-        registers = values[:2] if mnemonic in ("T", "J") else values[:1]
-        for value, (_, col) in zip(registers, args):
+        for value, (_, col) in zip(values[:2], args):
             if value < 1:
                 raise SourceError(ln, col, "register indices start at 1")
-        if mnemonic == "Z":
-            instructions.append(Zero(values[0]))
-        elif mnemonic == "S":
-            instructions.append(Succ(values[0]))
-        elif mnemonic == "T":
-            instructions.append(Transfer(values[0], values[1]))
-        else:
-            instructions.append(Jump(values[0], values[1], values[2]))
+        instructions.append(kind(*values))
     if not instructions:
         raise SourceError(1, 1, "empty program")
     return Program(tuple(instructions))
@@ -90,17 +87,10 @@ def parse_program(text: str) -> Program:
 
 def print_program(p: Program) -> str:
     """Canonical assembly text; inverse of parse_program."""
-    lines = []
-    for instr in p:
-        if isinstance(instr, Zero):
-            lines.append(f"Z {instr.i}")
-        elif isinstance(instr, Succ):
-            lines.append(f"S {instr.i}")
-        elif isinstance(instr, Transfer):
-            lines.append(f"T {instr.i} {instr.j}")
-        else:
-            lines.append(f"J {instr.i} {instr.j} {instr.k}")
-    return "\n".join(lines)
+    return "\n".join(
+        " ".join([_MNEMONIC[type(instr)], *(str(getattr(instr, name)) for name in instr.__match_args__)])
+        for instr in p
+    )
 
 
 def _content_line(text: str) -> tuple[str, int]:
@@ -129,7 +119,7 @@ def parse_config(text: str) -> FiniteConfig:
             raise SourceError(ln, column, "expected a natural number")
         values.append(_nat(tok, ln, column))
         cursor += len(part) + 1
-    return FiniteConfig(tuple(values))
+    return FiniteConfig._of(tuple(values))
 
 
 def format_config(values) -> str:

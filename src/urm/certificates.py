@@ -18,7 +18,9 @@ exit case the program must halt within the step bound.  The two cases
 cover all values, so together they prove the loop exits.
 
 Rejection reports carry a single reason code and, where useful, the
-offending program position or invariant atom.
+offending program position or invariant atom.  Parameter constraints
+that no input meets are rejected too: such a claim holds only because
+it covers nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .constraints import (
     parse_reg_var,
     reg_var,
     substitute,
+    _closure,
     _parts,
 )
 from .errors import NotStandardForm, PcOutOfRange
@@ -51,6 +54,7 @@ INVARIANT_NOT_PRESERVED = "InvariantNotPreserved"
 RANKING_NOT_NONNEGATIVE = "RankingNotNonnegative"
 RANKING_NOT_DECREASING = "RankingNotDecreasing"
 EXIT_DOES_NOT_HALT = "ExitDoesNotHalt"
+CONSTRAINTS_UNSATISFIABLE = "ConstraintsUnsatisfiable"
 
 
 @dataclass(frozen=True)
@@ -281,6 +285,9 @@ def _enter_loop(p: Program, cert: Cert) -> None:
         raise NotStandardForm("certificates require a standard-form program")
     if cert.loop_head > len(p):
         raise PcOutOfRange(f"loop head {cert.loop_head} outside 1..{len(p)}")
+    # no input meets the constraints, so any claim would hold vacuously
+    if not _closure(cert.param_constraints)[1]:
+        raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     s = SymState(1, {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)})
     if s.pc != cert.loop_head:
         res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)

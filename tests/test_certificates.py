@@ -25,6 +25,7 @@ from urm import (
     sym_step,
 )
 from urm.certificates import (
+    CONSTRAINTS_UNSATISFIABLE,
     EXIT_DOES_NOT_HALT,
     HALTED_DURING_LOOP,
     INVARIANT_NOT_ESTABLISHED,
@@ -292,6 +293,28 @@ def test_loop_head_must_be_a_position(u_minus):
 def test_checkers_require_standard_form():
     with pytest.raises(NotStandardForm):
         check_divergence(Program((Jump(1, 1, 9),)), _minus_cert())
+
+
+def test_unsatisfiable_constraints_are_rejected():
+    """`m < n` and `n < m` cover no input, so an accepted lasso would prove
+    nothing: the program below halts from r1 = 0, r2 = 1."""
+    p = Program((Jump(1, 2, 1), Succ(3)))
+    cert = DivergenceCert(
+        param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0), Atom("n", "m", "<", 0)),
+        init={1: VarPlus("m"), 2: VarPlus("n")},
+        loop_head=1,
+        invariant=(Atom("r1", "r2", "=", 0),),
+        step_bound=2,
+    )
+    assert naive_run(p, {1: 0, 2: 1}, 10)[0] == "halted"
+    assert check_divergence(p, cert).reason.code == CONSTRAINTS_UNSATISFIABLE
+    term = _term_cert(param_constraints=cert.param_constraints, init=cert.init, invariant=cert.invariant)
+    assert check_termination(p, term).reason.code == CONSTRAINTS_UNSATISFIABLE
+    # the standard-form and loop-head checks come first
+    with pytest.raises(NotStandardForm):
+        check_divergence(Program((Jump(1, 2, 3),)), cert)
+    with pytest.raises(PcOutOfRange):
+        check_divergence(p, dataclasses.replace(cert, loop_head=3))
 
 
 def test_the_closure_memo_stays_bounded(u_minus):

@@ -262,6 +262,21 @@ def test_cert_reports_offending_atoms(capsys, samples_dir, tmp_path):
     assert out == "Rejected: InvariantNotEstablished atom=r1 - r2 >= 1\n"
 
 
+def test_cert_rejects_unsatisfiable_constraints(capsys, tmp_path):
+    prog = tmp_path / "p.urm"
+    prog.write_text("J 1 2 1\nS 3\n")
+    cert = tmp_path / "empty.cert"
+    cert.write_text(
+        "kind: diverges\nparams: m n\nconstraint: m < n\nconstraint: n < m\ninit: m, n\n"
+        "head: 1\ninvariant: r1 = r2\nbound: 2\n"
+    )
+    code, out, _ = _run(capsys, "cert", str(prog), str(cert))
+    assert (code, out) == (3, "Rejected: ConstraintsUnsatisfiable\n")
+    # no input meets the constraints, and this one halts
+    code, out, _ = _run(capsys, "run", str(prog), "--init", "0,1")
+    assert (code, out) == (0, "halted: 0,1,1\nsteps: 2\n")
+
+
 def test_cert_parse_errors_exit_1(capsys, samples_dir, tmp_path):
     cert = tmp_path / "broken.cert"
     cert.write_text("kind: diverges\nbound: 4\n")

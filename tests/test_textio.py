@@ -70,6 +70,21 @@ def test_parse_program_error_positions():
     assert (info.value.line, info.value.column) == (2, 3)
 
 
+def test_parse_program_error_messages():
+    cases = [
+        ("S 1\nQ 2", 2, 1, "unknown mnemonic 'Q'"),
+        ("T 1\n", 1, 1, "T takes 2 operand(s), got 1"),
+        ("J 1 2", 1, 1, "J takes 3 operand(s), got 2"),
+        ("T 1 0", 1, 5, "register indices start at 1"),
+    ]
+    for text, line, column, message in cases:
+        with pytest.raises(SourceError) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column, info.value.message) == (line, column, message)
+    # a jump's third operand is a target, and 0 halts
+    assert parse_program("J 1 2 0") == Program((Jump(1, 2, 0),))
+
+
 def test_parse_program_rejects_negative_looking_tokens():
     with pytest.raises(SourceError):
         parse_program("J 1 1 -1")

@@ -20,7 +20,7 @@ from .certificates import CertReport, Reason, TerminationCert, check_divergence,
 from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
-from .machine import Config, FiniteConfig, Program, compatible, include, is_standard_form, restrict, rho
+from .machine import Config, FiniteConfig, Program, compatible, include, restrict
 from .textio import format_config, parse_cert, parse_config, parse_program
 
 DEFAULT_FUEL = 100000
@@ -63,9 +63,8 @@ def _parse_init(text: str, what: str) -> FiniteConfig:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
-    standard = is_standard_form(p)
-    parts = [f"n={len(p)}", f"rho={rho(p)}", f"standard-form={'yes' if standard else 'no'}"]
-    ok = standard
+    parts = [f"n={len(p)}", f"rho={p.rho}", f"standard-form={'yes' if p.standard else 'no'}"]
+    ok = p.standard
     if args.config is not None:
         sigma = _parse_init(_read(args.config), args.config)
         good = compatible(sigma, p)
@@ -76,7 +75,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _require_standard(path: str, p: Program) -> None:
-    if not is_standard_form(p):
+    if not p.standard:
         raise _Failure(f"{path}: program is not in standard form")
 
 
@@ -89,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # `--finite` changes no result: its default, zeros over r1..r_rho, is
     # the empty configuration, so all it adds is the compatibility check.
     if args.finite and sigma is not None and not compatible(sigma, p):
-        raise _Failure(f"--init: needs at least {rho(p)} registers for this program")
+        raise _Failure(f"--init: needs at least {p.rho} registers for this program")
     start = include(sigma) if sigma is not None else Config()
     if args.show_steps:
         # `trace` yields one state per step taken, so these are exactly the

@@ -149,12 +149,6 @@ class ConstraintSet:
     def of(cls, *atoms: Atom) -> "ConstraintSet":
         return cls(frozenset(atoms))
 
-    def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for a in self.atoms:
-            out |= a.variables()
-        return frozenset(out)
-
 
 # Bounded, because an unbounded memo grows for the life of a process that
 # checks many certificates.  A check reuses the closures of its own few
@@ -278,16 +272,6 @@ def substitute(a: Atom, regs: Mapping[int, SymValue]) -> Atom:
     vx, cx = _subst_side(a.x, regs)
     vy, cy = _subst_side(a.y, regs)
     return Atom(vx, vy, a.rel, a.k - cx + cy)
-
-
-def eval_atom(a: Atom, values: Mapping[str, int]) -> bool:
-    """Concrete truth of an atom under a total variable assignment."""
-    lhs = (values[a.x] if a.x is not None else 0) - (values[a.y] if a.y is not None else 0)
-    return _compare(lhs, a.rel, a.k)
-
-
-def satisfies(cs: ConstraintSet, values: Mapping[str, int]) -> bool:
-    return all(eval_atom(a, values) for a in cs.atoms)
 
 
 def format_atom(a: Atom) -> str:

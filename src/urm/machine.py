@@ -91,12 +91,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def at(self, pos: int) -> Instruction:
-        """Instruction at 1-based position `pos`."""
-        if not 1 <= pos <= len(self.instructions):
-            raise IndexError(f"position {pos} not in [1..{len(self.instructions)}]")
-        return self.instructions[pos - 1]
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
@@ -202,25 +196,10 @@ class FiniteConfig:
     def __len__(self) -> int:
         return len(self.values)
 
-    def at(self, pos: int) -> int:
-        if not 1 <= pos <= len(self.values):
-            raise IndexError(f"position {pos} not in [1..{len(self.values)}]")
-        return self.values[pos - 1]
-
-
-def rho(p: Program) -> int:
-    """Maximal register index mentioned by any instruction of `p`."""
-    return p.rho
-
-
-def is_standard_form(p: Program) -> bool:
-    """True iff every jump target k satisfies k <= len(p)."""
-    return p.standard
-
 
 def compatible(sigma: FiniteConfig, p: Program) -> bool:
     """True iff `p` is in standard form and touches only registers 1..m."""
-    return is_standard_form(p) and rho(p) <= len(sigma)
+    return p.standard and p.rho <= len(sigma)
 
 
 def zr(c: Config, i: int) -> Config:
@@ -250,6 +229,6 @@ def include(sigma: FiniteConfig) -> Config:
 
 
 def restrict(c: Config, p: Program) -> FiniteConfig:
-    """Cut `c` down to the registers `p` can touch, positions 1..rho(p)."""
+    """Cut `c` down to the registers `p` can touch, positions 1..p.rho."""
     entries = c._entries
     return FiniteConfig._of(tuple(entries.get(i, 0) for i in range(1, p.rho + 1)))

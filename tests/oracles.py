@@ -2,12 +2,15 @@
 
 Deliberately written in a different style from the package code: a
 dict-based interpreter that halts when the position leaves [1..n], with
-no instruction compilation and no sparse-configuration bookkeeping.
-Agreement between the two evaluators is then a meaningful check.
+no instruction compilation and no sparse-configuration bookkeeping, and
+a concrete evaluation of constraint atoms that shares no code with the
+package's bound reasoning.  Agreement between the two is then a
+meaningful check.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from urm.machine import Jump, Program, Succ, Transfer, Zero
@@ -41,7 +44,7 @@ def naive_run(p: Program, regs: dict[int, int], fuel: int):
     steps = 0
     while steps < fuel:
         steps += 1
-        pc = apply_instr(p.at(pc), pc, regs)
+        pc = apply_instr(p.instructions[pc - 1], pc, regs)
         if not 1 <= pc <= n:
             return ("halted", regs, steps)
     return ("fuel", regs, steps)
@@ -54,7 +57,7 @@ def naive_pcs(p: Program, regs: dict[int, int], limit: int) -> list[int]:
     pc = 1
     out = [pc]
     while len(out) < limit:
-        pc = apply_instr(p.at(pc), pc, regs)
+        pc = apply_instr(p.instructions[pc - 1], pc, regs)
         if not 1 <= pc <= n:
             break
         out.append(pc)
@@ -72,7 +75,7 @@ def head_visits(p: Program, regs: dict[int, int], head: int, fuel: int):
         visits.append(dict(regs))
     while steps < fuel:
         steps += 1
-        pc = apply_instr(p.at(pc), pc, regs)
+        pc = apply_instr(p.instructions[pc - 1], pc, regs)
         if not 1 <= pc <= n:
             return ("halted", visits)
         if pc == head:
@@ -95,3 +98,19 @@ def random_program(rng: random.Random, max_len: int = 5, max_reg: int = 3) -> Pr
         else:
             out.append(Jump(rng.randint(1, max_reg), rng.randint(1, max_reg), rng.randint(0, n)))
     return Program(tuple(out))
+
+
+# The relations an `Atom` keeps: construction turns `<` and `>` into
+# weak bounds with a shifted constant.
+_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
+
+
+def atom_holds(atom, values: dict[str, int]) -> bool:
+    """Truth of `x - y rel k` under `values`, an absent side reading 0."""
+    diff = sum(sign * values[var] for var, sign in ((atom.x, 1), (atom.y, -1)) if var is not None)
+    return _HOLDS[atom.rel](diff, atom.k)
+
+
+def constraints_hold(cs, values: dict[str, int]) -> bool:
+    """Truth of every atom of the constraint set `cs` under `values`."""
+    return all(atom_holds(atom, values) for atom in cs.atoms)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from oracles import head_visits, naive_pcs, random_program
+from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, random_program
 from urm.certificates import (
     DivergenceCert,
     HALTED_DURING_LOOP,
@@ -32,9 +32,7 @@ from urm.constraints import (
     VarPlus,
     decide_eq,
     entails,
-    eval_atom,
     parse_reg_var,
-    satisfies,
 )
 from urm.evaluator import (
     Converges,
@@ -53,7 +51,6 @@ from urm.machine import (
     compatible,
     include,
     restrict,
-    rho,
 )
 from urm.textio import parse_cert, parse_program, print_program
 
@@ -77,7 +74,7 @@ def _sym_eval(sv, assignment):
 
 
 def _parameters(cert):
-    names = set(cert.param_constraints.variables())
+    names = {v for atom in cert.param_constraints.atoms for v in atom.variables()}
     for sv in cert.init.values():
         if isinstance(sv, VarPlus):
             names.add(sv.var)
@@ -89,7 +86,7 @@ def _sample_registers(cert, rng, high=10):
     names = _parameters(cert)
     while True:
         assignment = {v: rng.randint(0, high) for v in names}
-        if satisfies(cert.param_constraints, assignment):
+        if constraints_hold(cert.param_constraints, assignment):
             break
     return {i: _sym_eval(sv, assignment) for i, sv in cert.init.items()}
 
@@ -97,7 +94,7 @@ def _sample_registers(cert, rng, high=10):
 def _invariant_holds(invariant, regs):
     for atom in invariant:
         values = {v: regs.get(parse_reg_var(v), 0) for v in atom.variables()}
-        if not eval_atom(atom, values):
+        if not atom_holds(atom, values):
             return False
     return True
 
@@ -192,7 +189,7 @@ def test_criterion_06_finite_and_infinite_runs_agree():
     mismatches = 0
     for _ in range(200):
         p = random_program(rng)
-        width = rho(p) + rng.randint(0, 2)
+        width = p.rho + rng.randint(0, 2)
         sigma = FiniteConfig(tuple(rng.randint(0, 3) for _ in range(width)))
         assert compatible(sigma, p)
         fin = run_finite(p, sigma, 200)
@@ -200,7 +197,7 @@ def test_criterion_06_finite_and_infinite_runs_agree():
         agreed = type(fin) is type(inf) and fin.steps == inf.steps
         if agreed and isinstance(fin, Halted):
             agreed = include(fin.final) == inf.final
-            agreed = agreed and restrict(inf.final, p).values == fin.final.values[: rho(p)]
+            agreed = agreed and restrict(inf.final, p).values == fin.final.values[: p.rho]
         if not agreed:
             mismatches += 1
     assert mismatches == 0
@@ -281,9 +278,9 @@ def test_criterion_09_constraint_decisions_are_sound():
     unsound = 0
     for _ in range(300):
         cs = ConstraintSet.of(*(_random_atom(rng, names) for _ in range(rng.randint(0, 4))))
-        models = [point for point in cube if satisfies(cs, point)]
+        models = [point for point in cube if constraints_hold(cs, point)]
         goal = _random_atom(rng, names)
-        if entails(cs, goal) and not all(eval_atom(goal, point) for point in models):
+        if entails(cs, goal) and not all(atom_holds(goal, point) for point in models):
             unsound += 1
         left, right = _random_value(rng, names), _random_value(rng, names)
         verdict = decide_eq(left, right, cs)

@@ -19,9 +19,7 @@ from urm import (
     VarPlus,
     check_divergence,
     check_termination,
-    eval_atom,
     parse_cert,
-    satisfies,
     sym_step,
 )
 from urm.certificates import (
@@ -41,7 +39,7 @@ from urm.certificates import (
 from urm.constraints import _closure, reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
-from oracles import head_visits, naive_pcs, naive_run, random_program
+from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, naive_run, random_program
 
 FRESH = {i: VarPlus(f"v{i}") for i in (1, 2, 3)}
 
@@ -346,12 +344,12 @@ def _instantiate(cert, assignment):
 
 def _sample_params(cert, rng, high=10):
     names = sorted(
-        cert.param_constraints.variables()
+        {v for atom in cert.param_constraints.atoms for v in atom.variables()}
         | {v.var for v in cert.init.values() if isinstance(v, VarPlus)}
     )
     while True:
         assignment = {name: rng.randint(0, high) for name in names}
-        if satisfies(cert.param_constraints, assignment):
+        if constraints_hold(cert.param_constraints, assignment):
             return assignment
 
 
@@ -387,7 +385,7 @@ def test_accepted_divergence_samples_run_forever(prog_v, samples_dir):
         assert verdict == "fuel"
         for snapshot in visits:
             for atom in cert.invariant:
-                assert eval_atom(atom, _atom_values(atom, snapshot))
+                assert atom_holds(atom, _atom_values(atom, snapshot))
 
 
 def test_accepted_termination_bounds_head_visits(u_minus, samples_dir):
@@ -395,7 +393,7 @@ def test_accepted_termination_bounds_head_visits(u_minus, samples_dir):
     assert check_termination(u_minus, cert).accepted
     x, y = cert.ranking
     for m, n, z in itertools.product(range(16), range(16), range(3)):
-        if not satisfies(cert.param_constraints, {"m": m, "n": n, "z": z}):
+        if not constraints_hold(cert.param_constraints, {"m": m, "n": n, "z": z}):
             continue
         regs = _instantiate(cert, {"m": m, "n": n, "z": z})
         rank = max(regs.get(x, 0) - regs.get(y, 0), 0)
@@ -425,7 +423,7 @@ def _accepted_claim_holds(p, cert, params):
         return False
     for values in itertools.product(*params.values()):
         assignment = dict(zip(params, values))
-        if satisfies(cert.param_constraints, assignment):
+        if constraints_hold(cert.param_constraints, assignment):
             # 400 steps cover a ranking value up to 15 at bound 8
             verdict, _, _ = naive_run(p, _instantiate(cert, assignment), 400)
             assert verdict == ("fuel" if diverges else "halted"), (p, cert, assignment)
@@ -474,7 +472,7 @@ def test_accepted_mutations_of_the_minus_certificates_are_sound(u_minus, samples
     for _ in range(800):
         instructions = list(u_minus.instructions)
         if rng.random() < 0.5:
-            instructions[rng.randrange(5)] = random_program(rng, 5, 3).at(1)
+            instructions[rng.randrange(5)] = random_program(rng, 5, 3).instructions[0]
         cert = rng.choice(samples)
         field = rng.choice([f for f in mutations if hasattr(cert, f)])
         cert = dataclasses.replace(cert, **{field: mutations[field](cert)})

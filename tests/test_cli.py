@@ -107,7 +107,7 @@ def _expected_show_steps(p, init, fuel):
     pc = 1
     for steps in range(1, fuel + 1):
         lines.append(f"{pc} {registers()}")
-        pc = apply_instr(p.at(pc), pc, regs)
+        pc = apply_instr(p.instructions[pc - 1], pc, regs)
         if not 1 <= pc <= len(p):
             return 0, "\n".join([*lines, f"halted: {registers()}", f"steps: {steps}", ""])
     return 2, "\n".join([*lines, f"fuel exhausted after {fuel} steps", ""])

@@ -15,12 +15,11 @@ from urm import (
     VarPlus,
     decide_eq,
     entails,
-    eval_atom,
     format_atom,
-    satisfies,
     substitute,
 )
 from urm.constraints import parse_reg_var, reg_var
+from oracles import atom_holds, constraints_hold
 
 
 def test_symbolic_values_are_naturals():
@@ -149,12 +148,14 @@ def test_substitute_requires_register_operands():
 
 def test_eval_atom_and_satisfies():
     a = Atom("a", "b", "<=", -1)
-    assert eval_atom(a, {"a": 1, "b": 2})
-    assert not eval_atom(a, {"a": 2, "b": 2})
-    assert eval_atom(Atom("a", None, "!=", 3), {"a": 2})
+    assert atom_holds(a, {"a": 1, "b": 2})
+    assert not atom_holds(a, {"a": 2, "b": 2})
+    assert atom_holds(Atom("a", None, "!=", 3), {"a": 2})
+    assert atom_holds(Atom("a", "b", "=", -1), {"a": 1, "b": 2})
+    assert not atom_holds(Atom(None, "b", ">=", 0), {"b": 2})
     cs = ConstraintSet.of(Atom("a", "b", "<", 0), Atom("b", None, "<=", 4))
-    assert satisfies(cs, {"a": 1, "b": 3})
-    assert not satisfies(cs, {"a": 5, "b": 3})
+    assert constraints_hold(cs, {"a": 1, "b": 3})
+    assert not constraints_hold(cs, {"a": 5, "b": 3})
 
 
 def test_format_atom_shapes():
@@ -165,10 +166,10 @@ def test_format_atom_shapes():
 
 
 def _semantic_entails(cs: ConstraintSet, goal: Atom, space: int) -> bool:
-    names = sorted(cs.variables() | goal.variables())
+    names = sorted({v for a in (*cs.atoms, goal) for v in a.variables()})
     for values in itertools.product(range(space), repeat=len(names)):
         assignment = dict(zip(names, values))
-        if satisfies(cs, assignment) and not eval_atom(goal, assignment):
+        if constraints_hold(cs, assignment) and not atom_holds(goal, assignment):
             return False
     return True
 

@@ -31,7 +31,6 @@ from urm import (
     decide_abstract,
     include,
     restrict,
-    rho,
     run,
     run_finite,
     step,
@@ -111,7 +110,7 @@ def test_run_agrees_with_the_naive_interpreter():
     rng = random.Random(20260825)
     for case in range(300):
         p = random_program(rng)
-        regs = {i: rng.randint(0, 3) for i in range(1, rho(p) + 1)}
+        regs = {i: rng.randint(0, 3) for i in range(1, p.rho + 1)}
         fuel = rng.choice((0, 1, 2, 7, 50, 200))
         # the same program on large, sparse register indices, next to
         # registers it never mentions
@@ -150,7 +149,7 @@ def test_trace_yields_every_state(u_minus):
         for _ in range(20):
             s = next(states)
             assert (s.pc, _sparse(s.config)) == (pc, want), p
-            pc = apply_instr(p.at(pc), pc, want)
+            pc = apply_instr(p.instructions[pc - 1], pc, want)
             if not 1 <= pc <= len(p):
                 assert next(states, None) is None, p
                 break
@@ -196,7 +195,7 @@ def test_run_finite_matches_run_on_include(u_minus):
     assert isinstance(fin, Halted) and isinstance(inf, Halted)
     assert fin.steps == inf.steps
     assert include(fin.final) == inf.final
-    assert fin.final.values[: rho(u_minus)] == restrict(inf.final, u_minus).values
+    assert fin.final.values[: u_minus.rho] == restrict(inf.final, u_minus).values
     assert fin.final.values == (2, 5, 2, 9)
 
 

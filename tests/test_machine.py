@@ -16,10 +16,8 @@ from urm import (
     Zero,
     compatible,
     include,
-    is_standard_form,
     mv,
     restrict,
-    rho,
     sc,
     zr,
 )
@@ -51,41 +49,38 @@ def test_program_is_non_empty_and_one_indexed(u_minus):
     with pytest.raises(ValueError):
         Program(())
     assert len(u_minus) == 5
-    assert u_minus.at(1) == Jump(1, 2, 5)
-    assert u_minus.at(5) == Transfer(3, 1)
+    # position pc is instructions[pc - 1]
+    assert u_minus.instructions[0] == Jump(1, 2, 5)
+    assert u_minus.instructions[len(u_minus) - 1] == Transfer(3, 1)
     assert list(u_minus)[1] == Succ(2)
-    with pytest.raises(IndexError):
-        u_minus.at(0)
-    with pytest.raises(IndexError):
-        u_minus.at(6)
 
 
 def test_rho_is_the_largest_register_operand(u_minus, prog_b, prog_v):
-    assert rho(u_minus) == 3
-    assert rho(prog_b) == 2
-    assert rho(prog_v) == 3
+    assert u_minus.rho == 3
+    assert prog_b.rho == 2
+    assert prog_v.rho == 3
     # jump targets are positions, not registers
-    assert rho(Program((Jump(1, 2, 0),))) == 2
-    assert rho(Program((Zero(1), Jump(2, 3, 0)))) == 3
+    assert Program((Jump(1, 2, 0),)).rho == 2
+    assert Program((Zero(1), Jump(2, 3, 0))).rho == 3
 
 
 def test_registers_are_the_operands_in_first_mention_order(u_minus):
     assert u_minus.registers == (1, 2, 3)
     p = Program((Jump(3, 1, 0), Transfer(7, 3), Succ(2), Zero(7), Jump(9, 9, 1)))
     assert p.registers == (3, 1, 7, 2, 9)
-    assert rho(p) == max(p.registers) == 9
+    assert p.rho == max(p.registers) == 9
 
 
 def test_standard_form_bounds_jump_targets(u_minus, prog_b, prog_v, prog_loop):
     for p in (u_minus, prog_b, prog_v, prog_loop):
-        assert is_standard_form(p)
-    assert not is_standard_form(Program((Jump(1, 1, 9),)))
-    assert is_standard_form(Program((Jump(1, 1, 0),)))
+        assert p.standard
+    assert not Program((Jump(1, 1, 9),)).standard
+    assert Program((Jump(1, 1, 0),)).standard
 
 
 def test_cached_program_facts_leave_equality_and_hashing_alone(u_minus):
     fresh = Program(u_minus.instructions)
-    assert (u_minus.registers, rho(u_minus), is_standard_form(u_minus)) == ((1, 2, 3), 3, True)
+    assert (u_minus.registers, u_minus.rho, u_minus.standard) == ((1, 2, 3), 3, True)
     assert u_minus == fresh
     assert hash(u_minus) == hash(fresh)
     assert len({u_minus, fresh}) == 1
@@ -148,8 +143,6 @@ def test_updates_agree_with_a_dict_model():
 def test_finite_config_shape():
     sigma = FiniteConfig((5, 3, 0))
     assert sigma.values == (5, 3, 0)
-    assert sigma.at(1) == 5
-    assert sigma.at(3) == 0
     with pytest.raises(ValueError):
         FiniteConfig(())
     with pytest.raises(ValueError) as excinfo:

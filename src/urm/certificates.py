@@ -39,8 +39,8 @@ from .constraints import (
     parse_reg_var,
     reg_var,
     substitute,
-    _closure,
     _parts,
+    _satisfiable,
 )
 from .errors import NotStandardForm, PcOutOfRange
 from .machine import Jump, Program, Succ, Zero
@@ -286,7 +286,7 @@ def _enter_loop(p: Program, cert: Cert) -> None:
     if cert.loop_head > len(p):
         raise PcOutOfRange(f"loop head {cert.loop_head} outside 1..{len(p)}")
     # no input meets the constraints, so any claim would hold vacuously
-    if not _closure(cert.param_constraints)[1]:
+    if not _satisfiable(cert.param_constraints):
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     s = SymState(1, {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)})
     if s.pc != cert.loop_head:

@@ -11,7 +11,8 @@ implements; this fragment is deliberately the whole constraint language
 
 Disequalities are second-class: an `!=` atom is never used for bound
 reasoning and a `!=` goal succeeds only via an entailed strict bound or
-a syntactically identical atom.  Certificates that would need case
+a syntactically identical atom; `_satisfiable` only checks each one
+against the bounds.  Certificates that would need case
 analysis on a disequality have to be rewritten with strict bounds.
 
 All variables range over naturals; `x >= 0` is ambient and never stated.
@@ -187,6 +188,18 @@ def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
                     du[v] = cand
     feasible = all(dist[u][u] >= 0 for u in nodes)
     return dist, feasible
+
+
+def _satisfiable(cs: ConstraintSet) -> bool:
+    """False when the bounds of `cs` are infeasible, or pin the difference
+    of one of its `!=` atoms to exactly that atom's constant.
+
+    Never false for a set with a model; but disequalities that empty the
+    set only together (x in [0, 1], x != 0, x != 1) go undetected."""
+    dist, feasible = _closure(cs)
+    return feasible and not any(
+        a.rel == "!=" and _bound(dist, a.y, a.x) <= a.k and _bound(dist, a.x, a.y) <= -a.k for a in cs.atoms
+    )
 
 
 def _bound(dist: dict, frm: str | None, to: str | None) -> float:

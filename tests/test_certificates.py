@@ -294,8 +294,9 @@ def test_checkers_require_standard_form():
 
 
 def test_unsatisfiable_constraints_are_rejected():
-    """`m < n` and `n < m` cover no input, so an accepted lasso would prove
-    nothing: the program below halts from r1 = 0, r2 = 1."""
+    """`m < n` and `n < m` cover no input, nor do `m = n` and `m != n`, so
+    an accepted lasso would prove nothing: the program below halts from
+    r1 = 0, r2 = 1."""
     p = Program((Jump(1, 2, 1), Succ(3)))
     cert = DivergenceCert(
         param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0), Atom("n", "m", "<", 0)),
@@ -305,9 +306,15 @@ def test_unsatisfiable_constraints_are_rejected():
         step_bound=2,
     )
     assert naive_run(p, {1: 0, 2: 1}, 10)[0] == "halted"
-    assert check_divergence(p, cert).reason.code == CONSTRAINTS_UNSATISFIABLE
-    term = _term_cert(param_constraints=cert.param_constraints, init=cert.init, invariant=cert.invariant)
-    assert check_termination(p, term).reason.code == CONSTRAINTS_UNSATISFIABLE
+    for constraints in (
+        cert.param_constraints,
+        ConstraintSet.of(Atom("m", "n", "=", 0), Atom("m", "n", "!=", 0)),
+        ConstraintSet.of(Atom("m", None, "<=", 2), Atom("m", None, ">", 1), Atom(None, "m", "!=", -2)),
+    ):
+        cert = dataclasses.replace(cert, param_constraints=constraints)
+        assert check_divergence(p, cert).reason.code == CONSTRAINTS_UNSATISFIABLE
+        term = _term_cert(param_constraints=constraints, init=cert.init, invariant=cert.invariant)
+        assert check_termination(p, term).reason.code == CONSTRAINTS_UNSATISFIABLE
     # the standard-form and loop-head checks come first
     with pytest.raises(NotStandardForm):
         check_divergence(Program((Jump(1, 2, 3),)), cert)

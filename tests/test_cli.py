@@ -266,12 +266,13 @@ def test_cert_rejects_unsatisfiable_constraints(capsys, tmp_path):
     prog = tmp_path / "p.urm"
     prog.write_text("J 1 2 1\nS 3\n")
     cert = tmp_path / "empty.cert"
-    cert.write_text(
-        "kind: diverges\nparams: m n\nconstraint: m < n\nconstraint: n < m\ninit: m, n\n"
-        "head: 1\ninvariant: r1 = r2\nbound: 2\n"
-    )
-    code, out, _ = _run(capsys, "cert", str(prog), str(cert))
-    assert (code, out) == (3, "Rejected: ConstraintsUnsatisfiable\n")
+    for constraints in ("m < n\nconstraint: n < m", "m = n\nconstraint: m != n"):
+        cert.write_text(
+            f"kind: diverges\nparams: m n\nconstraint: {constraints}\ninit: m, n\n"
+            "head: 1\ninvariant: r1 = r2\nbound: 2\n"
+        )
+        code, out, _ = _run(capsys, "cert", str(prog), str(cert))
+        assert (code, out) == (3, "Rejected: ConstraintsUnsatisfiable\n"), constraints
     # no input meets the constraints, and this one halts
     code, out, _ = _run(capsys, "run", str(prog), "--init", "0,1")
     assert (code, out) == (0, "halted: 0,1,1\nsteps: 2\n")

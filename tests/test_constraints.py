@@ -18,7 +18,7 @@ from urm import (
     format_atom,
     substitute,
 )
-from urm.constraints import parse_reg_var, reg_var
+from urm.constraints import _closure, _satisfiable, parse_reg_var, reg_var
 from oracles import atom_holds, constraints_hold
 
 
@@ -172,6 +172,27 @@ def _semantic_entails(cs: ConstraintSet, goal: Atom, space: int) -> bool:
         if constraints_hold(cs, assignment) and not atom_holds(goal, assignment):
             return False
     return True
+
+
+def test_unsatisfiable_sets_have_no_model():
+    """Where the bounds alone are feasible, `_satisfiable` rejects a set
+    through its `!=` atoms only if the set has no model in [0, 7]^3."""
+    rng = random.Random(20261021)
+    names = ("a", "b", "c")
+    cube = [dict(zip(names, point)) for point in itertools.product(range(8), repeat=3)]
+    rels = ("<", "<=", "=", ">=", ">", "!=")
+    by_disequality = 0
+    for _ in range(20000):
+        cs = ConstraintSet.of(
+            *(
+                Atom(*rng.sample((*names, None), 2), rng.choice(rels), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+        if _closure(cs)[1] and not _satisfiable(cs):
+            assert not any(constraints_hold(cs, point) for point in cube), cs
+            by_disequality += 1
+    assert by_disequality > 30
 
 
 def test_entails_is_sound_on_random_small_sets():

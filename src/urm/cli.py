@@ -21,9 +21,13 @@ from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, FiniteConfig, Program, compatible, include, restrict
-from .textio import format_config, parse_cert, parse_config, parse_program
+from .textio import _strip_comment, _tokens, format_config, parse_cert, parse_config, parse_program
 
 DEFAULT_FUEL = 100000
+# `run` prints registers r1..r_rho, so its time, memory and output grow
+# with rho (Z 1000000 prints 2 MB); it refuses larger programs.  The
+# library and the other subcommands take any rho.
+MAX_RUN_RHO = 10**6
 
 
 class _Failure(Exception):
@@ -47,9 +51,11 @@ def _read(path: str) -> str:
         raise _Failure(f"{path}: {err.strerror or err}")
 
 
-def _load_program(path: str) -> Program:
+def _load_program(path: str) -> tuple[Program, str]:
+    """The program in `path` and its text."""
+    text = _read(path)
     try:
-        return parse_program(_read(path))
+        return parse_program(text), text
     except SourceError as err:
         raise _Failure(f"{path}: {err}")
 
@@ -62,7 +68,7 @@ def _parse_init(text: str, what: str) -> FiniteConfig:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    p = _load_program(args.program)
+    p, _ = _load_program(args.program)
     parts = [f"n={len(p)}", f"rho={p.rho}", f"standard-form={'yes' if p.standard else 'no'}"]
     ok = p.standard
     if args.config is not None:
@@ -79,9 +85,22 @@ def _require_standard(path: str, p: Program) -> None:
         raise _Failure(f"{path}: program is not in standard form")
 
 
+def _require_printable(path: str, text: str, p: Program) -> None:
+    """Refuse `p` at its first register operand above MAX_RUN_RHO."""
+    if p.rho <= MAX_RUN_RHO:
+        return
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        # a parsed line's register operands are its tokens 1 and 2
+        for tok, col in _tokens(_strip_comment(raw))[1:3]:
+            if int(tok) > MAX_RUN_RHO:
+                err = SourceError(ln, col, f"run takes register indices up to {MAX_RUN_RHO}")
+                raise _Failure(f"{path}: {err}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    p = _load_program(args.program)
+    p, text = _load_program(args.program)
     _require_standard(args.program, p)
+    _require_printable(args.program, text, p)
     if args.fuel < 0:
         raise _Failure("--fuel: must be nonnegative")
     sigma = _parse_init(args.init, "--init") if args.init is not None else None
@@ -105,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
-    p = _load_program(args.program)
+    p, _ = _load_program(args.program)
     _require_standard(args.program, p)
     sigma = _parse_init(args.init, "--init") if args.init is not None else None
     start = include(sigma) if sigma is not None else Config()
@@ -130,7 +149,7 @@ def _format_reason(reason: Reason) -> str:
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
-    p = _load_program(args.program)
+    p, _ = _load_program(args.program)
     _require_standard(args.program, p)
     try:
         cert = parse_cert(_read(args.cert))

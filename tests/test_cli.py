@@ -193,6 +193,30 @@ def test_run_rejects_negative_fuel(capsys, samples_dir):
     assert "fuel" in err
 
 
+def test_run_caps_the_register_indices_it_prints(capsys, tmp_path):
+    """`run` prints r1..r_rho, so it refuses rho above 10^6 at the first
+    such operand; the other subcommands take any rho."""
+    prog = tmp_path / "p.urm"
+    prog.write_text("Z 1000000\n")
+    code, out, _ = _run(capsys, "run", str(prog))
+    assert code == 0
+    assert out == "halted: " + ",".join(["0"] * 10**6) + "\nsteps: 1\n"
+    huge = "1" + "0" * 4000
+    cases = [("Z 1000001\n", "line 1, column 3"), (f"Z {huge}\n", "line 1, column 3")]
+    cases.append((f"# wide\nS 2\nJ 1 {huge} 1\n", "line 3, column 5"))
+    for text, where in cases:
+        prog.write_text(text)
+        for extra in ((), ("--show-steps",)):
+            code, out, err = _run(capsys, "run", str(prog), *extra)
+            assert (code, out) == (1, "")
+            assert err == f"{prog}: {where}: run takes register indices up to 1000000\n"
+    code, out, _ = _run(capsys, "validate", str(prog))
+    assert (code, out) == (0, f"n=2 rho={huge} standard-form=yes\n")
+    prog.write_text(f"J 1 {huge} 1\n")
+    code, out, _ = _run(capsys, "abstract", str(prog))
+    assert (code, out) == (0, "diverges: cycle at pc 1, length 1\n")
+
+
 def test_run_rejects_nonstandard_programs(capsys, tmp_path):
     bad = tmp_path / "bad.urm"
     bad.write_text("J 1 1 9\n")

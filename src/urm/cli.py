@@ -43,12 +43,23 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(f"{self.prog}: error: {message}")
 
 
+def _newlines(text: str) -> str:
+    """Universal newlines, as text-mode `open` reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         raise _Failure(f"{path}: {err.strerror or err}")
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        before = _newlines(data[: err.start].decode("utf-8"))
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise _Failure(f"{path}: {SourceError(line, column, 'not UTF-8 text')}")
 
 
 def _load_program(path: str) -> tuple[Program, str]:

@@ -176,14 +176,15 @@ def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
         elif a.rel == ">=":
             dist[a.x][a.y] = min(dist[a.x][a.y], -a.k)
     for w in nodes:
-        dw = dist[w]
+        # finite entries only: an int beyond float range plus inf overflows
+        reach = [(v, d) for v, d in dist[w].items() if d != _INF]
         for u in nodes:
             du = dist[u]
             through = du[w]
             if through == _INF:
                 continue
-            for v in nodes:
-                cand = through + dw[v]
+            for v, d in reach:
+                cand = through + d
                 if cand < du[v]:
                     du[v] = cand
     feasible = all(dist[u][u] >= 0 for u in nodes)

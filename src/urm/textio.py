@@ -61,6 +61,15 @@ def _nat(tok: str, line: int, column: int) -> int:
         raise SourceError(line, column, f"number too long ({len(tok)} digits)") from None
 
 
+def _reg_index(tok: str, line: int, column: int) -> int | None:
+    """`parse_reg_var` of a token, with a positioned error for an index
+    longer than the interpreter's int conversion limit."""
+    try:
+        return parse_reg_var(tok)
+    except ValueError:
+        raise SourceError(line, column, f"number too long ({len(tok) - 1} digits)") from None
+
+
 def parse_program(text: str) -> Program:
     """Program from assembly text; positions follow file order."""
     instructions: list[Instruction] = []
@@ -168,7 +177,7 @@ class _CertParser:
 
     def _register_term(self, tok: str, ln: int, col: int) -> tuple[str | None, int]:
         var, offset = _parse_term(tok, ln, col, "register")
-        if var is not None and parse_reg_var(var) is None:
+        if var is not None and _reg_index(var, ln, col) is None:
             raise SourceError(ln, col, f"expected a register operand like r1, got {tok!r}")
         return var, offset
 
@@ -184,7 +193,7 @@ class _CertParser:
         return Atom(vx, vy, rel, cy - cx)
 
     def _register(self, tok: str, ln: int, col: int) -> int:
-        index = parse_reg_var(tok)
+        index = _reg_index(tok, ln, col)
         if index is None:
             raise SourceError(ln, col, f"expected a register like r1, got {tok!r}")
         return index
@@ -210,7 +219,7 @@ class _CertParser:
             for tok, col in toks:
                 if not _IDENT.match(tok):
                     raise SourceError(ln, col, f"invalid parameter name {tok!r}")
-                if parse_reg_var(tok) is not None:
+                if _reg_index(tok, ln, col) is not None:
                     raise SourceError(ln, col, f"parameter {tok!r} clashes with a register name")
                 if tok in self.params:
                     raise SourceError(ln, col, f"duplicate parameter {tok!r}")

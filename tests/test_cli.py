@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -58,6 +59,18 @@ def test_validate_missing_file(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "nope.urm" in err
+
+
+def test_line_ends_and_bytes_that_are_not_utf8(capsys, tmp_path):
+    """CR, LF and CRLF all end a line, as in text-mode reading; a byte
+    that is not UTF-8 exits 1 at its line and column."""
+    prog = tmp_path / "p.urm"
+    prog.write_bytes(b"S 1\r\nS 2\rS 3\nJ 1 1 0")
+    code, out, _ = _run(capsys, "validate", str(prog))
+    assert (code, out) == (0, "n=4 rho=3 standard-form=yes\n")
+    prog.write_bytes(b"S 1\r\n# \xc3\xa9\rS 2 \xff\n")
+    code, out, err = _run(capsys, "run", str(prog))
+    assert (code, out, err) == (1, "", f"{prog}: line 3, column 5: not UTF-8 text\n")
 
 
 def test_validate_parse_error_position(capsys, tmp_path):
@@ -312,6 +325,11 @@ def test_cert_parse_errors_exit_1(capsys, samples_dir, tmp_path):
     code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
     assert code == 1
     assert "line 3" in err and "too long" in err
+    for key, rest in (("invariant", " < r2"), ("split", " - r2 > 0"), ("params", "")):
+        cert.write_text(f"kind: diverges\nhead: 1\nbound: 4\n{key}: r{LONG}{rest}\n")
+        code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
+        where = f"line 4, column {len(key) + 3}"
+        assert (code, err) == (1, f"{cert}: {where}: number too long (5000 digits)\n"), key
 
 
 def test_cert_head_outside_program_exits_1(capsys, samples_dir, tmp_path):
@@ -332,3 +350,75 @@ def test_usage_errors_exit_1(capsys, samples_dir):
     code, _, err = _run(capsys, "run", str(samples_dir / "minus.urm"), "--fuel", "lots")
     assert code == 1
     assert "invalid" in err
+
+
+# What the fuzz below puts in place of a token: over-long numerals, register
+# indices above run's cap, signs, NUL, CR, non-ASCII digits and letters,
+# bytes that are not UTF-8, and bits of the formats' own syntax.
+_FUZZ_TOKENS = (
+    LONG.encode(), b"1" + b"0" * 4000, b"1000001", b"r" + LONG.encode(), b"m+" + LONG.encode(),
+    b"0", b"1", b"7", b"-1", b"r0", b"m+", b"\x00", b"\r", "\u00e9".encode(), "\u0661".encode(), b"\xff",
+    b"#", b",", b":", b"<", b"!=", b"J", b"Z", b"kind:", b"head:", b"", b"\n",
+)
+_FUZZ_BYTES = b"\x00\r\n #,:+-<=>!0123456789rJZSTmn\xc3\xa9\xff"
+# Exit-1 messages that point at no position in a file.
+_UNPOSITIONED = re.compile(
+    r"program is not in standard form|needs at least \d+ registers|not an abstract program"
+    r"|loop head \d+ outside|error: argument"
+)
+
+
+def _mutate(rng, data):
+    """One to three seeded token or byte mutations of `data`."""
+    for _ in range(rng.randint(1, 3)):
+        tokens = list(re.finditer(rb"\S+", data))
+        if tokens and rng.random() < 0.5:
+            token = rng.choice(tokens)
+            data = data[: token.start()] + rng.choice(_FUZZ_TOKENS) + data[token.end() :]
+            continue
+        at = rng.randint(0, len(data))
+        byte = bytes([rng.choice(_FUZZ_BYTES) if rng.random() < 0.8 else rng.randrange(256)])
+        data = data[:at] + rng.choice((byte, byte, b"")) + data[at + rng.randint(0, 1) :]
+    return data
+
+
+def test_mutated_inputs_end_in_a_documented_exit_code(capsys, tmp_path, samples_dir):
+    """Every subcommand on mutated samples exits 0-3 without an exception,
+    and an exit-1 message names a line and column unless it is about no
+    position in a file."""
+    rng = random.Random(20261022)
+    programs = {path.stem: path.read_bytes() for path in samples_dir.glob("*.urm")}
+    certs = [(path.stem.split("-")[0], path.read_bytes()) for path in sorted(samples_dir.rglob("*.cert"))]
+    inits = [b"5,3,0", b"0,1", b"2,5,0", b"1,1,1"]
+    prog, cert, config = tmp_path / "p.urm", tmp_path / "c.cert", tmp_path / "c.cfg"
+    for _ in range(700):
+        command = rng.choice(("validate", "run", "abstract", "cert"))
+        # a certificate with its own program; one of the two is mutated
+        name, cert_text = rng.choice(certs)
+        if command != "cert":
+            name = rng.choice(sorted(programs))
+        mutate_program = rng.random() < (0.3 if command == "cert" else 0.7)
+        prog.write_bytes(_mutate(rng, programs[name]) if mutate_program else programs[name])
+        init = rng.choice(inits)
+        init = (_mutate(rng, init) if rng.random() < 0.3 else init).decode("utf-8", "replace")
+        if command == "validate":
+            config.write_text(init, encoding="utf-8")
+            argv = ["validate", str(prog), "--config", str(config)][: rng.choice((2, 4))]
+        elif command == "run":
+            argv = ["run", str(prog), "--fuel", "50", "--init", init]
+            argv += [flag for flag in ("--finite", "--show-steps") if rng.random() < 0.3]
+        elif command == "abstract":
+            argv = ["abstract", str(prog), "--init", init]
+        else:
+            cert.write_bytes(cert_text if mutate_program else _mutate(rng, cert_text))
+            argv = ["cert", str(prog), str(cert)]
+        try:
+            code, out, err = _run(capsys, *argv)
+        except Exception as exc:  # name the input that crashed main
+            pytest.fail(f"{argv}: {exc!r} on {prog.read_bytes()[:200]!r}")
+        assert code in {0, 1, 2, 3}, argv
+        assert code != 2 or command == "run", argv
+        assert code != 3 or command == "cert", argv
+        if code == 1:
+            rejected = command == "validate" and not err and "=no" in out
+            assert rejected or re.search(r"line \d+, column \d+", err) or _UNPOSITIONED.search(err), (argv, err)

@@ -174,6 +174,16 @@ def _semantic_entails(cs: ConstraintSet, goal: Atom, space: int) -> bool:
     return True
 
 
+def test_constants_beyond_float_range():
+    """Bounds are exact integers, also past what a float can hold."""
+    huge = 10**400
+    cs = ConstraintSet.of(Atom("a", None, "<=", huge), Atom("b", "a", "<=", -huge))
+    assert entails(cs, Atom("a", "b", ">=", huge))
+    assert not entails(cs, Atom("a", "b", ">=", huge + 1))
+    assert _satisfiable(cs)
+    assert not _satisfiable(ConstraintSet.of(*cs.atoms, Atom("a", None, "!=", huge)))
+
+
 def test_unsatisfiable_sets_have_no_model():
     """Where the bounds alone are feasible, `_satisfiable` rejects a set
     through its `!=` atoms only if the set has no model in [0, 7]^3."""

@@ -10,9 +10,9 @@ implements; this fragment is deliberately the whole constraint language
 (no disjunction, no coefficients other than one).
 
 Disequalities are second-class: an `!=` atom is never used for bound
-reasoning and a `!=` goal succeeds only via an entailed strict bound or
-a syntactically identical atom; `_satisfiable` only checks each one
-against the bounds.  Certificates that would need case
+reasoning, `_satisfiable` only checks each one against the bounds, and
+a `!=` goal succeeds only via an entailed strict bound or a
+syntactically identical atom.  Certificates that would need case
 analysis on a disequality have to be rewritten with strict bounds.
 
 All variables range over naturals; `x >= 0` is ambient and never stated.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import urm
 from urm import constraints, machine
 
@@ -43,3 +46,10 @@ def test_removed_names_stay_removed():
     for owner, name in REMOVED:
         assert not hasattr(owner, name), (owner, name)
         assert name not in urm.__all__
+
+
+def test_the_readme_library_table_lists_the_public_names():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[3] for line in section.splitlines() if line.startswith("| `urm.")]
+    assert sorted(name for row in rows for name in re.findall(r"`(\w+)`", row)) == PUBLIC

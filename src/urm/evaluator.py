@@ -16,6 +16,20 @@ and `trace` alone drives it; `decide_abstract` and the CLI's
 `--show-steps` consume `trace`'s states.  `run` compiles the program to
 a list loop over the registers it mentions, for speed; the test suite
 checks that the two agree.
+
+`run` also leaps over counting loops.  `_compile` marks each backward
+jump whose span (its target up to itself) holds no `Z` or `T`.  When a
+marked jump is taken, `_leap` walks one iteration from its target, the
+loop head, without writing: it counts the increments per register and,
+at each jump on the way, the gap between the two registers compared.
+Each gap moves by a constant per iteration, so the iterations that are
+sure to follow the same path again have a closed-form count; `_leap`
+applies them all at once and adds exactly their steps, never more than
+the fuel left.  The result is the one stepping would give: the same
+steps, final configuration and, on running out of fuel, the same last
+state.  A jump whose leap fails is tried again only after 1, 2, 4, ...
+more steps, which bounds the cost on loops whose path changes every
+iteration.
 """
 
 from __future__ import annotations
@@ -123,25 +137,83 @@ def step(s: MachineState) -> StepResult:
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
 
 
-def _compile(p: Program) -> list[tuple[int, int, int, int, int]]:
+def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
     """Code over register slots, slot s standing for `p.registers[s]`.
 
     Each entry is (tag, a, b, jump target, next position), the next
-    position being 0 after the last instruction."""
+    position being 0 after the last instruction.  A backward jump whose
+    span holds no `Z` or `T` has its target negated: `run` may leap over
+    the loop it closes.  Returns the code and the position of the last
+    such jump, 0 if there is none."""
     slot = {reg: s for s, reg in enumerate(p.registers)}
     n = len(p)
     code = []
+    last_write = 0  # position of the last Z or T so far
+    last_mark = 0
     for pos, instr in enumerate(p, start=1):
         nxt = pos + 1 if pos < n else 0
         if isinstance(instr, Zero):
             code.append((_ZERO, slot[instr.i], 0, 0, nxt))
+            last_write = pos
         elif isinstance(instr, Succ):
             code.append((_SUCC, slot[instr.i], 0, 0, nxt))
         elif isinstance(instr, Transfer):
             code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
+            last_write = pos
         else:
-            code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
-    return code
+            k = instr.k
+            if last_write < k <= pos:
+                k = -k
+                last_mark = pos
+            code.append((_JUMP, slot[instr.i], slot[instr.j], k, nxt))
+    return code, last_mark
+
+
+def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int, budget: int) -> int:
+    """Apply at once the iterations from `head` sure to repeat one path.
+
+    Walks one iteration over `code` without writing, then adds to `regs`
+    the growth of every iteration that follows the same path, as long as
+    at most `budget` steps are spent; returns the steps so applied, 0
+    when fewer than two iterations qualify."""
+    grow: dict[int, int] = {}
+    gaps = []
+    pc = head
+    length = 0
+    while True:
+        tag, a, b, k, nxt = code[pc - 1]
+        length += 1
+        if tag == _SUCC:
+            grow[a] = grow.get(a, 0) + 1
+        elif tag == _JUMP:
+            gap = regs[a] + grow.get(a, 0) - regs[b] - grow.get(b, 0)
+            gaps.append((a, b, gap))
+            if not gap:
+                nxt = abs(k)
+        else:
+            return 0
+        if nxt == head:
+            break
+        if not nxt or length == len(code):
+            return 0
+        pc = nxt
+    times = budget // length
+    for a, b, gap in gaps:
+        # in iteration t the gap is gap + t*d: the jump goes the same way
+        # for ever if d is 0, else until t = 1 if gap is 0, and else until
+        # t = -gap / d if that is a whole number above 0
+        d = grow.get(a, 0) - grow.get(b, 0)
+        if not d:
+            continue
+        if not gap:
+            return 0
+        if gap % d == 0 and -gap // d > 0:
+            times = min(times, -gap // d)
+    if times < 2:
+        return 0
+    for a, g in grow.items():
+        regs[a] += times * g
+    return times * length
 
 
 def run(p: Program, c: Config, fuel: int) -> Outcome:
@@ -151,16 +223,21 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
     list with one slot each, so memory follows the program, never the
     register indices; every other register of `c` is untouchable by the
     program and passes through unchanged.  As in `step`, the run halts
-    when the next position is 0.
+    when the next position is 0.  Counting loops are leapt over by
+    `_leap`, with the result stepping would give.
     """
     _require_standard(p)
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    code = _compile(p)
+    code, last_mark = _compile(p)
     live = p.registers
     regs = [c._entries.get(reg, 0) for reg in live]
     pc = 1
     steps = 0
+    # back-off per marked jump position: the step count from which a leap
+    # may be tried again, and the wait after the next failure
+    retry = [0] * last_mark
+    wait = [1] * last_mark
     while steps < fuel:
         tag, a, b, k, nxt = code[pc - 1]
         steps += 1
@@ -168,8 +245,18 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
             if regs[a] == regs[b]:
                 # a taken jump to 0 halts; kept apart from the fall-through
                 # exit below, which measured faster than one shared test
-                if not k:
-                    break
+                if k <= 0:
+                    if not k:
+                        break
+                    k = -k
+                    if steps >= retry[pc - 1]:
+                        leapt = _leap(code, regs, k, fuel - steps)
+                        if leapt:
+                            steps += leapt
+                            wait[pc - 1] = 1
+                        else:
+                            retry[pc - 1] = steps + wait[pc - 1]
+                            wait[pc - 1] *= 2
                 pc = k
                 continue
         elif tag == _SUCC:

@@ -30,13 +30,14 @@ from urm import (
     check_divergence,
     decide_abstract,
     include,
+    parse_program,
     restrict,
     run,
     run_finite,
     step,
     trace,
 )
-from oracles import apply_instr, naive_run, random_program
+from oracles import apply_instr, naive_pcs, naive_run, random_program
 
 
 def _sparse(c: Config) -> dict[int, int]:
@@ -129,6 +130,105 @@ def test_run_agrees_with_the_naive_interpreter():
                 assert isinstance(got, OutOfFuel), (case, prog)
                 assert got.steps == steps
                 assert _sparse(got.last.config) == final
+
+
+def _counting_program(rng: random.Random) -> Program:
+    """Mostly increments and jumps, many of them backward; Z and T rare."""
+    n = rng.randint(2, 8)
+    top = rng.randint(1, 4)
+    out = []
+    for pos in range(1, n + 1):
+        i, j = rng.randint(1, top), rng.randint(1, top)
+        roll = rng.random()
+        if roll < 0.45:
+            out.append(Succ(i))
+        elif roll < 0.93:
+            k = rng.randint(1, pos) if rng.random() < 0.6 else rng.randint(0, n)
+            out.append(Jump(i, j, k))
+        else:
+            out.append(rng.choice((Zero(i), Transfer(i, j))))
+    return Program(tuple(out))
+
+
+def test_run_agrees_with_the_naive_interpreter_on_counting_loops():
+    # counting loops that iterate long enough for `run` to leap over them
+    rng = random.Random(20261018)
+    for case in range(400):
+        p = _counting_program(rng)
+        regs = {i: rng.randint(0, 50) for i in range(1, p.rho + 1)}
+        fuel = rng.choice((0, 1, 5, 60, 700, 3000, 10**4))
+        got = run(p, Config(regs), fuel)
+        verdict, final, steps = naive_run(p, regs, fuel)
+        if verdict == "halted":
+            assert isinstance(got, Halted), (case, p)
+            assert (got.steps, _sparse(got.final)) == (steps, final), (case, p)
+        else:
+            assert isinstance(got, OutOfFuel), (case, p)
+            assert (got.steps, _sparse(got.last.config)) == (steps, final), (case, p)
+            assert got.last.pc == naive_pcs(p, regs, fuel + 1)[-1], (case, p)
+
+
+def test_run_is_exact_on_counts_no_stepping_run_reaches(samples_dir):
+    minus = parse_program((samples_dir / "minus.urm").read_text())
+    m = 10**30
+    out = run(minus, Config({1: m}), 10**40)
+    assert isinstance(out, Halted)
+    assert out.steps == 4 * m + 2
+    assert _sparse(out.final) == {1: m, 2: m, 3: m}
+    # v counts up in r1 forever when r2 = r3; an odd fuel stops it at the jump
+    v = parse_program((samples_dir / "v.urm").read_text())
+    out = run(v, Config({2: 7, 3: 7}), 10**9 + 1)
+    assert isinstance(out, OutOfFuel)
+    assert out.steps == 10**9 + 1
+    assert out.last.pc == 2
+    assert _sparse(out.last.config) == {1: 5 * 10**8 + 1, 2: 7, 3: 7}
+
+
+def test_run_finite_is_exact_on_a_renumbered_long_subtraction():
+    # minus_k: J 1 2 k+2 / S 2 ... S k / J 1 1 1 / T 3 1 over logical
+    # registers 1..k.  Each of the a - b iterations takes k + 1 steps and
+    # adds 1 to r2..rk; then the jump out and the transfer take 2 more.
+    rng = random.Random(7)
+    k, width = 6, 11
+    to = dict(zip(range(1, k + 1), rng.sample(range(1, width + 1), k)))
+    code = [Jump(to[1], to[2], k + 2)] + [Succ(to[i]) for i in range(2, k + 1)]
+    p = Program(tuple(code + [Jump(to[1], to[1], 1), Transfer(to[3], to[1])]))
+    a, b = 10**25 + 3, 4
+    start = [a, b] + [rng.randint(0, 99) for _ in range(k - 2)]
+    values = [rng.randint(0, 99) for _ in range(width)]
+    for i, v in enumerate(start, start=1):
+        values[to[i] - 1] = v
+    out = run_finite(p, FiniteConfig(tuple(values)), 10**30)
+    d = a - b
+    logical = [start[2] + d, a] + [z + d for z in start[2:]]
+    want = list(values)
+    for i, v in enumerate(logical, start=1):
+        want[to[i] - 1] = v
+    assert isinstance(out, Halted)
+    assert out.steps == d * (k + 1) + 2
+    assert out.final == FiniteConfig(tuple(want))
+
+
+def test_run_steps_loops_that_zero_or_transfer():
+    for write in (Zero(4), Transfer(3, 4)):
+        # the Z or T lies inside the span of the backward jump J 1 1 1
+        p = Program((Jump(1, 2, 6), Succ(2), Succ(3), write, Jump(1, 1, 1), Transfer(3, 1)))
+        for regs, fuel in (({1: 300, 4: 9}, 10**4), ({1: 300}, 777)):
+            got = run(p, Config(regs), fuel)
+            verdict, final, steps = naive_run(p, regs, fuel)
+            assert verdict == ("halted" if fuel > 1500 else "fuel")
+            assert isinstance(got, Halted if verdict == "halted" else OutOfFuel)
+            assert got.steps == steps
+            last = got.final if verdict == "halted" else got.last.config
+            assert _sparse(last) == final
+    # J 1 2 1 closes a loop of S and J only, but the next iteration falls
+    # through it into Z 2 and comes back to the head by J 1 1 1
+    p = Program((Succ(1), Jump(1, 2, 1), Zero(2), Jump(1, 1, 1)))
+    got = run(p, Config({2: 1}), 4000)
+    assert isinstance(got, OutOfFuel)
+    assert (got.last.pc, _sparse(got.last.config)) == (3, {1: 1001})
+    assert naive_run(p, {2: 1}, 4000)[1] == {1: 1001}
+    assert naive_pcs(p, {2: 1}, 4001)[-1] == 3
 
 
 def test_run_touches_registers_beyond_the_initial_config():

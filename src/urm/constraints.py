@@ -263,9 +263,10 @@ def reg_var(i: int) -> str:
 
 
 def parse_reg_var(name: str) -> int | None:
-    """Register index of a `rI` variable name, or None."""
-    if len(name) >= 2 and name[0] == "r" and name[1:].isdigit():
-        index = int(name[1:])
+    """Register index of a `rI` variable name, I in ASCII digits, or None."""
+    digits = name[1:]
+    if name[:1] == "r" and digits.isascii() and digits.isdigit():
+        index = int(digits)
         return index if index >= 1 else None
     return None
 

@@ -332,6 +332,17 @@ def test_cert_parse_errors_exit_1(capsys, samples_dir, tmp_path):
         assert (code, err) == (1, f"{cert}: {where}: number too long (5000 digits)\n"), key
 
 
+def test_cert_register_names_take_ascii_digits_only(capsys, samples_dir, tmp_path):
+    cert = tmp_path / "term.cert"
+    text = (samples_dir / "minus-term.cert").read_text()
+    # an Arabic-Indic one was read as r1; a superscript two as a too-long number
+    for name in ("r\u0661", "r\u00b2"):
+        cert.write_text(text.replace("split: r1", f"split: {name}"))
+        code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
+        want = f"{cert}: line 7, column 8: expected a register like r1, got '{name}'\n"
+        assert (code, err) == (1, want), name
+
+
 def test_cert_head_outside_program_exits_1(capsys, samples_dir, tmp_path):
     cert = tmp_path / "far.cert"
     cert.write_text("kind: diverges\nhead: 9\nbound: 4\n")

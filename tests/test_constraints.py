@@ -130,6 +130,9 @@ def test_register_variable_names_round_trip():
     assert parse_reg_var("r0") is None
     assert parse_reg_var("rx") is None
     assert parse_reg_var("m") is None
+    # digits outside ASCII name no register: Arabic-Indic one, superscript two
+    assert parse_reg_var("r\u0661") is None
+    assert parse_reg_var("r\u00b2") is None
 
 
 def test_substitute_folds_offsets_into_the_bound():

@@ -87,6 +87,12 @@ def test_sym_step_requires_standard_form():
         sym_step(Program((Jump(1, 1, 9),)), SymState(1, {1: Const(0)}), ConstraintSet())
 
 
+def test_sym_step_requires_a_position_in_the_program(u_minus):
+    for pc in (0, len(u_minus) + 1):
+        with pytest.raises(PcOutOfRange):
+            sym_step(u_minus, SymState(pc, {1: Const(0)}), ConstraintSet())
+
+
 def test_sym_step_on_constants_mirrors_concrete_execution():
     from urm import Config, MachineState, step
     from urm.evaluator import Halt as ConcreteHalt

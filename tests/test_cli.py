@@ -288,6 +288,28 @@ def test_cert_rejections_exit_3(capsys, samples_dir):
     assert out == "Rejected: RankingNotNonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "program, params",
+    [
+        ("J 1 2 5\nT 3 1\nT 4 2\nJ 1 1 1\nZ 5\n", "m n p q"),
+        ("J 1 2 6\nT 1 3\nT 2 1\nT 3 2\nJ 1 1 1\nZ 4\n", "m n"),
+    ],
+    ids=["four-variables", "swap"],
+)
+def test_cert_rejects_a_ranking_that_is_no_single_difference(capsys, tmp_path, program, params):
+    """After one iteration the ranking r1 - r2 reads r3 - r4 (four
+    variables), or r2 - r1 after a swap (coefficients 2 and -2); neither
+    is a difference bound, so the decrease cannot be shown."""
+    prog, cert = tmp_path / "p.urm", tmp_path / "t.cert"
+    prog.write_text(program)
+    cert.write_text(
+        f"kind: terminates\nparams: {params}\ninit: {params.replace(' ', ', ')}\n"
+        "head: 1\nsplit: r1 - r2 > 0\nranking: r1 - r2\nbound: 8\n"
+    )
+    code, out, _ = _run(capsys, "cert", str(prog), str(cert))
+    assert (code, out) == (3, "Rejected: RankingNotDecreasing\n")
+
+
 def test_cert_reports_offending_atoms(capsys, samples_dir, tmp_path):
     cert = tmp_path / "bad-inv.cert"
     cert.write_text(

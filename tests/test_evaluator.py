@@ -21,6 +21,7 @@ from urm import (
     MachineState,
     Next,
     NotAbstractProgram,
+    NotStandardForm,
     OutOfFuel,
     PcOutOfRange,
     Program,
@@ -83,6 +84,20 @@ def test_step_rejects_bad_positions_and_forms(u_minus):
         step(MachineState(u_minus, 0, Config()))
     with pytest.raises(PcOutOfRange):
         step(MachineState(u_minus, 6, Config()))
+
+
+def test_every_driver_requires_standard_form():
+    p = Program((Jump(1, 1, 5),))
+    s = MachineState(p, 1, Config())
+    with pytest.raises(NotStandardForm):
+        run(p, Config(), 10)
+    with pytest.raises(NotStandardForm):
+        step(s)
+    states = trace(p, Config())
+    with pytest.raises(NotStandardForm):
+        next(states)
+    with pytest.raises(NotStandardForm):
+        decide_abstract(p, Config())
 
 
 def test_run_on_the_subtraction_example(u_minus):

@@ -240,6 +240,85 @@ def test_certificate_error_positions():
     assert (info.value.line, info.value.column) == (3, 17)
 
 
+D = "kind: diverges\n"
+T = "kind: terminates\nhead: 1\nbound: 8\n"
+TOO_LONG = "number too long (5000 digits)"
+
+# Every SourceError that textio raises, as (reader, text, line, column, message).
+ERRORS = [
+    (parse_program, "S 1\nQ 2", 2, 1, "unknown mnemonic 'Q'"),
+    (parse_program, "T 1\n", 1, 1, "T takes 2 operand(s), got 1"),
+    (parse_program, "J 1 2", 1, 1, "J takes 3 operand(s), got 2"),
+    (parse_program, "T 1 0", 1, 5, "register indices start at 1"),
+    (parse_program, "J 1 x 0", 1, 5, "expected a natural number, got 'x'"),
+    (parse_program, f"S 1\nZ {LONG}", 2, 3, TOO_LONG),
+    (parse_program, "# only comments\n\n", 1, 1, "empty program"),
+    (parse_config, "", 1, 1, "empty input"),
+    (parse_config, "# note\n", 1, 1, "empty input"),
+    (parse_config, "1\n# note\n2", 3, 1, "expected a single line"),
+    (parse_config, "1, ,2", 1, 4, "expected a natural number"),
+    (parse_config, "1,x", 1, 3, "expected a natural number, got 'x'"),
+    (parse_config, "-1", 1, 1, "expected a natural number, got '-1'"),
+    (parse_config, f"1,{LONG}", 1, 3, TOO_LONG),
+    (parse_cert, "kind diverges", 1, 1, "expected 'key: value'"),
+    (parse_cert, "color: blue", 1, 1, "unknown key 'color'"),
+    (parse_cert, "kind: loops", 1, 7, "kind must be 'diverges' or 'terminates'"),
+    (parse_cert, D + "kind: diverges", 2, 1, "duplicate 'kind' line (first on line 1)"),
+    (parse_cert, D + "head: 1\nbound: 1\nhead: 2", 4, 1, "duplicate 'head' line (first on line 2)"),
+    (parse_cert, D + "params: m 2x", 2, 11, "invalid parameter name '2x'"),
+    (parse_cert, D + "params: m r2", 2, 11, "parameter 'r2' clashes with a register name"),
+    (parse_cert, D + "params: m m", 2, 11, "duplicate parameter 'm'"),
+    (parse_cert, D + f"params: r{LONG}", 2, 9, TOO_LONG),
+    (parse_cert, D + "params: m n\nconstraint: m <", 3, 13, "expected 'A rel B'"),
+    (parse_cert, D + "params: m n\nconstraint: m ~ n", 3, 15, "unknown relation '~'"),
+    (parse_cert, D + "params: m n\nconstraint: m < q", 3, 17, "undeclared parameter 'q'"),
+    (parse_cert, D + "constraint: m < n\nparams: m n", 2, 13, "undeclared parameter 'm'"),
+    (parse_cert, D + "params: m n\nconstraint: m < n+", 3, 17, "missing offset after '+' in 'n+'"),
+    (parse_cert, D + "params: m n\nconstraint: m < 3+1", 3, 17, "offset on a constant in '3+1'"),
+    (parse_cert, D + "params: m n\nconstraint: m < -n", 3, 17, "expected a parameter operand, got '-n'"),
+    (parse_cert, D + "params: m n\nconstraint: m < n+x", 3, 17, "expected a natural number, got 'x'"),
+    (parse_cert, D + f"params: m n\nconstraint: m < {LONG}", 3, 17, TOO_LONG),
+    (parse_cert, D + "params: m n\ninit: m, , 0", 3, 10, "expected a value"),
+    (parse_cert, D + "params: m n\ninit: m, q", 3, 10, "undeclared parameter 'q'"),
+    (parse_cert, D + "head: 1 2", 2, 7, "expected a single position"),
+    (parse_cert, D + "head: x", 2, 7, "expected a natural number, got 'x'"),
+    (parse_cert, D + "invariant: r1 < m", 2, 17, "expected a register operand like r1, got 'm'"),
+    (parse_cert, D + "invariant: r0 < r1", 2, 12, "expected a register operand like r1, got 'r0'"),
+    (parse_cert, D + "invariant: r1 < 2 + 1", 2, 12, "expected 'A rel B'"),
+    (parse_cert, D + f"invariant: r{LONG} < r1", 2, 12, TOO_LONG),
+    (parse_cert, D + "invariant:", 2, 1, "expected 'A rel B'"),
+    (parse_cert, T + "split: r1 + r2 > 0", 4, 8, "expected 'split: rX - rY > k'"),
+    (parse_cert, T + "split:", 4, 1, "expected 'split: rX - rY > k'"),
+    (parse_cert, T + "split: x - r2 > 0", 4, 8, "expected a register like r1, got 'x'"),
+    (parse_cert, T + "split: r1 - r2 >= 1", 4, 16, "expected '> k' after the register pair"),
+    (parse_cert, T + "split: r1 - r2", 4, 8, "expected '> k' after the register pair"),
+    (parse_cert, T + "split: r1 - r2 > -1", 4, 18, "expected a natural number, got '-1'"),
+    (parse_cert, T + "ranking: r1 - r2 r3", 4, 18, "unexpected trailing tokens"),
+    (parse_cert, T + "ranking: r1", 4, 10, "expected 'ranking: rX - rY'"),
+    (parse_cert, D + "head: 1\nbound: 4 5", 3, 8, "expected a single step bound"),
+    (parse_cert, D + "head: 1\nbound: 0", 3, 1, "bound must be at least 1"),
+    (parse_cert, D + "head: 0\nbound: 1", 2, 1, "head positions start at 1"),
+    (parse_cert, "head: 1\nbound: 1", 1, 1, "missing 'kind' line"),
+    (parse_cert, D + "bound: 1", 1, 1, "missing 'head' line"),
+    (parse_cert, D + "head: 1", 1, 1, "missing 'bound' line"),
+    (parse_cert, D + "head: 1\nbound: 1\nsplit: r1 - r2 > 0", 4, 1, "'split' is only for kind terminates"),
+    (parse_cert, D + "head: 1\nbound: 1\nranking: r1 - r2", 4, 1, "'ranking' is only for kind terminates"),
+    (parse_cert, T + "ranking: r1 - r2", 1, 1, "missing 'split' line for kind terminates"),
+    (parse_cert, T + "split: r1 - r2 > 0", 1, 1, "missing 'ranking' line for kind terminates"),
+]
+
+
+def test_every_error_keeps_its_line_column_and_message():
+    wrong = []
+    for read, text, line, column, message in ERRORS:
+        with pytest.raises(SourceError) as info:
+            read(text)
+        got = (info.value.line, info.value.column, info.value.message)
+        if got != (line, column, message):
+            wrong.append((read.__name__, text[:60], got))
+    assert wrong == []
+
+
 def test_source_error_renders_position():
     err = SourceError(3, 7, "bad token")
     assert "line 3" in str(err)

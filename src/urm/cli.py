@@ -21,7 +21,7 @@ from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, FiniteConfig, Program, compatible, include, restrict
-from .textio import _strip_comment, _tokens, format_config, parse_cert, parse_config, parse_program
+from .textio import _content_lines, _tokens, format_config, parse_cert, parse_config, parse_program
 
 DEFAULT_FUEL = 100000
 # `run` prints registers r1..r_rho, so its time, memory and output grow
@@ -100,9 +100,9 @@ def _require_printable(path: str, text: str, p: Program) -> None:
     """Refuse `p` at its first register operand above MAX_RUN_RHO."""
     if p.rho <= MAX_RUN_RHO:
         return
-    for ln, raw in enumerate(text.split("\n"), start=1):
+    for ln, line in _content_lines(text):
         # a parsed line's register operands are its tokens 1 and 2
-        for tok, col in _tokens(_strip_comment(raw))[1:3]:
+        for tok, col in _tokens(line)[1:3]:
             if int(tok) > MAX_RUN_RHO:
                 err = SourceError(ln, col, f"run takes register indices up to {MAX_RUN_RHO}")
                 raise _Failure(f"{path}: {err}")

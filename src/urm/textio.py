@@ -3,8 +3,10 @@
 Programs are one instruction per line (`Z i`, `S i`, `T i j`, `J i j k`),
 configurations are comma-separated naturals, and certificates are a
 line-oriented `key: value` format.  All formats treat `#` as a comment
-to end of line and ignore blank lines.  Errors are reported as
-SourceError with the 1-based line and column of the offending token.
+to end of line and ignore blank lines: every reader takes its lines from
+`_content_lines`, and the comma lists (a configuration, `init:`) are
+read by `_fields`.  Errors are reported as SourceError with the 1-based
+line and column of the offending token.
 
 Certificate grammar, by key:
 
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import re
 
+from typing import Callable, Iterator
+
 from .certificates import DivergenceCert, TerminationCert
-from .constraints import REL_SYMBOLS, Atom, Const, ConstraintSet, SymValue, VarPlus, parse_reg_var
+from .constraints import REL_SYMBOLS, Atom, Const, ConstraintSet, VarPlus, parse_reg_var
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero
 
@@ -44,8 +48,12 @@ _SYNTAX = {"Z": Zero, "S": Succ, "T": Transfer, "J": Jump}
 _MNEMONIC = {kind: mnemonic for mnemonic, kind in _SYNTAX.items()}
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0]
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its comment) for each line with content."""
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            yield ln, line
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -73,10 +81,8 @@ def _reg_index(tok: str, line: int, column: int) -> int | None:
 def parse_program(text: str) -> Program:
     """Program from assembly text; positions follow file order."""
     instructions: list[Instruction] = []
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        toks = _tokens(_strip_comment(raw))
-        if not toks:
-            continue
+    for ln, line in _content_lines(text):
+        toks = _tokens(line)
         (mnemonic, mcol), args = toks[0], toks[1:]
         kind = _SYNTAX.get(mnemonic)
         if kind is None:
@@ -102,33 +108,29 @@ def print_program(p: Program) -> str:
     )
 
 
-def _content_line(text: str) -> tuple[str, int]:
-    found: tuple[str, int] | None = None
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        if not _strip_comment(raw).strip():
-            continue
-        if found is not None:
-            raise SourceError(ln, 1, "expected a single line")
-        found = (raw, ln)
-    if found is None:
-        raise SourceError(1, 1, "empty input")
-    return found
+def _fields(text: str, ln: int, col: int, what: str, read: Callable[[str, int, int], object]) -> list:
+    """`read(token, ln, column)` of each field of the comma list `text`,
+    whose first character is at column `col`."""
+    out = []
+    for part in text.split(","):
+        tok = part.strip()
+        column = col + len(part) - len(part.lstrip())
+        if not tok:
+            raise SourceError(ln, column, f"expected {what}")
+        out.append(read(tok, ln, column))
+        col += len(part) + 1
+    return out
 
 
 def parse_config(text: str) -> FiniteConfig:
     """Finite configuration from comma-separated naturals."""
-    raw, ln = _content_line(text)
-    line = _strip_comment(raw)
-    values: list[int] = []
-    cursor = 0
-    for part in line.split(","):
-        column = cursor + len(part) - len(part.lstrip()) + 1
-        tok = part.strip()
-        if not tok:
-            raise SourceError(ln, column, "expected a natural number")
-        values.append(_nat(tok, ln, column))
-        cursor += len(part) + 1
-    return FiniteConfig._of(tuple(values))
+    lines = list(_content_lines(text))
+    if not lines:
+        raise SourceError(1, 1, "empty input")
+    if len(lines) > 1:
+        raise SourceError(lines[1][0], 1, "expected a single line")
+    ln, line = lines[0]
+    return FiniteConfig._of(tuple(_fields(line, ln, 1, "a natural number", _nat)))
 
 
 def format_config(values) -> str:
@@ -151,162 +153,121 @@ def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, in
     return base, offset
 
 
-class _CertParser:
-    def __init__(self) -> None:
-        self.seen: dict[str, int] = {}
-        self.kind: str | None = None
-        self.params: list[str] = []
-        self.constraints: list[Atom] = []
-        self.init: dict[int, SymValue] = {}
-        self.head: int | None = None
-        self.invariant: list[Atom] = []
-        self.split: tuple[int, int, int] | None = None
-        self.ranking: tuple[int, int] | None = None
-        self.bound: int | None = None
+# Keys that may appear at most once.
+_ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))
 
-    def _once(self, key: str, ln: int) -> None:
-        if key in self.seen:
-            raise SourceError(ln, 1, f"duplicate {key!r} line (first on line {self.seen[key]})")
-        self.seen[key] = ln
 
-    def _param_term(self, tok: str, ln: int, col: int) -> tuple[str | None, int]:
+def parse_cert(text: str):
+    """Divergence or termination certificate from key-value text."""
+    seen: dict[str, int] = {}  # a once-only key's line
+    once: dict = {}  # a once-only key's value
+    constraints: list[Atom] = []
+    invariant: list[Atom] = []
+
+    def param_term(tok: str, ln: int, col: int) -> tuple[str | None, int]:
         var, offset = _parse_term(tok, ln, col, "parameter")
-        if var is not None and var not in self.params:
+        if var is not None and var not in once.get("params", ()):
             raise SourceError(ln, col, f"undeclared parameter {var!r}")
         return var, offset
 
-    def _register_term(self, tok: str, ln: int, col: int) -> tuple[str | None, int]:
+    def register_term(tok: str, ln: int, col: int) -> tuple[str | None, int]:
         var, offset = _parse_term(tok, ln, col, "register")
         if var is not None and _reg_index(var, ln, col) is None:
             raise SourceError(ln, col, f"expected a register operand like r1, got {tok!r}")
         return var, offset
 
-    def _atom(self, toks: list[tuple[str, int]], ln: int, operand) -> Atom:
+    def atom(toks: list[tuple[str, int]], ln: int, term) -> Atom:
         if len(toks) != 3:
-            col = toks[0][1] if toks else 1
-            raise SourceError(ln, col, "expected 'A rel B'")
+            raise SourceError(ln, toks[0][1] if toks else 1, "expected 'A rel B'")
         (ltok, lcol), (rel, rcol), (rtok, ccol) = toks
         if rel not in REL_SYMBOLS:
             raise SourceError(ln, rcol, f"unknown relation {rel!r}")
-        vx, cx = operand(ltok, ln, lcol)
-        vy, cy = operand(rtok, ln, ccol)
+        vx, cx = term(ltok, ln, lcol)
+        vy, cy = term(rtok, ln, ccol)
         return Atom(vx, vy, rel, cy - cx)
 
-    def _register(self, tok: str, ln: int, col: int) -> int:
+    def register(tok: str, ln: int, col: int) -> int:
         index = _reg_index(tok, ln, col)
         if index is None:
             raise SourceError(ln, col, f"expected a register like r1, got {tok!r}")
         return index
 
-    def _pair(self, toks: list[tuple[str, int]], ln: int, what: str) -> tuple[int, int, list[tuple[str, int]]]:
+    def pair(toks: list[tuple[str, int]], ln: int, what: str) -> tuple[int, int, list[tuple[str, int]]]:
         if len(toks) < 3 or toks[1][0] != "-":
-            col = toks[0][1] if toks else 1
-            raise SourceError(ln, col, f"expected '{what}'")
-        x = self._register(toks[0][0], ln, toks[0][1])
-        y = self._register(toks[2][0], ln, toks[2][1])
-        return x, y, toks[3:]
+            raise SourceError(ln, toks[0][1] if toks else 1, f"expected '{what}'")
+        return register(toks[0][0], ln, toks[0][1]), register(toks[2][0], ln, toks[2][1]), toks[3:]
 
-    def feed(self, key: str, value: str, ln: int, vcol: int) -> None:
+    for ln, line in _content_lines(text):
+        key, colon, value = line.partition(":")
+        if not colon:
+            raise SourceError(ln, 1, "expected 'key: value'")
+        vcol = len(key) + 2
+        key = key.strip()
         toks = [(tok, vcol + col - 1) for tok, col in _tokens(value)]
         col0 = toks[0][1] if toks else vcol
+        if key in _ONCE:
+            if key in seen:
+                raise SourceError(ln, 1, f"duplicate {key!r} line (first on line {seen[key]})")
+            seen[key] = ln
         if key == "kind":
-            self._once(key, ln)
             if value.strip() not in ("diverges", "terminates"):
                 raise SourceError(ln, col0, "kind must be 'diverges' or 'terminates'")
-            self.kind = value.strip()
+            once[key] = value.strip()
         elif key == "params":
-            self._once(key, ln)
+            names = once[key] = []
             for tok, col in toks:
                 if not _IDENT.match(tok):
                     raise SourceError(ln, col, f"invalid parameter name {tok!r}")
                 if _reg_index(tok, ln, col) is not None:
                     raise SourceError(ln, col, f"parameter {tok!r} clashes with a register name")
-                if tok in self.params:
+                if tok in names:
                     raise SourceError(ln, col, f"duplicate parameter {tok!r}")
-                self.params.append(tok)
+                names.append(tok)
         elif key == "constraint":
-            self.constraints.append(self._atom(toks, ln, self._param_term))
+            constraints.append(atom(toks, ln, param_term))
         elif key == "init":
-            self._once(key, ln)
-            cursor = 0
-            for index, part in enumerate(value.split(","), start=1):
-                column = vcol + cursor + len(part) - len(part.lstrip())
-                tok = part.strip()
-                if not tok:
-                    raise SourceError(ln, column, "expected a value")
-                var, offset = self._param_term(tok, ln, column)
-                self.init[index] = Const(offset) if var is None else VarPlus(var, offset)
-                cursor += len(part) + 1
-        elif key == "head":
-            self._once(key, ln)
+            terms = _fields(value, ln, vcol, "a value", param_term)
+            once[key] = {i: Const(c) if v is None else VarPlus(v, c) for i, (v, c) in enumerate(terms, start=1)}
+        elif key in ("head", "bound"):
             if len(toks) != 1:
-                raise SourceError(ln, col0, "expected a single position")
-            self.head = _nat(toks[0][0], ln, toks[0][1])
+                what = "position" if key == "head" else "step bound"
+                raise SourceError(ln, col0, f"expected a single {what}")
+            once[key] = _nat(toks[0][0], ln, toks[0][1])
         elif key == "invariant":
-            self.invariant.append(self._atom(toks, ln, self._register_term))
+            invariant.append(atom(toks, ln, register_term))
         elif key == "split":
-            self._once(key, ln)
-            x, y, rest = self._pair(toks, ln, "split: rX - rY > k")
+            x, y, rest = pair(toks, ln, "split: rX - rY > k")
             if len(rest) != 2 or rest[0][0] != ">":
-                col = rest[0][1] if rest else col0
-                raise SourceError(ln, col, "expected '> k' after the register pair")
-            self.split = (x, y, _nat(rest[1][0], ln, rest[1][1]))
+                raise SourceError(ln, rest[0][1] if rest else col0, "expected '> k' after the register pair")
+            once[key] = (x, y, _nat(rest[1][0], ln, rest[1][1]))
         elif key == "ranking":
-            self._once(key, ln)
-            x, y, rest = self._pair(toks, ln, "ranking: rX - rY")
+            x, y, rest = pair(toks, ln, "ranking: rX - rY")
             if rest:
                 raise SourceError(ln, rest[0][1], "unexpected trailing tokens")
-            self.ranking = (x, y)
-        elif key == "bound":
-            self._once(key, ln)
-            if len(toks) != 1:
-                raise SourceError(ln, col0, "expected a single step bound")
-            self.bound = _nat(toks[0][0], ln, toks[0][1])
+            once[key] = (x, y)
         else:
             raise SourceError(ln, 1, f"unknown key {key!r}")
 
-    def finish(self):
-        for name, value in (("kind", self.kind), ("head", self.head), ("bound", self.bound)):
-            if value is None:
-                raise SourceError(1, 1, f"missing {name!r} line")
-        if self.bound < 1:
-            raise SourceError(self.seen["bound"], 1, "bound must be at least 1")
-        if self.head < 1:
-            raise SourceError(self.seen["head"], 1, "head positions start at 1")
-        if self.kind == "diverges":
-            for key in ("split", "ranking"):
-                if key in self.seen:
-                    raise SourceError(self.seen[key], 1, f"{key!r} is only for kind terminates")
-            return DivergenceCert(
-                param_constraints=ConstraintSet(frozenset(self.constraints)),
-                init=dict(self.init),
-                loop_head=self.head,
-                invariant=tuple(self.invariant),
-                step_bound=self.bound,
-            )
-        for key, value in (("split", self.split), ("ranking", self.ranking)):
-            if value is None:
-                raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
-        return TerminationCert(
-            param_constraints=ConstraintSet(frozenset(self.constraints)),
-            init=dict(self.init),
-            loop_head=self.head,
-            invariant=tuple(self.invariant),
-            split=self.split,
-            ranking=self.ranking,
-            step_bound=self.bound,
-        )
-
-
-def parse_cert(text: str):
-    """Divergence or termination certificate from key-value text."""
-    parser = _CertParser()
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        key, colon, value = line.partition(":")
-        if not colon:
-            raise SourceError(ln, 1, "expected 'key: value'")
-        parser.feed(key.strip(), value, ln, len(key) + 2)
-    return parser.finish()
+    for key in ("kind", "head", "bound"):
+        if key not in once:
+            raise SourceError(1, 1, f"missing {key!r} line")
+    if once["bound"] < 1:
+        raise SourceError(seen["bound"], 1, "bound must be at least 1")
+    if once["head"] < 1:
+        raise SourceError(seen["head"], 1, "head positions start at 1")
+    common = dict(
+        param_constraints=ConstraintSet(frozenset(constraints)),
+        init=once.get("init", {}),
+        loop_head=once["head"],
+        invariant=tuple(invariant),
+        step_bound=once["bound"],
+    )
+    if once["kind"] == "diverges":
+        for key in ("split", "ranking"):
+            if key in seen:
+                raise SourceError(seen[key], 1, f"{key!r} is only for kind terminates")
+        return DivergenceCert(**common)
+    for key in ("split", "ranking"):
+        if key not in once:
+            raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
+    return TerminationCert(**common, split=once["split"], ranking=once["ranking"])

@@ -298,6 +298,7 @@ ERRORS = [
     (parse_cert, D + "head: 1\nbound: 4 5", 3, 8, "expected a single step bound"),
     (parse_cert, D + "head: 1\nbound: 0", 3, 1, "bound must be at least 1"),
     (parse_cert, D + "head: 0\nbound: 1", 2, 1, "head positions start at 1"),
+    (parse_cert, D + "head: 0\nbound: 0", 3, 1, "bound must be at least 1"),
     (parse_cert, "head: 1\nbound: 1", 1, 1, "missing 'kind' line"),
     (parse_cert, D + "bound: 1", 1, 1, "missing 'head' line"),
     (parse_cert, D + "head: 1", 1, 1, "missing 'bound' line"),

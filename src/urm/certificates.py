@@ -26,7 +26,7 @@ it covers nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .constraints import (
     Atom,
@@ -320,39 +320,25 @@ def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     return CertReport(accepted=True, trail=tuple(trail))
 
 
-def _combo_le(cs: ConstraintSet, terms: Iterable[tuple[str | None, int]], bound: int) -> bool:
-    """Entailment of sum(coeff * var) <= bound, within the bound fragment."""
-    coeffs: dict[str, int] = {}
-    for var, coeff in terms:
-        if var is None:
-            continue
-        coeffs[var] = coeffs.get(var, 0) + coeff
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    if not coeffs:
-        return 0 <= bound
-    if len(coeffs) == 1:
-        ((var, coeff),) = coeffs.items()
-        if coeff == 1:
-            return entails(cs, Atom(var, None, "<=", bound))
-        if coeff == -1:
-            return entails(cs, Atom(None, var, "<=", bound))
-        return False
-    if len(coeffs) == 2:
-        (v1, c1), (v2, c2) = coeffs.items()
-        if c1 == 1 and c2 == -1:
-            return entails(cs, Atom(v1, v2, "<=", bound))
-        if c1 == -1 and c2 == 1:
-            return entails(cs, Atom(v2, v1, "<=", bound))
-    return False
-
-
 def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after: tuple[SymValue, SymValue]) -> bool:
-    """Entailment of rank(after) <= rank(before) - 1."""
-    (avx, acx), (avy, acy) = _parts(after[0]), _parts(after[1])
-    (bvx, bcx), (bvy, bcy) = _parts(before[0]), _parts(before[1])
-    constant = acx - acy - bcx + bcy
-    terms = [(avx, 1), (avy, -1), (bvx, -1), (bvy, 1)]
-    return _combo_le(cs, terms, -1 - constant)
+    """Entailment of rank(after) <= rank(before) - 1.  Within the bound
+    fragment only: once the four terms cancel, at most one variable may
+    be left with coefficient +1 and one with -1, so that it is one atom."""
+    coeffs: dict[str, int] = {}
+    bound = -1
+    for value, sign in ((after[0], 1), (after[1], -1), (before[0], -1), (before[1], 1)):
+        var, offset = _parts(value)
+        bound -= sign * offset
+        if var is not None:
+            coeffs[var] = coeffs.get(var, 0) + sign
+    live = [(coeff, var) for var, coeff in coeffs.items() if coeff]
+    sides = dict(live)
+    if len(sides) < len(live) or not sides.keys() <= {1, -1}:
+        return False
+    goal = Atom(sides.get(1), sides.get(-1), "<=", bound)
+    ground = goal.trivial_value()
+    # not `entails` when ground: that holds on an infeasible set
+    return entails(cs, goal) if ground is None else ground
 
 
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:

@@ -331,11 +331,12 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
         bound -= sign * offset
         if var is not None:
             coeffs[var] = coeffs.get(var, 0) + sign
-    live = [(coeff, var) for var, coeff in coeffs.items() if coeff]
-    sides = dict(live)
-    if len(sides) < len(live) or not sides.keys() <= {1, -1}:
+    left = [(var, coeff) for var, coeff in coeffs.items() if coeff]
+    plus = [var for var, coeff in left if coeff == 1]
+    minus = [var for var, coeff in left if coeff == -1]
+    if len(plus) > 1 or len(minus) > 1 or len(plus) + len(minus) < len(left):
         return False
-    goal = Atom(sides.get(1), sides.get(-1), "<=", bound)
+    goal = Atom(plus[0] if plus else None, minus[0] if minus else None, "<=", bound)
     ground = goal.trivial_value()
     # not `entails` when ground: that holds on an infeasible set
     return entails(cs, goal) if ground is None else ground

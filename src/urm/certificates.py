@@ -348,7 +348,8 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
         _enter_loop(p, cert)
         start, end, cs, cont_trail = _close_loop(p, cert, cert.continue_atom())
         x, y = cert.ranking
-        if not entails(cs, substitute(Atom(reg_var(x), reg_var(y), ">=", 0), start.regs)):
+        # every register of the start state is a fresh variable
+        if not entails(cs, Atom(start.value(x).var, start.value(y).var, ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)

@@ -5,9 +5,14 @@ a known constant or a variable plus a constant offset, because the
 instruction set can merely zero, increment, and copy.  Relational facts
 about the variables are kept as difference-bound atoms, `x - y rel k` or
 `x rel k` with integer k.  Conjunctions of such atoms are decidable by
-shortest-path closure over the constraint graph, which is what `entails`
-implements; this fragment is deliberately the whole constraint language
-(no disjunction, no coefficients other than one).
+shortest-path closure over the constraint graph; this fragment is
+deliberately the whole constraint language (no disjunction, no
+coefficients other than one).  Every question about a set goes through
+the same two steps: `_range` reads the tightest interval [lo, hi] of
+one difference off the closure, and `_holds` says whether every value in
+that interval satisfies a relation.  `entails`, `decide_eq`,
+`_satisfiable` and the ground case of `Atom.trivial_value` differ only
+in the relation they ask.
 
 Disequalities are second-class: an `!=` atom is never used for bound
 reasoning, `_satisfiable` only checks each one against the bounds, and
@@ -100,22 +105,22 @@ class Atom:
         """Truth value if the atom mentions no variables, else None."""
         if self.x is not None or self.y is not None:
             return None
-        return _compare(0, self.rel, self.k)
+        return _holds(0, 0, self.rel, self.k)
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for v in (self.x, self.y) if v is not None)
 
 
-def _compare(lhs: int, rel: str, k: int) -> bool:
+def _holds(lo: float, hi: float, rel: str, k: int) -> bool:
+    """True iff every difference d in [lo, hi] satisfies `d rel k`, where
+    `rel` is one of a normalized atom: `<=`, `>=`, `=` or `!=`."""
     if rel == "<=":
-        return lhs <= k
+        return hi <= k
     if rel == ">=":
-        return lhs >= k
+        return lo >= k
     if rel == "=":
-        return lhs == k
-    if rel == "!=":
-        return lhs != k
-    raise UnsupportedAtom(f"unknown relation {rel!r}")
+        return hi <= k <= lo
+    return hi < k or lo > k
 
 
 _FALSE_ATOM = Atom(None, None, "<=", -1)
@@ -198,9 +203,7 @@ def _satisfiable(cs: ConstraintSet) -> bool:
     Never false for a set with a model; but disequalities that empty the
     set only together (x in [0, 1], x != 0, x != 1) go undetected."""
     dist, feasible = _closure(cs)
-    return feasible and not any(
-        a.rel == "!=" and _bound(dist, a.y, a.x) <= a.k and _bound(dist, a.x, a.y) <= -a.k for a in cs.atoms
-    )
+    return feasible and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
 
 
 def _bound(dist: dict, frm: str | None, to: str | None) -> float:
@@ -215,6 +218,12 @@ def _bound(dist: dict, frm: str | None, to: str | None) -> float:
     return _INF
 
 
+def _range(dist: dict, x: str | None, y: str | None) -> tuple[float, float]:
+    """Tightest (lo, hi) with lo <= value(x) - value(y) <= hi; (0, 0) when
+    x and y are the same side."""
+    return -_bound(dist, x, y), _bound(dist, y, x)
+
+
 def entails(cs: ConstraintSet, a: Atom) -> bool:
     """True iff every natural assignment satisfying `cs` satisfies `a`.
 
@@ -223,24 +232,7 @@ def entails(cs: ConstraintSet, a: Atom) -> bool:
     disequality reasoning would close the gap.
     """
     dist, feasible = _closure(cs)
-    if not feasible:
-        return True
-    tv = a.trivial_value()
-    if tv is not None:
-        return tv
-    if a.rel == "<=":
-        return _bound(dist, a.y, a.x) <= a.k
-    if a.rel == ">=":
-        return _bound(dist, a.x, a.y) <= -a.k
-    if a.rel == "=":
-        return _bound(dist, a.y, a.x) <= a.k and _bound(dist, a.x, a.y) <= -a.k
-    if a.rel == "!=":
-        if _bound(dist, a.y, a.x) <= a.k - 1:
-            return True
-        if _bound(dist, a.x, a.y) <= -(a.k + 1):
-            return True
-        return a in cs.atoms
-    raise UnsupportedAtom(f"unknown relation {a.rel!r}")
+    return not feasible or _holds(*_range(dist, a.x, a.y), a.rel, a.k) or (a.rel == "!=" and a in cs.atoms)
 
 
 def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
@@ -249,10 +241,12 @@ def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
     vy, cy = _parts(b)
     if vx == vy:
         return cx == cy
+    dist, feasible = _closure(cs)
+    lo, hi = _range(dist, vx, vy)
     target = cy - cx
-    if entails(cs, Atom(vx, vy, "=", target)):
+    if not feasible or _holds(lo, hi, "=", target):
         return True
-    if entails(cs, Atom(vx, vy, "!=", target)):
+    if _holds(lo, hi, "!=", target) or Atom(vx, vy, "!=", target) in cs.atoms:
         return False
     return None
 

@@ -289,6 +289,17 @@ def test_certificate_field_validation():
         _term_cert(split=(1, 2, -1))
 
 
+def test_invariant_atoms_must_name_registers():
+    """`parse_cert` refuses other names, so only a certificate built in the
+    library reaches this check."""
+    p = Program((Jump(1, 1, 1),))
+    stray = (Atom("m", None, ">=", 0),)
+    with pytest.raises(ValueError, match="not a register operand: 'm'"):
+        check_divergence(p, _minus_cert(invariant=stray))
+    with pytest.raises(ValueError, match="not a register operand: 'm'"):
+        check_termination(p, _term_cert(invariant=stray))
+
+
 def test_loop_head_must_be_a_position(u_minus):
     with pytest.raises(PcOutOfRange):
         check_divergence(u_minus, _minus_cert(loop_head=9))

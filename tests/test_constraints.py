@@ -222,3 +222,43 @@ def test_entails_is_sound_on_random_small_sets():
         goal = Atom(x, y, rng.choice(rels), rng.randint(-2, 2))
         if entails(cs, goal):
             assert _semantic_entails(cs, goal, 7), (cs, goal)
+
+
+def test_entails_and_decide_eq_are_complete_on_random_bound_sets():
+    """On bound atoms alone, a False from `entails` has a counter-model and
+    a None from `decide_eq` has both an equal and an unequal model, all
+    found in [0, 12]^3; so the answers are not just sound but the tightest."""
+    rng = random.Random(11)
+    names = ("a", "b", "c")
+    cube = [dict(zip(names, point)) for point in itertools.product(range(13), repeat=3)]
+    bound_rels = ("<", "<=", "=", ">=", ">")
+    rels = (*bound_rels, "!=")
+
+    def value(sv, point):
+        return sv.value if isinstance(sv, Const) else point[sv.var] + sv.offset
+
+    def sym(rng):
+        var = rng.choice((*names, None))
+        return Const(rng.randint(0, 3)) if var is None else VarPlus(var, rng.randint(0, 3))
+
+    checked = 0
+    while checked < 300:
+        cs = ConstraintSet.of(
+            *(
+                Atom(*rng.sample((*names, None), 2), rng.choice(bound_rels), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+        if not _closure(cs)[1]:
+            continue
+        models = [point for point in cube if constraints_hold(cs, point)]
+        for _ in range(3):
+            goal = Atom(*rng.sample((*names, None), 2), rng.choice(rels), rng.randint(-3, 3))
+            if not entails(cs, goal):
+                assert not all(atom_holds(goal, point) for point in models), (cs, goal)
+                checked += 1
+            left, right = sym(rng), sym(rng)
+            if decide_eq(left, right, cs) is None:
+                equal = {value(left, point) == value(right, point) for point in models}
+                assert equal == {True, False}, (cs, left, right)
+                checked += 1

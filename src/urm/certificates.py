@@ -30,17 +30,15 @@ from typing import Mapping, Union
 
 from .constraints import (
     Atom,
-    Const,
     ConstraintSet,
     SymValue,
-    VarPlus,
     decide_eq,
     entails,
     parse_reg_var,
     reg_var,
     substitute,
-    _parts,
     _satisfiable,
+    _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
 from .machine import Jump, Program, Succ, Zero
@@ -65,7 +63,7 @@ class SymState:
     regs: dict[int, SymValue]
 
     def value(self, i: int) -> SymValue:
-        return self.regs.get(i, Const(0))
+        return self.regs.get(i, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -166,6 +164,10 @@ def _check_common(cert: Cert) -> None:
     for index in cert.init:
         if index < 1:
             raise ValueError("registers are indexed from 1")
+    for a in cert.invariant:
+        for var in (a.x, a.y):
+            if var is not None and parse_reg_var(var) is None:
+                raise ValueError(f"not a register operand: {var!r}")
 
 
 def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
@@ -196,11 +198,11 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     else:
         regs = dict(s.regs)
         if isinstance(instr, Zero):
-            regs[instr.i] = Const(0)
+            regs[instr.i] = _ZERO
             tag = "z"
         elif isinstance(instr, Succ):
-            var, offset = _parts(s.value(instr.i))
-            regs[instr.i] = Const(offset + 1) if var is None else VarPlus(var, offset + 1)
+            value = s.value(instr.i)
+            regs[instr.i] = SymValue(value.var, value.offset + 1)
             tag = "s"
         else:
             regs[instr.j] = s.value(instr.i)
@@ -210,31 +212,14 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     return SymNext(SymState(nxt, regs), f"{tag}·r")
 
 
-def _cert_registers(cert: Cert) -> set[int]:
-    out = set(cert.init)
-    for a in cert.invariant:
-        out |= _atom_registers(a)
-    if isinstance(cert, TerminationCert):
-        out |= set(cert.split[:2]) | set(cert.ranking)
-    return out
-
-
-def _atom_registers(a: Atom) -> set[int]:
-    out: set[int] = set()
-    for var in (a.x, a.y):
-        if var is None:
-            continue
-        index = parse_reg_var(var)
-        if index is None:
-            raise ValueError(f"not a register operand: {var!r}")
-        out.add(index)
-    return out
-
-
 def _universe(p: Program, cert: Cert) -> set[int]:
     """The registers the program or the certificate mentions; no other
     register is ever read, so the symbolic state leaves them out."""
-    return set(p.registers) | _cert_registers(cert)
+    out = set(p.registers) | set(cert.init)
+    out |= {parse_reg_var(var) for a in cert.invariant for var in a.variables()}
+    if isinstance(cert, TerminationCert):
+        out |= {*cert.split[:2], *cert.ranking}
+    return out
 
 
 class _Rejected(Exception):
@@ -266,7 +251,7 @@ def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | No
 
 def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintSet]:
     """Fresh symbolic state at the loop head, constrained by the invariant and `extra`."""
-    start = SymState(cert.loop_head, {i: VarPlus(f"_{reg_var(i)}") for i in _universe(p, cert)})
+    start = SymState(cert.loop_head, {i: SymValue(f"_{reg_var(i)}") for i in _universe(p, cert)})
     atoms = (*cert.invariant, *extra)
     return start, ConstraintSet(frozenset(substitute(a, start.regs) for a in atoms))
 
@@ -288,7 +273,7 @@ def _enter_loop(p: Program, cert: Cert) -> None:
     # no input meets the constraints, so any claim would hold vacuously
     if not _satisfiable(cert.param_constraints):
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
-    s = SymState(1, {i: cert.init.get(i, Const(0)) for i in _universe(p, cert)})
+    s = SymState(1, {i: cert.init.get(i, _ZERO) for i in _universe(p, cert)})
     if s.pc != cert.loop_head:
         res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
         if not isinstance(res, SymNext):
@@ -327,10 +312,9 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
     coeffs: dict[str, int] = {}
     bound = -1
     for value, sign in ((after[0], 1), (after[1], -1), (before[0], -1), (before[1], 1)):
-        var, offset = _parts(value)
-        bound -= sign * offset
-        if var is not None:
-            coeffs[var] = coeffs.get(var, 0) + sign
+        bound -= sign * value.offset
+        if value.var is not None:
+            coeffs[value.var] = coeffs.get(value.var, 0) + sign
     left = [(var, coeff) for var, coeff in coeffs.items() if coeff]
     plus = [var for var, coeff in left if coeff == 1]
     minus = [var for var, coeff in left if coeff == -1]

@@ -13,7 +13,6 @@ import io
 import os
 import sys
 
-from itertools import islice
 from typing import NoReturn
 
 from .certificates import CertReport, Reason, TerminationCert, check_divergence, check_termination
@@ -122,8 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     start = include(sigma) if sigma is not None else Config()
     if args.show_steps:
         # `trace` yields one state per step taken, so these are exactly the
-        # states `run` steps from; printed first, so that they stream
-        for state in islice(trace(p, start), args.fuel):
+        # states `run` steps from; printed first, so that they stream.
+        # `range`, unlike `islice`, takes a fuel above sys.maxsize.
+        for _, state in zip(range(args.fuel), trace(p, start)):
             print(f"{state.pc} {format_config(restrict(state.config, p).values)}")
     outcome = run(p, start, args.fuel)
     if isinstance(outcome, Halted):

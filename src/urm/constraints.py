@@ -1,18 +1,18 @@
 """Symbolic register values and difference-bound entailment.
 
-Symbolic execution only ever produces register contents of two shapes,
-a known constant or a variable plus a constant offset, because the
-instruction set can merely zero, increment, and copy.  Relational facts
-about the variables are kept as difference-bound atoms, `x - y rel k` or
-`x rel k` with integer k.  Conjunctions of such atoms are decidable by
-shortest-path closure over the constraint graph; this fragment is
-deliberately the whole constraint language (no disjunction, no
-coefficients other than one).  Every question about a set goes through
-the same two steps: `_range` reads the tightest interval [lo, hi] of
-one difference off the closure, and `_holds` says whether every value in
-that interval satisfies a relation.  `entails`, `decide_eq`,
-`_satisfiable` and the ground case of `Atom.trivial_value` differ only
-in the relation they ask.
+Symbolic execution only ever produces register contents of one shape,
+`SymValue`: a variable plus a natural offset, or a bare constant,
+because the instruction set can merely zero, increment, and copy.
+Relational facts about the variables are kept as difference-bound
+atoms, `x - y rel k` or `x rel k` with integer k.  Conjunctions of such
+atoms are decidable by shortest-path closure over the constraint graph;
+this fragment is deliberately the whole constraint language (no
+disjunction, no coefficients other than one).  Every question about a
+set goes through the same two steps: `_range` reads the tightest
+interval [lo, hi] of one difference off the closure, and `_holds` says
+whether every value in that interval satisfies a relation.  `entails`,
+`decide_eq`, `_satisfiable` and the ground case of `Atom.trivial_value`
+differ only in the relation they ask.
 
 Disequalities are second-class: an `!=` atom is never used for bound
 reasoning, `_satisfiable` only checks each one against the bounds, and
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import UnsupportedAtom
 
@@ -38,33 +38,21 @@ _INF = math.inf
 
 
 @dataclass(frozen=True)
-class Const:
-    value: int
+class SymValue:
+    """Register contents `var + offset`; the constant `offset` when `var`
+    is None."""
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("register contents are naturals")
-
-
-@dataclass(frozen=True)
-class VarPlus:
-    var: str
+    var: str | None = None
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if not self.var:
+        if self.var == "":
             raise ValueError("variable name must be non-empty")
         if self.offset < 0:
             raise ValueError("offsets are naturals")
 
 
-SymValue = Union[Const, VarPlus]
-
-
-def _parts(sv: SymValue) -> tuple[str | None, int]:
-    if isinstance(sv, Const):
-        return None, sv.value
-    return sv.var, sv.offset
+_ZERO = SymValue()
 
 
 @dataclass(frozen=True)
@@ -237,16 +225,14 @@ def entails(cs: ConstraintSet, a: Atom) -> bool:
 
 def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
     """Three-valued equality of symbolic values; None means undecided."""
-    vx, cx = _parts(a)
-    vy, cy = _parts(b)
-    if vx == vy:
-        return cx == cy
+    if a.var == b.var:
+        return a.offset == b.offset
     dist, feasible = _closure(cs)
-    lo, hi = _range(dist, vx, vy)
-    target = cy - cx
+    lo, hi = _range(dist, a.var, b.var)
+    target = b.offset - a.offset
     if not feasible or _holds(lo, hi, "=", target):
         return True
-    if _holds(lo, hi, "!=", target) or Atom(vx, vy, "!=", target) in cs.atoms:
+    if _holds(lo, hi, "!=", target) or Atom(a.var, b.var, "!=", target) in cs.atoms:
         return False
     return None
 
@@ -265,29 +251,49 @@ def parse_reg_var(name: str) -> int | None:
     return None
 
 
-def _subst_side(var: str | None, regs: Mapping[int, SymValue]) -> tuple[str | None, int]:
+def _subst_side(var: str | None, regs: Mapping[int, SymValue]) -> SymValue:
     if var is None:
-        return None, 0
+        return _ZERO
     index = parse_reg_var(var)
     if index is None:
         raise ValueError(f"not a register operand: {var!r}")
     if index not in regs:
         raise ValueError(f"register {index} has no symbolic value")
-    return _parts(regs[index])
+    return regs[index]
 
 
 def substitute(a: Atom, regs: Mapping[int, SymValue]) -> Atom:
     """Replace register operands by their symbolic values, folding offsets."""
-    vx, cx = _subst_side(a.x, regs)
-    vy, cy = _subst_side(a.y, regs)
-    return Atom(vx, vy, a.rel, a.k - cx + cy)
+    x = _subst_side(a.x, regs)
+    y = _subst_side(a.y, regs)
+    return Atom(x.var, y.var, a.rel, a.k - x.offset + y.offset)
+
+
+# `str` refuses an int of more digits than sys.get_int_max_str_digits(),
+# 4300 by default and never below 640; a chunk of 600 digits stays under it.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """`str(n)` for an int of any length.  A parsed number has at most the
+    limit's digits, but a register value or a normalized bound may grow
+    past it."""
+    sign, rest = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(rest))
+    return sign + "".join(reversed(chunks))
 
 
 def format_atom(a: Atom) -> str:
+    k = _decimal(a.k)
     if a.x is None and a.y is None:
-        return f"0 {a.rel} {a.k}"
+        return f"0 {a.rel} {k}"
     if a.y is None:
-        return f"{a.x} {a.rel} {a.k}"
+        return f"{a.x} {a.rel} {k}"
     if a.x is None:
-        return f"0 - {a.y} {a.rel} {a.k}"
-    return f"{a.x} - {a.y} {a.rel} {a.k}"
+        return f"0 - {a.y} {a.rel} {k}"
+    return f"{a.x} - {a.y} {a.rel} {k}"

@@ -34,7 +34,7 @@ import re
 from typing import Callable, Iterator
 
 from .certificates import DivergenceCert, TerminationCert
-from .constraints import REL_SYMBOLS, Atom, Const, ConstraintSet, VarPlus, parse_reg_var
+from .constraints import REL_SYMBOLS, Atom, ConstraintSet, SymValue, _decimal, parse_reg_var
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero
 
@@ -135,7 +135,11 @@ def parse_config(text: str) -> FiniteConfig:
 
 def format_config(values) -> str:
     """Comma-separated register values, e.g. "5,3,0"."""
-    return ",".join(str(v) for v in values)
+    values = tuple(values)  # read again when one is too long for `str`
+    try:
+        return ",".join(map(str, values))
+    except ValueError:
+        return ",".join(map(_decimal, values))
 
 
 def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, int]:
@@ -227,7 +231,7 @@ def parse_cert(text: str):
             constraints.append(atom(toks, ln, param_term))
         elif key == "init":
             terms = _fields(value, ln, vcol, "a value", param_term)
-            once[key] = {i: Const(c) if v is None else VarPlus(v, c) for i, (v, c) in enumerate(terms, start=1)}
+            once[key] = {i: SymValue(*term) for i, term in enumerate(terms, start=1)}
         elif key in ("head", "bound"):
             if len(toks) != 1:
                 what = "position" if key == "head" else "step bound"

@@ -27,9 +27,8 @@ from urm.certificates import (
 from urm.cli import main
 from urm.constraints import (
     Atom,
-    Const,
     ConstraintSet,
-    VarPlus,
+    SymValue,
     decide_eq,
     entails,
     parse_reg_var,
@@ -68,15 +67,15 @@ def _load(samples_dir, prog_name, cert_name):
 
 
 def _sym_eval(sv, assignment):
-    if isinstance(sv, Const):
-        return sv.value
+    if sv.var is None:
+        return sv.offset
     return assignment[sv.var] + sv.offset
 
 
 def _parameters(cert):
     names = {v for atom in cert.param_constraints.atoms for v in atom.variables()}
     for sv in cert.init.values():
-        if isinstance(sv, VarPlus):
+        if sv.var is not None:
             names.add(sv.var)
     return sorted(names)
 
@@ -267,8 +266,8 @@ def _random_atom(rng, names):
 
 def _random_value(rng, names):
     if rng.random() < 0.3:
-        return Const(rng.randint(0, 5))
-    return VarPlus(rng.choice(names), rng.randint(0, 3))
+        return SymValue(offset=rng.randint(0, 5))
+    return SymValue(rng.choice(names), rng.randint(0, 3))
 
 
 def test_criterion_09_constraint_decisions_are_sound():

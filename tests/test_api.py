@@ -9,22 +9,23 @@ import urm
 from urm import constraints, machine
 
 PUBLIC = [
-    "AbstractVerdict", "Atom", "CONSTRAINTS_UNSATISFIABLE", "CertReport", "Config", "Const",
+    "AbstractVerdict", "Atom", "CONSTRAINTS_UNSATISFIABLE", "CertReport", "Config",
     "ConstraintSet", "Converges", "DivergenceCert", "Diverges", "EXIT_DOES_NOT_HALT",
     "FiniteConfig", "HALTED_DURING_LOOP", "Halt", "Halted", "INVARIANT_NOT_ESTABLISHED",
     "INVARIANT_NOT_PRESERVED", "Incompatible", "Instruction", "Jump", "LOOP_NOT_CLOSED",
     "MachineState", "Next", "NotAbstractProgram", "NotStandardForm", "OutOfFuel", "Outcome",
     "PREFIX_FAILED", "PcOutOfRange", "Program", "RANKING_NOT_DECREASING", "RANKING_NOT_NONNEGATIVE",
     "Reason", "SourceError", "StepResult", "Succ", "SymState", "SymValue", "TerminationCert",
-    "Transfer", "UNDECIDED_BRANCH", "URMError", "Undecided", "UnsupportedAtom", "VarPlus", "Zero",
+    "Transfer", "UNDECIDED_BRANCH", "URMError", "Undecided", "UnsupportedAtom", "Zero",
     "check_divergence", "check_termination", "compatible", "decide_abstract", "decide_eq",
     "entails", "format_atom", "format_config", "include", "mv", "parse_cert", "parse_config",
     "parse_program", "print_program", "reg_var", "restrict", "run", "run_finite", "sc", "step",
     "substitute", "sym_step", "trace", "zr",
 ]
 
-# Removed because nothing in the package called them or because they only
-# returned a cached `Program` property; (owner, attribute).
+# Removed because nothing in the package called them, because they only
+# returned a cached `Program` property, or because the one value type
+# `SymValue` took their place; (owner, attribute).
 REMOVED = [
     (machine, "rho"),
     (machine, "is_standard_form"),
@@ -33,6 +34,9 @@ REMOVED = [
     (constraints, "eval_atom"),
     (constraints, "satisfies"),
     (constraints.ConstraintSet, "variables"),
+    (constraints, "Const"),
+    (constraints, "VarPlus"),
+    (constraints, "_parts"),
 ]
 
 

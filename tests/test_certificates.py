@@ -10,13 +10,12 @@ import pytest
 
 from urm import (
     Atom,
-    Const,
     ConstraintSet,
     DivergenceCert,
     SymState,
+    SymValue,
     TerminationCert,
     Undecided,
-    VarPlus,
     check_divergence,
     check_termination,
     parse_cert,
@@ -41,7 +40,7 @@ from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
 from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, naive_run, random_program
 
-FRESH = {i: VarPlus(f"v{i}") for i in (1, 2, 3)}
+FRESH = {i: SymValue(f"v{i}") for i in (1, 2, 3)}
 
 
 def _load(samples_dir, name):
@@ -58,7 +57,7 @@ def test_sym_step_resolves_a_jump_from_a_strict_bound(u_minus):
 
 
 def test_sym_step_compares_a_register_with_itself(u_minus):
-    s = SymState(4, {1: VarPlus("v1"), 2: VarPlus("v2", 1), 3: VarPlus("v3", 1)})
+    s = SymState(4, {1: SymValue("v1"), 2: SymValue("v2", 1), 3: SymValue("v3", 1)})
     r = sym_step(u_minus, s, ConstraintSet())
     assert isinstance(r, SymNext)
     assert r.state.pc == 1
@@ -74,23 +73,23 @@ def test_sym_step_updates_values_like_the_rules():
     p = Program((Zero(2), Succ(1), Succ(3)))
     s = SymState(1, dict(FRESH))
     r = sym_step(p, s, ConstraintSet())
-    assert r.state.regs[2] == Const(0) and r.rule == "z·r"
+    assert r.state.regs[2] == SymValue(offset=0) and r.rule == "z·r"
     r = sym_step(p, r.state, ConstraintSet())
-    assert r.state.regs[1] == VarPlus("v1", 1) and r.rule == "s·r"
+    assert r.state.regs[1] == SymValue("v1", 1) and r.rule == "s·r"
     r = sym_step(p, r.state, ConstraintSet())
     assert isinstance(r, SymHalt) and r.rule == "s·l"
-    assert r.state.regs[3] == VarPlus("v3", 1)
+    assert r.state.regs[3] == SymValue("v3", 1)
 
 
 def test_sym_step_requires_standard_form():
     with pytest.raises(NotStandardForm):
-        sym_step(Program((Jump(1, 1, 9),)), SymState(1, {1: Const(0)}), ConstraintSet())
+        sym_step(Program((Jump(1, 1, 9),)), SymState(1, {1: SymValue(offset=0)}), ConstraintSet())
 
 
 def test_sym_step_requires_a_position_in_the_program(u_minus):
     for pc in (0, len(u_minus) + 1):
         with pytest.raises(PcOutOfRange):
-            sym_step(u_minus, SymState(pc, {1: Const(0)}), ConstraintSet())
+            sym_step(u_minus, SymState(pc, {1: SymValue(offset=0)}), ConstraintSet())
 
 
 def test_sym_step_on_constants_mirrors_concrete_execution():
@@ -104,13 +103,14 @@ def test_sym_step_on_constants_mirrors_concrete_execution():
         regs = {i: rng.randint(0, 3) for i in range(1, 4)}
         pc = 1
         concrete = MachineState(p, pc, Config(regs))
-        symbolic = SymState(pc, {i: Const(v) for i, v in regs.items()})
+        symbolic = SymState(pc, {i: SymValue(offset=v) for i, v in regs.items()})
         for _ in range(20):
             got_c = step(concrete)
             got_s = sym_step(p, symbolic, empty)
             if isinstance(got_c, ConcreteHalt):
                 assert isinstance(got_s, SymHalt)
-                final = {i: v.value for i, v in got_s.state.regs.items() if v.value}
+                assert all(v.var is None for v in got_s.state.regs.values())
+                final = {i: v.offset for i, v in got_s.state.regs.items() if v.offset}
                 assert final == dict(got_c.config.items())
                 break
             assert isinstance(got_s, SymNext)
@@ -177,7 +177,7 @@ def test_reversed_ranking_is_not_nonnegative(u_minus, samples_dir):
 def _minus_cert(**overrides):
     fields = dict(
         param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0)),
-        init={1: VarPlus("m"), 2: VarPlus("n"), 3: VarPlus("z")},
+        init={1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")},
         loop_head=1,
         invariant=(Atom("r1", "r2", "<", 0),),
         step_bound=8,
@@ -225,7 +225,7 @@ def test_too_small_a_bound_leaves_the_loop_open(u_minus):
 def _term_cert(**overrides):
     fields = dict(
         param_constraints=ConstraintSet.of(Atom("m", "n", ">=", 0)),
-        init={1: VarPlus("m"), 2: VarPlus("n"), 3: VarPlus("z")},
+        init={1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")},
         loop_head=1,
         invariant=(Atom("r1", "r2", ">=", 0),),
         split=(1, 2, 0),
@@ -250,7 +250,7 @@ def test_termination_exit_case_must_halt():
     p = Program((Jump(1, 2, 4), Succ(2), Jump(1, 1, 1), Jump(3, 3, 4)))
     cert = TerminationCert(
         param_constraints=ConstraintSet.of(Atom("m", "n", ">=", 0)),
-        init={1: VarPlus("m"), 2: VarPlus("n")},
+        init={1: SymValue("m"), 2: SymValue("n")},
         loop_head=1,
         invariant=(Atom("r1", "r2", ">=", 0),),
         split=(1, 2, 0),
@@ -264,7 +264,7 @@ def test_termination_exit_case_must_halt():
 def test_degenerate_split_never_returns_to_the_head(prog_b):
     cert = TerminationCert(
         param_constraints=ConstraintSet.of(Atom("a", "b", "!=", 0)),
-        init={1: VarPlus("a"), 2: VarPlus("b")},
+        init={1: SymValue("a"), 2: SymValue("b")},
         loop_head=1,
         invariant=(Atom("r1", "r2", "!=", 0),),
         split=(1, 1, 0),
@@ -282,7 +282,7 @@ def test_certificate_field_validation():
     with pytest.raises(PcOutOfRange):
         _minus_cert(loop_head=0)
     with pytest.raises(ValueError):
-        _minus_cert(init={0: Const(1)})
+        _minus_cert(init={0: SymValue(offset=1)})
     with pytest.raises(ValueError):
         _term_cert(ranking=(0, 2))
     with pytest.raises(ValueError):
@@ -317,7 +317,7 @@ def test_unsatisfiable_constraints_are_rejected():
     p = Program((Jump(1, 2, 1), Succ(3)))
     cert = DivergenceCert(
         param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0), Atom("n", "m", "<", 0)),
-        init={1: VarPlus("m"), 2: VarPlus("n")},
+        init={1: SymValue("m"), 2: SymValue("n")},
         loop_head=1,
         invariant=(Atom("r1", "r2", "=", 0),),
         step_bound=2,
@@ -345,7 +345,7 @@ def test_the_closure_memo_stays_bounded(u_minus):
     for k in range(1, 101):
         cert = DivergenceCert(
             param_constraints=ConstraintSet.of(Atom("m", "n", "<=", -k)),
-            init={1: VarPlus("m"), 2: VarPlus("n")},
+            init={1: SymValue("m"), 2: SymValue("n")},
             loop_head=1,
             invariant=(Atom("r1", "r2", "<=", -k),),
             step_bound=8,
@@ -359,8 +359,8 @@ def test_the_closure_memo_stays_bounded(u_minus):
 def _instantiate(cert, assignment):
     regs = {}
     for i, value in cert.init.items():
-        if isinstance(value, Const):
-            regs[i] = value.value
+        if value.var is None:
+            regs[i] = value.offset
         else:
             regs[i] = assignment[value.var] + value.offset
     return regs
@@ -369,7 +369,7 @@ def _instantiate(cert, assignment):
 def _sample_params(cert, rng, high=10):
     names = sorted(
         {v for atom in cert.param_constraints.atoms for v in atom.variables()}
-        | {v.var for v in cert.init.values() if isinstance(v, VarPlus)}
+        | {v.var for v in cert.init.values() if v.var is not None}
     )
     while True:
         assignment = {name: rng.randint(0, high) for name in names}
@@ -462,7 +462,7 @@ def test_accepted_random_certificates_are_sound():
         p = random_program(rng, 5, 3)
         fields = dict(
             param_constraints=ConstraintSet.of(*_random_atoms(rng, (None, "m", "n"))),
-            init={1: VarPlus("m", rng.randint(0, 1)), 2: VarPlus("n"), 3: Const(rng.randint(0, 2))},
+            init={1: SymValue("m", rng.randint(0, 1)), 2: SymValue("n"), 3: SymValue(offset=rng.randint(0, 2))},
             loop_head=rng.randint(1, len(p)),
             invariant=_random_atoms(rng, (None, "r1", "r2", "r3")),
             step_bound=rng.randint(1, 8),
@@ -484,7 +484,7 @@ def test_accepted_mutations_of_the_minus_certificates_are_sound(u_minus, samples
     samples = [_load(samples_dir, "minus-div.cert"), _load(samples_dir, "minus-term.cert")]
     mutations = {
         "param_constraints": lambda cert: ConstraintSet.of(*_random_atoms(rng, (None, "m", "n", "z"))),
-        "init": lambda cert: {**cert.init, rng.randint(1, 3): Const(rng.randint(0, 2))},
+        "init": lambda cert: {**cert.init, rng.randint(1, 3): SymValue(offset=rng.randint(0, 2))},
         "loop_head": lambda cert: rng.randint(1, 5),
         "invariant": lambda cert: _random_atoms(rng, (None, "r1", "r2", "r3")),
         "step_bound": lambda cert: rng.randint(1, 8),

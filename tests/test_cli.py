@@ -20,6 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # More digits than CPython converts to int by default (4300)
 LONG = "9" * 5000
+# As many as it converts; one more step gives a value it will not print
+NINES = "9" * 4300
 
 
 def _run(capsys, *argv):
@@ -107,6 +109,29 @@ def test_run_streams_steps(capsys, samples_dir):
     code, out, _ = _run(capsys, "run", str(samples_dir / "b.urm"), "--init", "0,1", "--show-steps")
     assert code == 0
     assert out == "1 0,1\n2 0,1\nhalted: 0,1\nsteps: 2\n"
+
+
+def test_run_takes_fuel_beyond_sys_maxsize(capsys, samples_dir):
+    fuel = str(10**23)
+    for extra, steps in (((), ""), (("--show-steps",), "1 0,1\n2 0,1\n")):
+        code, out, _ = _run(capsys, "run", str(samples_dir / "b.urm"), "--init", "0,1", "--fuel", fuel, *extra)
+        assert (code, out) == (0, f"{steps}halted: 0,1\nsteps: 2\n"), extra
+
+
+def test_values_past_the_int_to_str_limit_print_in_full(capsys, tmp_path):
+    """CPython's `str` refuses an int of over 4300 digits; `run` and
+    `cert` print such values digit for digit."""
+    big = "1" + "0" * 4300
+    prog, cert = tmp_path / "p.urm", tmp_path / "c.cert"
+    prog.write_text("S 1\n")
+    for extra, steps in (((), ""), (("--show-steps",), f"1 {NINES}\n")):
+        code, out, _ = _run(capsys, "run", str(prog), "--init", NINES, *extra)
+        assert (code, out) == (0, f"{steps}halted: {big}\nsteps: 1\n"), extra
+    prog.write_text("J 1 1 1\n")
+    # `>` normalizes to `>=` one above the stated bound
+    cert.write_text(f"kind: diverges\ninit: 0\nhead: 1\ninvariant: r1 > {NINES}\nbound: 1\n")
+    code, out, _ = _run(capsys, "cert", str(prog), str(cert))
+    assert (code, out) == (3, f"Rejected: InvariantNotEstablished atom=r1 >= {big}\n")
 
 
 def _expected_show_steps(p, init, fuel):
@@ -385,11 +410,12 @@ def test_usage_errors_exit_1(capsys, samples_dir):
     assert "invalid" in err
 
 
-# What the fuzz below puts in place of a token: over-long numerals, register
+# What the fuzz below puts in place of a token: over-long numerals and ones
+# just short of the int conversion limit, register
 # indices above run's cap, signs, NUL, CR, non-ASCII digits and letters,
 # bytes that are not UTF-8, and bits of the formats' own syntax.
 _FUZZ_TOKENS = (
-    LONG.encode(), b"1" + b"0" * 4000, b"1000001", b"r" + LONG.encode(), b"m+" + LONG.encode(),
+    LONG.encode(), NINES.encode(), b"1" + b"0" * 4000, b"1000001", b"r" + LONG.encode(), b"m+" + LONG.encode(),
     b"0", b"1", b"7", b"-1", b"r0", b"m+", b"\x00", b"\r", "\u00e9".encode(), "\u0661".encode(), b"\xff",
     b"#", b",", b":", b"<", b"!=", b"J", b"Z", b"kind:", b"head:", b"", b"\n",
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -9,10 +10,9 @@ import pytest
 
 from urm import (
     Atom,
-    Const,
     ConstraintSet,
+    SymValue,
     UnsupportedAtom,
-    VarPlus,
     decide_eq,
     entails,
     format_atom,
@@ -24,11 +24,13 @@ from oracles import atom_holds, constraints_hold
 
 def test_symbolic_values_are_naturals():
     with pytest.raises(ValueError):
-        Const(-1)
+        SymValue(offset=-1)
     with pytest.raises(ValueError):
-        VarPlus("v", -1)
+        SymValue("v", -1)
     with pytest.raises(ValueError):
-        VarPlus("")
+        SymValue("")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SymValue("v").offset = 1
 
 
 def test_strict_relations_normalize_to_weak_ones():
@@ -104,24 +106,24 @@ def test_disequality_premises_do_not_feed_bounds():
 
 def test_decide_eq_on_shared_shapes():
     cs = ConstraintSet()
-    assert decide_eq(VarPlus("v"), VarPlus("v"), cs) is True
-    assert decide_eq(VarPlus("v"), VarPlus("v", 1), cs) is False
-    assert decide_eq(Const(3), Const(3), cs) is True
-    assert decide_eq(Const(3), Const(4), cs) is False
+    assert decide_eq(SymValue("v"), SymValue("v"), cs) is True
+    assert decide_eq(SymValue("v"), SymValue("v", 1), cs) is False
+    assert decide_eq(SymValue(offset=3), SymValue(offset=3), cs) is True
+    assert decide_eq(SymValue(offset=3), SymValue(offset=4), cs) is False
 
 
 def test_decide_eq_under_constraints():
     lt = ConstraintSet.of(Atom("v1", "v2", "<=", -1))
-    assert decide_eq(VarPlus("v1"), VarPlus("v2"), lt) is False
+    assert decide_eq(SymValue("v1"), SymValue("v2"), lt) is False
     eq = ConstraintSet.of(Atom("v1", "v2", "=", 0))
-    assert decide_eq(VarPlus("v1"), VarPlus("v2"), eq) is True
-    assert decide_eq(VarPlus("v1"), VarPlus("v2"), ConstraintSet()) is None
+    assert decide_eq(SymValue("v1"), SymValue("v2"), eq) is True
+    assert decide_eq(SymValue("v1"), SymValue("v2"), ConstraintSet()) is None
 
 
 def test_decide_eq_uses_nonnegativity():
     cs = ConstraintSet()
-    assert decide_eq(VarPlus("v", 1), Const(0), cs) is False
-    assert decide_eq(VarPlus("v"), Const(0), cs) is None
+    assert decide_eq(SymValue("v", 1), SymValue(offset=0), cs) is False
+    assert decide_eq(SymValue("v"), SymValue(offset=0), cs) is None
 
 
 def test_register_variable_names_round_trip():
@@ -136,17 +138,17 @@ def test_register_variable_names_round_trip():
 
 
 def test_substitute_folds_offsets_into_the_bound():
-    regs = {1: VarPlus("v1"), 2: VarPlus("v2", 1)}
+    regs = {1: SymValue("v1"), 2: SymValue("v2", 1)}
     assert substitute(Atom("r1", "r2", "<", 0), regs) == Atom("v1", "v2", "<=", 0)
-    assert substitute(Atom("r1", None, ">=", 2), {1: Const(5)}) == Atom(None, None, ">=", -3)
-    assert substitute(Atom("r1", "r2", "=", 0), {1: VarPlus("w", 2), 2: Const(1)}) == Atom("w", None, "=", -1)
+    assert substitute(Atom("r1", None, ">=", 2), {1: SymValue(offset=5)}) == Atom(None, None, ">=", -3)
+    assert substitute(Atom("r1", "r2", "=", 0), {1: SymValue("w", 2), 2: SymValue(offset=1)}) == Atom("w", None, "=", -1)
 
 
 def test_substitute_requires_register_operands():
     with pytest.raises(ValueError):
-        substitute(Atom("x", "r1", "<=", 0), {1: Const(0)})
+        substitute(Atom("x", "r1", "<=", 0), {1: SymValue(offset=0)})
     with pytest.raises(ValueError):
-        substitute(Atom("r1", "r2", "<=", 0), {1: Const(0)})
+        substitute(Atom("r1", "r2", "<=", 0), {1: SymValue(offset=0)})
 
 
 def test_eval_atom_and_satisfies():
@@ -235,11 +237,11 @@ def test_entails_and_decide_eq_are_complete_on_random_bound_sets():
     rels = (*bound_rels, "!=")
 
     def value(sv, point):
-        return sv.value if isinstance(sv, Const) else point[sv.var] + sv.offset
+        return sv.offset if sv.var is None else point[sv.var] + sv.offset
 
     def sym(rng):
         var = rng.choice((*names, None))
-        return Const(rng.randint(0, 3)) if var is None else VarPlus(var, rng.randint(0, 3))
+        return SymValue(offset=rng.randint(0, 3)) if var is None else SymValue(var, rng.randint(0, 3))
 
     checked = 0
     while checked < 300:

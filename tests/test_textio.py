@@ -8,7 +8,6 @@ import pytest
 
 from urm import (
     Atom,
-    Const,
     ConstraintSet,
     DivergenceCert,
     FiniteConfig,
@@ -16,9 +15,9 @@ from urm import (
     Program,
     SourceError,
     Succ,
+    SymValue,
     TerminationCert,
     Transfer,
-    VarPlus,
     Zero,
     format_config,
     parse_cert,
@@ -136,7 +135,7 @@ def test_parse_divergence_certificate(samples_dir):
     cert = parse_cert((samples_dir / "minus-div.cert").read_text())
     assert isinstance(cert, DivergenceCert)
     assert cert.param_constraints == ConstraintSet.of(Atom("m", "n", "<", 0))
-    assert cert.init == {1: VarPlus("m"), 2: VarPlus("n"), 3: VarPlus("z")}
+    assert cert.init == {1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")}
     assert cert.loop_head == 1
     assert cert.invariant == (Atom("r1", "r2", "<", 0),)
     assert cert.step_bound == 8
@@ -163,7 +162,7 @@ def test_certificate_operands_allow_offsets_and_constants():
         "bound: 5\n"
     )
     assert cert.param_constraints == ConstraintSet.of(Atom("m", None, "<=", 3))
-    assert cert.init == {1: VarPlus("m", 2), 2: Const(3)}
+    assert cert.init == {1: SymValue("m", 2), 2: SymValue(offset=3)}
     assert cert.invariant == (Atom("r1", "r2", "<=", -1), Atom("r2", None, ">=", 1))
 
 

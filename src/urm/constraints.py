@@ -279,6 +279,8 @@ def _decimal(n: int) -> str:
     """`str(n)` for an int of any length.  A parsed number has at most the
     limit's digits, but a register value or a normalized bound may grow
     past it."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
     sign, rest = ("-", -n) if n < 0 else ("", n)
     chunks = []
     while rest >= _CHUNK:

@@ -135,11 +135,7 @@ def parse_config(text: str) -> FiniteConfig:
 
 def format_config(values) -> str:
     """Comma-separated register values, e.g. "5,3,0"."""
-    values = tuple(values)  # read again when one is too long for `str`
-    try:
-        return ",".join(map(str, values))
-    except ValueError:
-        return ",".join(map(_decimal, values))
+    return ",".join(map(_decimal, values))
 
 
 def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, int]:

@@ -17,19 +17,19 @@ and `trace` alone drives it; `decide_abstract` and the CLI's
 a list loop over the registers it mentions, for speed; the test suite
 checks that the two agree.
 
-`run` also leaps over counting loops.  `_compile` marks each backward
-jump whose span (its target up to itself) holds no `Z` or `T`.  When a
-marked jump is taken, `_leap` walks one iteration from its target, the
-loop head, without writing: it counts the increments per register and,
-at each jump on the way, the gap between the two registers compared.
+`run` also leaps over counting loops.  Whenever it takes a backward
+jump (one whose target is at or before itself), `_leap` walks one
+iteration from the target, the loop head, without writing: it counts the
+increments per register and, at each jump on the way, the gap between
+the two registers compared, and gives up on reaching a `Z` or `T`.
 Each gap moves by a constant per iteration, so the iterations that are
 sure to follow the same path again have a closed-form count; `_leap`
 applies them all at once and adds exactly their steps, never more than
 the fuel left.  The result is the one stepping would give: the same
 steps, final configuration and, on running out of fuel, the same last
-state.  A jump whose leap fails is tried again only after 1, 2, 4, ...
-more steps, which bounds the cost on loops whose path changes every
-iteration.
+state.  After a failed leap, the same loop head is tried again only
+after 1, 2, 4, ... more steps, which bounds the cost on loops whose path
+changes every iteration or runs a `Z` or `T`.
 """
 
 from __future__ import annotations
@@ -141,32 +141,26 @@ def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
     """Code over register slots, slot s standing for `p.registers[s]`.
 
     Each entry is (tag, a, b, jump target, next position), the next
-    position being 0 after the last instruction.  A backward jump whose
-    span holds no `Z` or `T` has its target negated: `run` may leap over
-    the loop it closes.  Returns the code and the position of the last
-    such jump, 0 if there is none."""
+    position being 0 after the last instruction.  Returns the code and
+    one past the highest loop head, the target of a backward jump (from
+    1 up to the jump's own position); 0 if there is none."""
     slot = {reg: s for s, reg in enumerate(p.registers)}
     n = len(p)
     code = []
-    last_write = 0  # position of the last Z or T so far
-    last_mark = 0
+    heads = 0
     for pos, instr in enumerate(p, start=1):
         nxt = pos + 1 if pos < n else 0
         if isinstance(instr, Zero):
             code.append((_ZERO, slot[instr.i], 0, 0, nxt))
-            last_write = pos
         elif isinstance(instr, Succ):
             code.append((_SUCC, slot[instr.i], 0, 0, nxt))
         elif isinstance(instr, Transfer):
             code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
-            last_write = pos
         else:
-            k = instr.k
-            if last_write < k <= pos:
-                k = -k
-                last_mark = pos
-            code.append((_JUMP, slot[instr.i], slot[instr.j], k, nxt))
-    return code, last_mark
+            if 0 < instr.k <= pos:
+                heads = max(heads, instr.k + 1)
+            code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
+    return code, heads
 
 
 def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int, budget: int) -> int:
@@ -175,7 +169,8 @@ def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int
     Walks one iteration over `code` without writing, then adds to `regs`
     the growth of every iteration that follows the same path, as long as
     at most `budget` steps are spent; returns the steps so applied, 0
-    when fewer than two iterations qualify."""
+    when the walk meets a `Z` or `T`, halts or does not return to
+    `head`, or when fewer than two iterations qualify."""
     grow: dict[int, int] = {}
     gaps = []
     pc = head
@@ -189,7 +184,7 @@ def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int
             gap = regs[a] + grow.get(a, 0) - regs[b] - grow.get(b, 0)
             gaps.append((a, b, gap))
             if not gap:
-                nxt = abs(k)
+                nxt = k
         else:
             return 0
         if nxt == head:
@@ -229,15 +224,15 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
     _require_standard(p)
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    code, last_mark = _compile(p)
+    code, heads = _compile(p)
     live = p.registers
     regs = [c._entries.get(reg, 0) for reg in live]
     pc = 1
     steps = 0
-    # back-off per marked jump position: the step count from which a leap
-    # may be tried again, and the wait after the next failure
-    retry = [0] * last_mark
-    wait = [1] * last_mark
+    # back-off per loop head: the step count from which a leap may be
+    # tried again, and the wait after the next failure
+    retry = [0] * heads
+    wait = [1] * heads
     while steps < fuel:
         tag, a, b, k, nxt = code[pc - 1]
         steps += 1
@@ -245,18 +240,17 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
             if regs[a] == regs[b]:
                 # a taken jump to 0 halts; kept apart from the fall-through
                 # exit below, which measured faster than one shared test
-                if k <= 0:
+                if k <= pc:
                     if not k:
                         break
-                    k = -k
-                    if steps >= retry[pc - 1]:
+                    if steps >= retry[k]:
                         leapt = _leap(code, regs, k, fuel - steps)
                         if leapt:
                             steps += leapt
-                            wait[pc - 1] = 1
+                            wait[k] = 1
                         else:
-                            retry[pc - 1] = steps + wait[pc - 1]
-                            wait[pc - 1] *= 2
+                            retry[k] = steps + wait[k]
+                            wait[k] *= 2
                 pc = k
                 continue
         elif tag == _SUCC:

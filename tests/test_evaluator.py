@@ -199,6 +199,17 @@ def test_run_is_exact_on_counts_no_stepping_run_reaches(samples_dir):
     assert _sparse(out.last.config) == {1: 5 * 10**8 + 1, 2: 7, 3: 7}
 
 
+def test_run_leaps_a_loop_whose_span_holds_a_z_its_path_skips():
+    # J 3 3 4 jumps over Z 5 in every iteration, so the loop J 1 1 1
+    # closes counts r2 up to r1 in 4 steps per iteration, then halts
+    p = Program((Jump(1, 2, 0), Jump(3, 3, 4), Zero(5), Succ(2), Jump(1, 1, 1)))
+    m = 10**30
+    out = run(p, Config({1: m, 5: 9}), 10**40)
+    assert isinstance(out, Halted)
+    assert out.steps == 4 * m + 1
+    assert _sparse(out.final) == {1: m, 2: m, 5: 9}
+
+
 def test_run_finite_is_exact_on_a_renumbered_long_subtraction():
     # minus_k: J 1 2 k+2 / S 2 ... S k / J 1 1 1 / T 3 1 over logical
     # registers 1..k.  Each of the a - b iterations takes k + 1 steps and

@@ -195,15 +195,11 @@ def _satisfiable(cs: ConstraintSet) -> bool:
 
 
 def _bound(dist: dict, frm: str | None, to: str | None) -> float:
-    """Tightest derivable k with value(to) - value(frm) <= k."""
-    if frm == to:
-        return 0
-    if frm in dist:
-        return dist[frm].get(to, _INF)
-    if to in dist:
-        # frm is unconstrained: only its nonnegativity can help.
-        return dist[None].get(to, _INF)
-    return _INF
+    """Tightest derivable k with value(to) - value(frm) <= k.
+
+    A variable the closure lacks is unconstrained, so only the zero
+    node's row, its nonnegativity, bounds the difference from it."""
+    return 0 if frm == to else dist.get(frm, dist[None]).get(to, _INF)
 
 
 def _range(dist: dict, x: str | None, y: str | None) -> tuple[float, float]:

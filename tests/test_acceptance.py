@@ -207,6 +207,7 @@ ACCEPTED_PAIRS = {
     "loop.cert": "loop.urm",
     "minus-div.cert": "minus.urm",
     "minus-term.cert": "minus.urm",
+    "offset-div.cert": "offset.urm",
     "v-div.cert": "v.urm",
 }
 
@@ -234,7 +235,7 @@ def test_criterion_07_certificates_match_sampled_behavior(samples_dir):
                 if not ok:
                     violations += 1
     assert violations == 0
-    print("criterion 7 PASS: 4 accepted certificates x 20 sampled instantiations, 0 violations")
+    print("criterion 7 PASS: 5 accepted certificates x 20 sampled instantiations, 0 violations")
 
 
 def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):

@@ -297,6 +297,13 @@ def test_cert_accepts_termination(capsys, samples_dir):
     assert out == "Accepted\ntrail: 1(jf·r) 2(s·r) 3(s·r) 4(jt·r) 1(jt·r) 5(t·l)\n"
 
 
+def test_cert_decides_a_jump_on_the_sign_of_an_offset_difference(capsys, samples_dir):
+    # J 1 2 3 compares m+1 with n under n = m+1; a checker that reads the
+    # offset difference the wrong way round takes the jump to fail
+    code, out, _ = _run(capsys, "cert", str(samples_dir / "offset.urm"), str(samples_dir / "offset-div.cert"))
+    assert (code, out) == (0, "Accepted\ntrail: 3(jt·r)\n")
+
+
 def test_cert_rejections_exit_3(capsys, samples_dir):
     code, out, _ = _run(
         capsys, "cert", str(samples_dir / "minus.urm"), str(samples_dir / "rejected/minus-div-weak.cert")

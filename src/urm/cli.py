@@ -13,13 +13,13 @@ import io
 import os
 import sys
 
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from .certificates import CertReport, Reason, TerminationCert, check_divergence, check_termination
 from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
-from .machine import Config, FiniteConfig, Program, compatible, include, restrict
+from .machine import Config, Program, compatible, include, restrict
 from .textio import _content_lines, _tokens, format_config, parse_cert, parse_config, parse_program
 
 DEFAULT_FUEL = 100000
@@ -27,6 +27,8 @@ DEFAULT_FUEL = 100000
 # with rho (Z 1000000 prints 2 MB); it refuses larger programs.  The
 # library and the other subcommands take any rho.
 MAX_RUN_RHO = 10**6
+
+_T = TypeVar("_T")
 
 
 class _Failure(Exception):
@@ -61,20 +63,18 @@ def _read(path: str) -> str:
         raise _Failure(f"{path}: {SourceError(line, column, 'not UTF-8 text')}")
 
 
+def _parse(what: str, parse: Callable[[str], _T], text: str) -> _T:
+    """`parse(text)`, a parse error exiting 1 with `what` before its position."""
+    try:
+        return parse(text)
+    except SourceError as err:
+        raise _Failure(f"{what}: {err}")
+
+
 def _load_program(path: str) -> tuple[Program, str]:
     """The program in `path` and its text."""
     text = _read(path)
-    try:
-        return parse_program(text), text
-    except SourceError as err:
-        raise _Failure(f"{path}: {err}")
-
-
-def _parse_init(text: str, what: str) -> FiniteConfig:
-    try:
-        return parse_config(text)
-    except SourceError as err:
-        raise _Failure(f"{what}: {err}")
+    return _parse(path, parse_program, text), text
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -82,7 +82,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     parts = [f"n={len(p)}", f"rho={p.rho}", f"standard-form={'yes' if p.standard else 'no'}"]
     ok = p.standard
     if args.config is not None:
-        sigma = _parse_init(_read(args.config), args.config)
+        sigma = _parse(args.config, parse_config, _read(args.config))
         good = compatible(sigma, p)
         parts.append(f"compatible={'yes' if good else 'no'}")
         ok = ok and good
@@ -113,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _require_printable(args.program, text, p)
     if args.fuel < 0:
         raise _Failure("--fuel: must be nonnegative")
-    sigma = _parse_init(args.init, "--init") if args.init is not None else None
+    sigma = _parse("--init", parse_config, args.init) if args.init is not None else None
     # `--finite` changes no result: its default, zeros over r1..r_rho, is
     # the empty configuration, so all it adds is the compatibility check.
     if args.finite and sigma is not None and not compatible(sigma, p):
@@ -137,7 +137,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_abstract(args: argparse.Namespace) -> int:
     p, _ = _load_program(args.program)
     _require_standard(args.program, p)
-    sigma = _parse_init(args.init, "--init") if args.init is not None else None
+    sigma = _parse("--init", parse_config, args.init) if args.init is not None else None
     start = include(sigma) if sigma is not None else Config()
     try:
         verdict = decide_abstract(p, start)
@@ -162,10 +162,7 @@ def _format_reason(reason: Reason) -> str:
 def _cmd_cert(args: argparse.Namespace) -> int:
     p, _ = _load_program(args.program)
     _require_standard(args.program, p)
-    try:
-        cert = parse_cert(_read(args.cert))
-    except SourceError as err:
-        raise _Failure(f"{args.cert}: {err}")
+    cert = _parse(args.cert, parse_cert, _read(args.cert))
     try:
         if isinstance(cert, TerminationCert):
             report: CertReport = check_termination(p, cert)

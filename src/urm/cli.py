@@ -27,6 +27,10 @@ DEFAULT_FUEL = 100000
 # with rho (Z 1000000 prints 2 MB); it refuses larger programs.  The
 # library and the other subcommands take any rho.
 MAX_RUN_RHO = 10**6
+# `--show-steps` prints them at every step, so its output grows with rho
+# times the steps (Z 1000000 / J 1 1 2 would print 200 GB at the default
+# fuel); it takes a far smaller rho.
+MAX_SHOW_STEPS_RHO = 1000
 
 _T = TypeVar("_T")
 
@@ -95,22 +99,25 @@ def _require_standard(path: str, p: Program) -> None:
         raise _Failure(f"{path}: program is not in standard form")
 
 
-def _require_printable(path: str, text: str, p: Program) -> None:
-    """Refuse `p` at its first register operand above MAX_RUN_RHO."""
-    if p.rho <= MAX_RUN_RHO:
+def _require_printable(path: str, text: str, p: Program, what: str, cap: int) -> None:
+    """Refuse `p` at its first register operand above `cap`."""
+    if p.rho <= cap:
         return
     for ln, line in _content_lines(text):
         # a parsed line's register operands are its tokens 1 and 2
         for tok, col in _tokens(line)[1:3]:
-            if int(tok) > MAX_RUN_RHO:
-                err = SourceError(ln, col, f"run takes register indices up to {MAX_RUN_RHO}")
+            if int(tok) > cap:
+                err = SourceError(ln, col, f"{what} takes register indices up to {cap}")
                 raise _Failure(f"{path}: {err}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     p, text = _load_program(args.program)
     _require_standard(args.program, p)
-    _require_printable(args.program, text, p)
+    if args.show_steps:
+        _require_printable(args.program, text, p, "--show-steps", MAX_SHOW_STEPS_RHO)
+    else:
+        _require_printable(args.program, text, p, "run", MAX_RUN_RHO)
     if args.fuel < 0:
         raise _Failure("--fuel: must be nonnegative")
     sigma = _parse("--init", parse_config, args.init) if args.init is not None else None

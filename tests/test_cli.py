@@ -244,15 +244,33 @@ def test_run_caps_the_register_indices_it_prints(capsys, tmp_path):
     cases.append((f"# wide\nS 2\nJ 1 {huge} 1\n", "line 3, column 5"))
     for text, where in cases:
         prog.write_text(text)
-        for extra in ((), ("--show-steps",)):
+        for extra, refusal in (((), "run takes register indices up to 1000000"),
+                               (("--show-steps",), "--show-steps takes register indices up to 1000")):
             code, out, err = _run(capsys, "run", str(prog), *extra)
             assert (code, out) == (1, "")
-            assert err == f"{prog}: {where}: run takes register indices up to 1000000\n"
+            assert err == f"{prog}: {where}: {refusal}\n"
     code, out, _ = _run(capsys, "validate", str(prog))
     assert (code, out) == (0, f"n=2 rho={huge} standard-form=yes\n")
     prog.write_text(f"J 1 {huge} 1\n")
     code, out, _ = _run(capsys, "abstract", str(prog))
     assert (code, out) == (0, "diverges: cycle at pc 1, length 1\n")
+
+
+def test_show_steps_caps_the_register_indices_it_prints(capsys, tmp_path):
+    """Every `--show-steps` line shows r1..r_rho, so it refuses rho above
+    1000 at the first such operand, before printing anything."""
+    prog = tmp_path / "p.urm"
+    for text, where in (("Z 1000000\nJ 1 1 2\n", "line 1, column 3"), ("S 2\n# wide\nJ 2 1001 1\n", "line 3, column 5")):
+        prog.write_text(text)
+        code, out, err = _run(capsys, "run", str(prog), "--fuel", "5", "--show-steps")
+        assert (code, out) == (1, "")
+        assert err == f"{prog}: {where}: --show-steps takes register indices up to 1000\n"
+        code, out, _ = _run(capsys, "run", str(prog), "--fuel", "5")
+        assert code in (0, 2) and out.startswith(("halted: ", "fuel exhausted"))
+    prog.write_text("Z 1000\n")
+    code, out, _ = _run(capsys, "run", str(prog), "--show-steps")
+    zeros = ",".join(["0"] * 1000)
+    assert (code, out) == (0, f"1 {zeros}\nhalted: {zeros}\nsteps: 1\n")
 
 
 def test_run_rejects_nonstandard_programs(capsys, tmp_path):

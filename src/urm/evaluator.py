@@ -142,8 +142,8 @@ def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
 
     Each entry is (tag, a, b, jump target, next position), the next
     position being 0 after the last instruction.  Returns the code and
-    one past the highest loop head, the target of a backward jump (from
-    1 up to the jump's own position); 0 if there is none."""
+    one past the highest target of a jump at or after it, a loop head or
+    0; 0 if there is no such jump."""
     slot = {reg: s for s, reg in enumerate(p.registers)}
     n = len(p)
     code = []
@@ -157,7 +157,7 @@ def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
         elif isinstance(instr, Transfer):
             code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
         else:
-            if 0 < instr.k <= pos:
+            if instr.k <= pos:
                 heads = max(heads, instr.k + 1)
             code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
     return code, heads
@@ -238,19 +238,19 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
         steps += 1
         if tag == _JUMP:
             if regs[a] == regs[b]:
-                # a taken jump to 0 halts; kept apart from the fall-through
-                # exit below, which measured faster than one shared test
-                if k <= pc:
+                if k <= pc and steps >= retry[k]:
+                    # a taken jump to 0 halts (retry[0] stays 0); kept apart
+                    # from the fall-through exit below, which measured faster
+                    # than one shared test
                     if not k:
                         break
-                    if steps >= retry[k]:
-                        leapt = _leap(code, regs, k, fuel - steps)
-                        if leapt:
-                            steps += leapt
-                            wait[k] = 1
-                        else:
-                            retry[k] = steps + wait[k]
-                            wait[k] *= 2
+                    leapt = _leap(code, regs, k, fuel - steps)
+                    if leapt:
+                        steps += leapt
+                        wait[k] = 1
+                    else:
+                        retry[k] = steps + wait[k]
+                        wait[k] *= 2
                 pc = k
                 continue
         elif tag == _SUCC:

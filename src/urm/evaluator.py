@@ -142,8 +142,8 @@ def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
 
     Each entry is (tag, a, b, jump target, next position), the next
     position being 0 after the last instruction.  Returns the code and
-    one past the highest target of a jump at or after it, a loop head or
-    0; 0 if there is no such jump."""
+    the length of `run`'s back-off lists: one past the highest target k
+    of a jump at a position >= k (a loop head, or 0), else 0."""
     slot = {reg: s for s, reg in enumerate(p.registers)}
     n = len(p)
     code = []

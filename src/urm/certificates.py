@@ -250,10 +250,11 @@ def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | No
 
 
 def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintSet]:
-    """Fresh symbolic state at the loop head, constrained by the invariant and `extra`."""
-    start = SymState(cert.loop_head, {i: SymValue(f"_{reg_var(i)}") for i in _universe(p, cert)})
-    atoms = (*cert.invariant, *extra)
-    return start, ConstraintSet(frozenset(substitute(a, start.regs) for a in atoms))
+    """Fresh symbolic state at the loop head, constrained by the invariant
+    and `extra`; register i holds the variable named after it, so the
+    atoms are assumed as written."""
+    start = SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in _universe(p, cert)})
+    return start, ConstraintSet(frozenset((*cert.invariant, *extra)))
 
 
 def _require_entailed(code: str, cs: ConstraintSet, atoms: tuple[Atom, ...], regs: Mapping[int, SymValue]) -> None:
@@ -332,8 +333,7 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
         _enter_loop(p, cert)
         start, end, cs, cont_trail = _close_loop(p, cert, cert.continue_atom())
         x, y = cert.ranking
-        # every register of the start state is a fresh variable
-        if not entails(cs, Atom(start.value(x).var, start.value(y).var, ">=", 0)):
+        if not entails(cs, Atom(reg_var(x), reg_var(y), ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)

@@ -12,7 +12,9 @@ set goes through the same two steps: `_range` reads the tightest
 interval [lo, hi] of one difference off the closure, and `_holds` says
 whether every value in that interval satisfies a relation.  `entails`,
 `decide_eq`, `_satisfiable` and the ground case of `Atom.trivial_value`
-differ only in the relation they ask.
+differ only in the relation they ask.  A `ConstraintSet` keeps its atoms
+exactly as written, and its closure is computed once, on first use, and
+kept with the set (`ConstraintSet.closure`).
 
 Disequalities are second-class: an `!=` atom is never used for bound
 reasoning, `_satisfiable` only checks each one against the bounds, and
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 from .errors import UnsupportedAtom
 
@@ -111,50 +113,31 @@ def _holds(lo: float, hi: float, rel: str, k: int) -> bool:
     return hi < k or lo > k
 
 
-_FALSE_ATOM = Atom(None, None, "<=", -1)
-
-
-def _normalized(atoms: Iterable[Atom]) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for a in atoms:
-        tv = a.trivial_value()
-        if tv is True:
-            continue
-        if tv is False:
-            out.add(_FALSE_ATOM)
-        elif a.rel == "=":
-            out.add(Atom(a.x, a.y, "<=", a.k))
-            out.add(Atom(a.x, a.y, ">=", a.k))
-        else:
-            out.add(a)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
-    """A conjunction of atoms; equalities are stored as bound pairs."""
+    """A conjunction of atoms, kept as written.  Its closure is computed
+    once, on first use, and kept with the set, as `Program` keeps its
+    facts; equality and hashing look only at `atoms`."""
 
     atoms: frozenset[Atom] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _normalized(self.atoms))
 
     @classmethod
     def of(cls, *atoms: Atom) -> "ConstraintSet":
         return cls(frozenset(atoms))
 
+    @cached_property
+    def closure(self) -> tuple[dict, bool]:
+        return _closure(self)
 
-# Bounded, because an unbounded memo grows for the life of a process that
-# checks many certificates.  A check reuses the closures of its own few
-# constraint sets, and the certificates of one program are checked
-# together, so a small bound loses almost no hits.
-@lru_cache(maxsize=64)
+
 def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
     """All-pairs tightest difference bounds; second part is feasibility.
 
     Nodes are the variables plus None for the literal zero.  An edge
     u -> v of weight w records value(v) - value(u) <= w; ambient
-    nonnegativity adds v -> None with weight 0 for every variable.
+    nonnegativity adds v -> None with weight 0 for every variable.  An
+    `=` atom gives both bounds.  An atom without variables lands on the
+    zero node's self-loop, which a false one makes negative.
     """
     nodes: set[str | None] = {None}
     for a in cs.atoms:
@@ -164,10 +147,12 @@ def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
         if v is not None:
             dist[v][None] = 0
     for a in cs.atoms:
-        if a.rel == "<=":
+        if a.rel in ("<=", "="):
             dist[a.y][a.x] = min(dist[a.y][a.x], a.k)
-        elif a.rel == ">=":
+        if a.rel in (">=", "="):
             dist[a.x][a.y] = min(dist[a.x][a.y], -a.k)
+        elif a.rel == "!=" and a.trivial_value() is False:
+            dist[None][None] = -1
     for w in nodes:
         # finite entries only: an int beyond float range plus inf overflows
         reach = [(v, d) for v, d in dist[w].items() if d != _INF]
@@ -190,7 +175,7 @@ def _satisfiable(cs: ConstraintSet) -> bool:
 
     Never false for a set with a model; but disequalities that empty the
     set only together (x in [0, 1], x != 0, x != 1) go undetected."""
-    dist, feasible = _closure(cs)
+    dist, feasible = cs.closure
     return feasible and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
 
 
@@ -215,7 +200,7 @@ def entails(cs: ConstraintSet, a: Atom) -> bool:
     contribute nothing, so the answer errs toward False where only
     disequality reasoning would close the gap.
     """
-    dist, feasible = _closure(cs)
+    dist, feasible = cs.closure
     return not feasible or _holds(*_range(dist, a.x, a.y), a.rel, a.k) or (a.rel == "!=" and a in cs.atoms)
 
 
@@ -223,7 +208,7 @@ def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
     """Three-valued equality of symbolic values; None means undecided."""
     if a.var == b.var:
         return a.offset == b.offset
-    dist, feasible = _closure(cs)
+    dist, feasible = cs.closure
     lo, hi = _range(dist, a.var, b.var)
     target = b.offset - a.offset
     if not feasible or _holds(lo, hi, "=", target):
@@ -239,11 +224,11 @@ def reg_var(i: int) -> str:
 
 
 def parse_reg_var(name: str) -> int | None:
-    """Register index of a `rI` variable name, I in ASCII digits, or None."""
+    """Register index of a `rI` variable name, or None.  I is in ASCII
+    digits without a leading zero, so each register has one name."""
     digits = name[1:]
-    if name[:1] == "r" and digits.isascii() and digits.isdigit():
-        index = int(digits)
-        return index if index >= 1 else None
+    if name[:1] == "r" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits)
     return None
 
 

@@ -18,6 +18,7 @@ from urm import (
     format_atom,
     substitute,
 )
+from urm import constraints
 from urm.constraints import _closure, _satisfiable, parse_reg_var, reg_var
 from oracles import atom_holds, constraints_hold
 
@@ -55,20 +56,16 @@ def test_unknown_relations_are_rejected():
         Atom("a", "b", "<>", 0)
 
 
-def test_equalities_expand_into_bound_pairs():
-    cs = ConstraintSet.of(Atom("a", "b", "=", 1))
-    assert cs.atoms == {Atom("a", "b", "<=", 1), Atom("a", "b", ">=", 1)}
-
-
-def test_trivially_true_atoms_are_dropped():
-    assert ConstraintSet.of(Atom("v", "v", "<=", 0)).atoms == frozenset()
-
-
 def test_entailment_of_weakenings():
     cs = ConstraintSet.of(Atom("v1", "v2", "<=", -1))
     assert entails(cs, Atom("v1", "v2", "<=", 0))
     assert entails(cs, Atom("v1", "v2", "<=", -1))
     assert not entails(cs, Atom("v1", "v2", "<=", -2))
+    # an equality is kept as written and read as both of its bounds
+    eq = ConstraintSet.of(Atom("a", "b", "=", 1))
+    assert eq.atoms == {Atom("a", "b", "=", 1)}
+    assert entails(eq, Atom("a", "b", "<=", 1)) and entails(eq, Atom("a", "b", ">=", 1))
+    assert not entails(eq, Atom("a", "b", "<=", 0)) and not entails(eq, Atom("a", "b", ">=", 2))
 
 
 def test_entailment_chains_differences():
@@ -82,14 +79,26 @@ def test_nonnegativity_is_ambient():
     assert entails(empty, Atom("a", None, ">=", 0))
     assert not entails(empty, Atom("a", None, ">=", 1))
     assert entails(empty, Atom(None, "a", "<=", 0))
+    # an atom that holds trivially changes no answer
+    goals = [Atom(x, y, rel, k) for x, y in (("a", None), ("a", "b")) for rel in ("<=", "=", ">=", "!=") for k in (-1, 0, 1)]
+    for base in (empty, ConstraintSet.of(Atom("a", "b", "<=", 1))):
+        for true in (Atom("v", "v", "<=", 0), Atom(None, None, "=", 0), Atom(None, None, "!=", 3)):
+            cs = ConstraintSet(base.atoms | {true})
+            assert _satisfiable(cs)
+            assert [entails(cs, g) for g in goals] == [entails(base, g) for g in goals]
+            assert decide_eq(SymValue("a"), SymValue("b", 2), cs) is decide_eq(SymValue("a"), SymValue("b", 2), base)
 
 
 def test_unsatisfiable_premises_entail_everything():
     cs = ConstraintSet.of(Atom("a", None, "<=", -1))  # a <= -1 with a >= 0 ambient
     assert entails(cs, Atom("a", "b", "<=", -99))
     assert entails(cs, Atom(None, None, "<=", -1))
-    ground_false = ConstraintSet.of(Atom("a", "a", ">=", 1))
-    assert entails(ground_false, Atom("b", "c", "=", 5))
+    # a false atom without variables empties the set, whatever its relation
+    for false in (Atom("a", "a", ">=", 1), Atom(None, None, "<=", -3), Atom(None, None, "=", 2), Atom("a", "a", "!=", 0)):
+        ground_false = ConstraintSet.of(Atom("b", "c", "<=", 4), false)
+        assert not _satisfiable(ground_false)
+        assert entails(ground_false, Atom("b", "c", "=", 5))
+        assert decide_eq(SymValue("b"), SymValue("c", 7), ground_false) is True
 
 
 def test_disequality_goals_need_a_strict_bound_or_a_syntactic_match():
@@ -126,10 +135,37 @@ def test_decide_eq_uses_nonnegativity():
     assert decide_eq(SymValue("v"), SymValue(offset=0), cs) is None
 
 
+def test_each_set_computes_its_closure_once(monkeypatch):
+    """The closure is kept with its set: repeated questions reuse it, and
+    an equal set built anew computes its own, as no memo outlives a set."""
+    computed = []
+
+    def counted(cs):
+        computed.append(cs)
+        return _closure(cs)
+
+    monkeypatch.setattr(constraints, "_closure", counted)
+    atoms = (Atom("a", "b", "<=", -1), Atom("b", "c", "=", 2))
+    cs = ConstraintSet.of(*atoms)
+    for _ in range(3):
+        assert entails(cs, Atom("a", "c", "<=", 1))
+        assert decide_eq(SymValue("b"), SymValue("c", 2), cs) is True
+        assert _satisfiable(cs)
+    assert computed == [cs]
+    twin = ConstraintSet.of(*atoms)
+    assert twin == cs and hash(twin) == hash(cs)
+    assert entails(twin, Atom("a", "c", "<=", 1)) and not entails(twin, Atom("a", "c", "<=", 0))
+    assert len(computed) == 2 and computed[1] is twin
+
+
 def test_register_variable_names_round_trip():
     assert reg_var(3) == "r3"
     assert parse_reg_var("r3") == 3
     assert parse_reg_var("r0") is None
+    # one name per register: no leading zero
+    assert parse_reg_var("r01") is None
+    assert parse_reg_var("r00") is None
+    assert parse_reg_var("r10") == 10
     assert parse_reg_var("rx") is None
     assert parse_reg_var("m") is None
     # digits outside ASCII name no register: Arabic-Indic one, superscript two

@@ -283,12 +283,14 @@ ERRORS = [
     (parse_cert, D + "head: x", 2, 7, "expected a natural number, got 'x'"),
     (parse_cert, D + "invariant: r1 < m", 2, 17, "expected a register operand like r1, got 'm'"),
     (parse_cert, D + "invariant: r0 < r1", 2, 12, "expected a register operand like r1, got 'r0'"),
+    (parse_cert, D + "invariant: r01 < r2", 2, 12, "expected a register operand like r1, got 'r01'"),
     (parse_cert, D + "invariant: r1 < 2 + 1", 2, 12, "expected 'A rel B'"),
     (parse_cert, D + f"invariant: r{LONG} < r1", 2, 12, TOO_LONG),
     (parse_cert, D + "invariant:", 2, 1, "expected 'A rel B'"),
     (parse_cert, T + "split: r1 + r2 > 0", 4, 8, "expected 'split: rX - rY > k'"),
     (parse_cert, T + "split:", 4, 1, "expected 'split: rX - rY > k'"),
     (parse_cert, T + "split: x - r2 > 0", 4, 8, "expected a register like r1, got 'x'"),
+    (parse_cert, T + "split: r01 - r2 > 0", 4, 8, "expected a register like r1, got 'r01'"),
     (parse_cert, T + "split: r1 - r2 >= 1", 4, 16, "expected '> k' after the register pair"),
     (parse_cert, T + "split: r1 - r2", 4, 8, "expected '> k' after the register pair"),
     (parse_cert, T + "split: r1 - r2 > -1", 4, 18, "expected a natural number, got '-1'"),

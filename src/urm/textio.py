@@ -24,7 +24,9 @@ Certificate grammar, by key:
 
 `kind`, `head`, and `bound` are required.  Relations are <, <=, =, >=,
 >, !=.  Parameters are bare identifiers and must not look like register
-names.
+names; a register name has no leading zero (`r1`, never `r01`).  A
+certificate has at most `MAX_ATOM_LINES` (500) `constraint` and
+`invariant` lines together.
 """
 
 from __future__ import annotations
@@ -155,6 +157,11 @@ def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, in
 
 # Keys that may appear at most once.
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))
+# The most `constraint:` and `invariant:` lines a certificate may have.  A
+# constraint set's closure holds a bound per pair of its variables, so
+# its memory grows with the square of its atoms; at 500 `urm cert` peaks
+# near 50 MB.
+MAX_ATOM_LINES = 500
 
 
 def parse_cert(text: str):
@@ -209,6 +216,8 @@ def parse_cert(text: str):
             if key in seen:
                 raise SourceError(ln, 1, f"duplicate {key!r} line (first on line {seen[key]})")
             seen[key] = ln
+        elif key in ("constraint", "invariant") and len(constraints) + len(invariant) == MAX_ATOM_LINES:
+            raise SourceError(ln, 1, f"more than {MAX_ATOM_LINES} constraint and invariant lines")
         if key == "kind":
             if value.strip() not in ("diverges", "terminates"):
                 raise SourceError(ln, col0, "kind must be 'diverges' or 'terminates'")

@@ -19,6 +19,7 @@ from urm import (
     TerminationCert,
     Transfer,
     Zero,
+    check_divergence,
     format_config,
     parse_cert,
     parse_config,
@@ -230,6 +231,17 @@ def test_certificate_errors():
         parse_cert(_lines(constraint=f"m < {LONG}"))
 
 
+def test_certificates_state_up_to_500_atom_lines(u_minus):
+    head = "kind: diverges\nparams: m n z\ninit: m, n, z\nhead: 1\nbound: 8\n"
+    atoms = "".join(f"constraint: m < n+{i}\ninvariant: r1 < r2+{i}\n" for i in range(250))
+    cert = parse_cert(head + atoms)
+    assert len(cert.param_constraints.atoms) == len(cert.invariant) == 250
+    assert check_divergence(u_minus, cert).accepted
+    with pytest.raises(SourceError) as info:
+        parse_cert(head + atoms + "invariant: r1 < r2")
+    assert (info.value.line, info.value.column) == (506, 1)
+
+
 def test_certificate_error_positions():
     with pytest.raises(SourceError) as info:
         parse_cert("kind: diverges\nparams: m 2x\nhead: 1\nbound: 1")
@@ -307,6 +319,8 @@ ERRORS = [
     (parse_cert, D + "head: 1\nbound: 1\nranking: r1 - r2", 4, 1, "'ranking' is only for kind terminates"),
     (parse_cert, T + "ranking: r1 - r2", 1, 1, "missing 'split' line for kind terminates"),
     (parse_cert, T + "split: r1 - r2 > 0", 1, 1, "missing 'ranking' line for kind terminates"),
+    (parse_cert, D + "invariant: r1 < r2\n" * 250 + "constraint: 0 < 1\n" * 250 + "invariant: r1 < r3", 502, 1,
+     "more than 500 constraint and invariant lines"),
 ]
 
 

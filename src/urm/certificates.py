@@ -230,23 +230,31 @@ class _Rejected(Exception):
         self.report = CertReport(accepted=False, reason=Reason(code, pc=pc, atom=atom))
 
 
-def _walk(p: Program, s: SymState, cs: ConstraintSet, bound: int, head: int | None = None):
+def _walk(
+    p: Program,
+    s: SymState,
+    cs: ConstraintSet,
+    bound: int,
+    head: int | None = None,
+    trail: list[TrailEntry] | None = None,
+):
     """Symbolic run from `s` of at most `bound` steps.
 
     Stops on SymHalt, or on a SymNext that arrives at `head`, and returns
-    that result, or None when the bound runs out first, together with the
-    trail of the steps taken.  An undecided jump rejects the certificate.
+    that result, or None when the bound runs out first; each step taken is
+    appended to `trail` when one is given.  An undecided jump rejects the
+    certificate.
     """
-    trail: list[TrailEntry] = []
     for _ in range(bound):
         res = sym_step(p, s, cs)
         if isinstance(res, Undecided):
             raise _Rejected(UNDECIDED_BRANCH, pc=res.pc)
-        trail.append((s.pc, res.rule))
+        if trail is not None:
+            trail.append((s.pc, res.rule))
         if isinstance(res, SymHalt) or res.state.pc == head:
-            return res, trail
+            return res
         s = res.state
-    return None, trail
+    return None
 
 
 def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintSet]:
@@ -276,7 +284,8 @@ def _enter_loop(p: Program, cert: Cert) -> None:
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     s = SymState(1, {i: cert.init.get(i, _ZERO) for i in _universe(p, cert)})
     if s.pc != cert.loop_head:
-        res, _ = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
+        # the prefix trail is never printed, so none is kept
+        res = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
         if not isinstance(res, SymNext):
             raise _Rejected(PREFIX_FAILED)
         s = res.state
@@ -287,7 +296,8 @@ def _close_loop(p: Program, cert: Cert, *extra: Atom):
     """Loop phase: from the head under the invariant and `extra` back to it,
     re-establishing the invariant; returns (start, end, cs, trail)."""
     start, cs = _assume(p, cert, *extra)
-    res, trail = _walk(p, start, cs, cert.step_bound, cert.loop_head)
+    trail: list[TrailEntry] = []
+    res = _walk(p, start, cs, cert.step_bound, cert.loop_head, trail)
     if isinstance(res, SymHalt):
         raise _Rejected(HALTED_DURING_LOOP, pc=res.state.pc)
     if res is None:
@@ -338,7 +348,8 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)
         start, cs = _assume(p, cert, cert.exit_atom())
-        res, exit_trail = _walk(p, start, cs, cert.step_bound)
+        exit_trail: list[TrailEntry] = []
+        res = _walk(p, start, cs, cert.step_bound, trail=exit_trail)
         if res is None:
             raise _Rejected(EXIT_DOES_NOT_HALT)
     except _Rejected as rejected:

@@ -13,9 +13,10 @@ question is decidable) and from certificate checking.
 
 There are two concrete interpreters.  `step` is the rule-level relation,
 and `trace` alone drives it; `decide_abstract` and the CLI's
-`--show-steps` consume `trace`'s states.  `run` compiles the program to
-a list loop over the registers it mentions, for speed; the test suite
-checks that the two agree.
+`--show-steps` consume `trace`'s states.  `_execute` compiles the program
+to a list loop over the registers it mentions, for speed, and runs it for
+both `run` (over a `Config`) and `run_finite` (over the list view); the
+test suite checks that the two interpreters agree.
 
 `run` also leaps over counting loops.  Whenever it takes a backward
 jump (one whose target is at or before itself), `_leap` walks one
@@ -49,7 +50,6 @@ from .machine import (
     compatible,
     include,
     mv,
-    restrict,
     sc,
     zr,
 )
@@ -211,22 +211,14 @@ def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int
     return times * length
 
 
-def run(p: Program, c: Config, fuel: int) -> Outcome:
-    """Iterate `step` from (p, 1, c) for at most `fuel` applications.
-
-    The registers the program mentions, `p.registers`, are copied into a
-    list with one slot each, so memory follows the program, never the
-    register indices; every other register of `c` is untouchable by the
-    program and passes through unchanged.  As in `step`, the run halts
-    when the next position is 0.  Counting loops are leapt over by
-    `_leap`, with the result stepping would give.
-    """
-    _require_standard(p)
+def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int, bool]:
+    """Run the compiled `p` from position 1 over `regs`, one slot per
+    register of `p.registers`, for at most `fuel` steps, updating `regs`
+    in place.  Returns (steps, pc, halted), pc being the position that
+    would run next when the fuel ran out."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     code, heads = _compile(p)
-    live = p.registers
-    regs = [c._entries.get(reg, 0) for reg in live]
     pc = 1
     steps = 0
     # back-off per loop head: the step count from which a leap may be
@@ -263,8 +255,28 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
             break
         pc = nxt
     else:
-        return OutOfFuel(MachineState(p, pc, c._updated(zip(live, regs))), fuel)
-    return Halted(c._updated(zip(live, regs)), steps)
+        return fuel, pc, False
+    return steps, pc, True
+
+
+def run(p: Program, c: Config, fuel: int) -> Outcome:
+    """Iterate `step` from (p, 1, c) for at most `fuel` applications.
+
+    The registers the program mentions, `p.registers`, are copied into a
+    list with one slot each, so memory follows the program, never the
+    register indices; every other register of `c` is untouchable by the
+    program and passes through unchanged.  As in `step`, the run halts
+    when the next position is 0.  Counting loops are leapt over by
+    `_leap`, with the result stepping would give.
+    """
+    _require_standard(p)
+    live = p.registers
+    regs = [c._entries.get(reg, 0) for reg in live]
+    steps, pc, halted = _execute(p, regs, fuel)
+    final = c._updated(zip(live, regs))
+    if halted:
+        return Halted(final, steps)
+    return OutOfFuel(MachineState(p, pc, final), steps)
 
 
 def trace(p: Program, c: Config) -> Iterator[MachineState]:
@@ -280,18 +292,26 @@ def trace(p: Program, c: Config) -> Iterator[MachineState]:
 
 
 def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
-    """Like `run`, but over the list view; the final config keeps length m."""
+    """Like `run`, but over the list view; the final config keeps length m.
+
+    Only the slots of `p.registers` are read and written back, so beyond
+    one copy of sigma's values the cost follows the program; the sparse
+    `Config` is built only for an `OutOfFuel` last state."""
     if not compatible(sigma, p):
         raise Incompatible(
             f"program needs registers up to {p.rho} in standard form, "
             f"got a length-{len(sigma)} configuration"
         )
-    outcome = run(p, include(sigma), fuel)
-    if isinstance(outcome, Halted):
-        # `p` writes only r1..r_rho, so sigma's tail past rho is unchanged
-        values = restrict(outcome.final, p).values + sigma.values[p.rho:]
-        return Halted(FiniteConfig._of(values), outcome.steps)
-    return outcome
+    live = p.registers
+    values = list(sigma.values)
+    regs = [values[reg - 1] for reg in live]
+    steps, pc, halted = _execute(p, regs, fuel)
+    for reg, val in zip(live, regs):
+        values[reg - 1] = val
+    final = FiniteConfig._of(tuple(values))
+    if halted:
+        return Halted(final, steps)
+    return OutOfFuel(MachineState(p, pc, include(final)), steps)
 
 
 def decide_abstract(p: Program, c: Config) -> AbstractVerdict:

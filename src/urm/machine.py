@@ -229,6 +229,15 @@ def include(sigma: FiniteConfig) -> Config:
 
 
 def restrict(c: Config, p: Program) -> FiniteConfig:
-    """Cut `c` down to the registers `p` can touch, positions 1..p.rho."""
+    """Cut `c` down to the registers `p` can touch, positions 1..p.rho.
+
+    Reads the fewer of c's nonzero entries and the rho positions."""
     entries = c._entries
-    return FiniteConfig._of(tuple(entries.get(i, 0) for i in range(1, p.rho + 1)))
+    rho = p.rho
+    if len(entries) >= rho:
+        return FiniteConfig._of(tuple(entries.get(i, 0) for i in range(1, rho + 1)))
+    values = [0] * rho
+    for reg, val in entries.items():
+        if reg <= rho:
+            values[reg - 1] = val
+    return FiniteConfig._of(tuple(values))

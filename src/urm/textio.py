@@ -26,7 +26,8 @@ Certificate grammar, by key:
 >, !=.  Parameters are bare identifiers and must not look like register
 names; a register name has no leading zero (`r1`, never `r01`).  A
 certificate has at most `MAX_ATOM_LINES` (500) `constraint` and
-`invariant` lines together.
+`invariant` lines together, and a `bound` of at most `MAX_STEP_BOUND`
+(100000).
 """
 
 from __future__ import annotations
@@ -132,6 +133,15 @@ def parse_config(text: str) -> FiniteConfig:
     if len(lines) > 1:
         raise SourceError(lines[1][0], 1, "expected a single line")
     ln, line = lines[0]
+    body = line.strip()
+    # ASCII digits and commas only: one C-level conversion of the whole
+    # line.  Anything else, or an empty field or a number too long for
+    # `int`, is read field by field, which alone builds the positioned error.
+    if body.isascii() and body.replace(",", "").isdigit():
+        try:
+            return FiniteConfig._of(tuple(map(int, body.split(","))))
+        except ValueError:
+            pass
     return FiniteConfig._of(tuple(_fields(line, ln, 1, "a natural number", _nat)))
 
 
@@ -162,6 +172,10 @@ _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"
 # its memory grows with the square of its atoms; at 500 `urm cert` peaks
 # near 50 MB.
 MAX_ATOM_LINES = 500
+# The largest `bound:`.  Each step of a loop walk stays in its trail, which
+# an accepted certificate prints, until the check ends; at this cap a
+# rejected `urm cert` peaks near 30 MB.
+MAX_STEP_BOUND = 100000
 
 
 def parse_cert(text: str):
@@ -242,6 +256,8 @@ def parse_cert(text: str):
                 what = "position" if key == "head" else "step bound"
                 raise SourceError(ln, col0, f"expected a single {what}")
             once[key] = _nat(toks[0][0], ln, toks[0][1])
+            if key == "bound" and once[key] > MAX_STEP_BOUND:
+                raise SourceError(ln, toks[0][1], f"bound must be at most {MAX_STEP_BOUND}")
         elif key == "invariant":
             invariant.append(atom(toks, ln, register_term))
         elif key == "split":

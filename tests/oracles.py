@@ -100,6 +100,19 @@ def random_program(rng: random.Random, max_len: int = 5, max_reg: int = 3) -> Pr
     return Program(tuple(out))
 
 
+def renumbered(p: Program, to: dict[int, int]) -> Program:
+    """`p` with each register operand i replaced by `to[i]`."""
+    out = []
+    for instr in p:
+        if isinstance(instr, Jump):
+            out.append(Jump(to[instr.i], to[instr.j], instr.k))
+        elif isinstance(instr, Transfer):
+            out.append(Transfer(to[instr.i], to[instr.j]))
+        else:
+            out.append(type(instr)(to[instr.i]))
+    return Program(tuple(out))
+
+
 # The relations an `Atom` keeps: construction turns `<` and `>` into
 # weak bounds with a shifted constant.
 _HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "!=": operator.ne}

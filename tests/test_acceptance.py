@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, random_program
+from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, random_program, renumbered
 from urm.certificates import (
     DivergenceCert,
     HALTED_DURING_LOOP,
@@ -186,21 +186,32 @@ def test_criterion_05_abstract_decision_exhaustive():
 def test_criterion_06_finite_and_infinite_runs_agree():
     rng = random.Random(6)
     mismatches = 0
-    for _ in range(200):
+    out_of_fuel = 0
+    for case in range(400):
         p = random_program(rng)
         width = p.rho + rng.randint(0, 2)
-        sigma = FiniteConfig(tuple(rng.randint(0, 3) for _ in range(width)))
+        if case >= 200:
+            # registers spread over 1..rho + 20, sigma up to 50 wider than that
+            live = p.registers
+            p = renumbered(p, dict(zip(live, rng.sample(range(1, len(live) + 21), len(live)))))
+            width = p.rho + rng.randint(0, 50)
+        sigma = FiniteConfig(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(width)))
         assert compatible(sigma, p)
         fin = run_finite(p, sigma, 200)
         inf = run(p, include(sigma), 200)
         agreed = type(fin) is type(inf) and fin.steps == inf.steps
         if agreed and isinstance(fin, Halted):
             agreed = include(fin.final) == inf.final
+            # inf.final holds sigma's registers above rho too
             agreed = agreed and restrict(inf.final, p).values == fin.final.values[: p.rho]
+        elif agreed:
+            out_of_fuel += 1
+            agreed = fin.last == inf.last
         if not agreed:
             mismatches += 1
     assert mismatches == 0
-    print("criterion 6 PASS: 200 random programs, finite and infinite runs agree, 0 mismatches")
+    assert out_of_fuel > 40
+    print(f"criterion 6 PASS: 400 random programs ({out_of_fuel} out of fuel), finite and infinite runs agree, 0 mismatches")
 
 
 ACCEPTED_PAIRS = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -197,6 +198,20 @@ def test_prefix_that_overruns_the_bound_is_rejected():
     cert = DivergenceCert(ConstraintSet(), {}, loop_head=4, invariant=(), step_bound=2)
     report = check_divergence(p, cert)
     assert report.reason.code == PREFIX_FAILED
+
+
+def test_prefix_walk_keeps_no_trail():
+    # a prefix that spins at position 1 and never reaches the head
+    p = Program((Jump(1, 1, 1), Jump(1, 1, 2)))
+    cert = DivergenceCert(ConstraintSet(), {}, loop_head=2, invariant=(), step_bound=20000)
+    tracemalloc.start()
+    try:
+        report = check_divergence(p, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.reason.code == PREFIX_FAILED
+    assert peak < 2**18
 
 
 def test_invariant_must_hold_on_arrival(u_minus):

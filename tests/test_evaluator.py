@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -38,23 +39,11 @@ from urm import (
     step,
     trace,
 )
-from oracles import apply_instr, naive_pcs, naive_run, random_program
+from oracles import apply_instr, naive_pcs, naive_run, random_program, renumbered
 
 
 def _sparse(c: Config) -> dict[int, int]:
     return dict(c.items())
-
-
-def _renumbered(p: Program, to: dict[int, int]) -> Program:
-    out = []
-    for instr in p:
-        if isinstance(instr, Jump):
-            out.append(Jump(to[instr.i], to[instr.j], instr.k))
-        elif isinstance(instr, Transfer):
-            out.append(Transfer(to[instr.i], to[instr.j]))
-        else:
-            out.append(type(instr)(to[instr.i]))
-    return Program(tuple(out))
 
 
 def test_step_walks_the_minus_program(u_minus):
@@ -134,7 +123,7 @@ def test_run_agrees_with_the_naive_interpreter():
         to = dict(zip((1, 2, 3), far))
         sparse = {to[i]: v for i, v in regs.items()}
         sparse.update({far[3]: rng.randint(0, 3), far[4]: rng.randint(0, 3)})
-        for prog, start in ((p, regs), (_renumbered(p, to), sparse)):
+        for prog, start in ((p, regs), (renumbered(p, to), sparse)):
             got = run(prog, Config(start), fuel)
             verdict, final, steps = naive_run(prog, start, fuel)
             if verdict == "halted":
@@ -307,6 +296,23 @@ def test_certificate_memory_follows_the_program_not_the_register_indices():
     assert peak < 2**20
     assert report.accepted
     assert report.trail == ((2, "jt·r"),)
+
+
+def test_run_finite_memory_follows_its_result(u_minus):
+    # minus.urm on the last three of 10^5 registers
+    width = 10**5
+    p = renumbered(u_minus, {1: width - 2, 2: width - 1, 3: width})
+    sigma = FiniteConfig((7,) * (width - 3) + (1005, 5, 3))
+    tracemalloc.start()
+    try:
+        out = run_finite(p, sigma, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, Halted)
+    assert out.final.values == (7,) * (width - 3) + (1003, 1005, 1003)
+    # one copy of the values and the result, never a register dict
+    assert peak < 3 * sys.getsizeof(out.final.values)
 
 
 def test_run_finite_requires_compatibility(prog_b):

@@ -159,6 +159,8 @@ def test_restrict_keeps_the_first_rho_registers(u_minus):
     c = Config({1: 2, 2: 5, 3: 2, 9: 4})
     assert restrict(c, u_minus) == FiniteConfig((2, 5, 2))
     assert restrict(Config(), u_minus) == FiniteConfig((0, 0, 0))
+    # fewer entries than rho, one of them above it
+    assert restrict(Config({2: 5, 9: 4}), u_minus) == FiniteConfig((0, 5, 0))
 
 
 def test_restrict_then_include_round_trip(u_minus):

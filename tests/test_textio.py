@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from urm import (
     parse_program,
     print_program,
 )
+from urm.textio import MAX_STEP_BOUND
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
@@ -125,6 +128,94 @@ def test_parse_config_errors():
     with pytest.raises(SourceError, match="too long") as info:
         parse_config(f"1,{LONG}")
     assert info.value.column == 3
+
+
+def _per_field_config(text: str):
+    """`parse_config` reading every field on its own: the values, or the
+    error's (line, column, message)."""
+    lines = [(ln, raw.split("#", 1)[0]) for ln, raw in enumerate(text.split("\n"), start=1)]
+    lines = [(ln, line) for ln, line in lines if line.strip()]
+    if not lines:
+        return 1, 1, "empty input"
+    if len(lines) > 1:
+        return lines[1][0], 1, "expected a single line"
+    ln, line = lines[0]
+    values, col = [], 1
+    for part in line.split(","):
+        tok = part.strip()
+        column = col + len(part) - len(part.lstrip())
+        if not tok:
+            return ln, column, "expected a natural number"
+        if not (tok.isascii() and tok.isdigit()):
+            return ln, column, f"expected a natural number, got {tok!r}"
+        try:
+            values.append(int(tok))
+        except ValueError:
+            return ln, column, f"number too long ({len(tok)} digits)"
+        col += len(part) + 1
+    return tuple(values)
+
+
+# Characters that must send a line down the per-field path.
+NOT_DIGITS = [" ", "\t", "\x1c", "+", "-", "_", "\u0661", "\uff15", "#", "\n"]
+
+
+def _random_config_text(rng: random.Random) -> str:
+    fields = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.7:
+            fields.append("0" * rng.randint(0, 1) + str(rng.randrange(10 ** rng.randint(1, 25))))
+        elif roll < 0.75:
+            # around the interpreter's int conversion limit of 4300 digits
+            fields.append("9" * rng.choice((4300, 4301, 5000)))
+        elif roll < 0.8:
+            fields.append("")
+        else:
+            fields.append("".join(rng.choices(NOT_DIGITS + list("0123456789,"), k=rng.randint(1, 4))))
+    text = ",".join(fields)
+    if rng.random() < 0.1:
+        text = "," + text
+    if rng.random() < 0.1:
+        text += ","
+    if rng.random() < 0.2:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(NOT_DIGITS) + text[at:]
+    return text
+
+
+def test_parse_config_agrees_with_the_per_field_reader():
+    rng = random.Random(13)
+    wrong = []
+    fast = 0
+    for _ in range(20000):
+        text = _random_config_text(rng)
+        try:
+            got = parse_config(text).values
+        except SourceError as err:
+            got = (err.line, err.column, err.message)
+        else:
+            fast += 1
+        if got != _per_field_config(text):
+            wrong.append(text[:80])
+    assert wrong == []
+    # both the accepted and the refused lines are well represented
+    assert 4000 < fast < 16000
+
+
+def test_parse_config_memory_follows_its_result():
+    rng = random.Random(5)
+    values = tuple(rng.randrange(1000, 10**6) for _ in range(10**5))
+    text = ",".join(map(str, values)) + "\n"
+    tracemalloc.start()
+    try:
+        sigma = parse_config(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sigma.values == values
+    # the tuple and its ints, plus the field strings they are read from
+    assert peak < 4 * (sys.getsizeof(values) + sum(map(sys.getsizeof, values)))
 
 
 def test_format_config_round_trips():
@@ -239,6 +330,10 @@ def test_certificates_state_up_to_500_atom_lines(u_minus):
     assert check_divergence(u_minus, cert).accepted
 
 
+def test_certificate_bound_may_reach_the_cap():
+    assert parse_cert(D + f"head: 1\nbound: {MAX_STEP_BOUND}").step_bound == MAX_STEP_BOUND == 100000
+
+
 def test_certificate_error_positions():
     with pytest.raises(SourceError) as info:
         parse_cert("kind: diverges\nparams: m 2x\nhead: 1\nbound: 1")
@@ -307,6 +402,7 @@ ERRORS = [
     (parse_cert, T + "ranking: r1", 4, 10, "expected 'ranking: rX - rY'"),
     (parse_cert, D + "head: 1\nbound: 4 5", 3, 8, "expected a single step bound"),
     (parse_cert, D + "head: 1\nbound: 0", 3, 1, "bound must be at least 1"),
+    (parse_cert, D + "head: 1\nbound:  100001", 3, 9, "bound must be at most 100000"),
     (parse_cert, D + "head: 0\nbound: 1", 2, 1, "head positions start at 1"),
     (parse_cert, D + "head: 0\nbound: 0", 3, 1, "bound must be at least 1"),
     (parse_cert, "head: 1\nbound: 1", 1, 1, "missing 'kind' line"),

@@ -170,6 +170,11 @@ def _check_common(cert: Cert) -> None:
                 raise ValueError(f"not a register operand: {var!r}")
 
 
+# The ten rule strings, (non-final, final) per tag, built once: a trail
+# keeps one per step, so each entry shares them instead of a copy.
+_RULES = {tag: (f"{tag}·r", f"{tag}·l") for tag in ("jt", "jf", "z", "s", "t")}
+
+
 def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     """One symbolic step; mirrors the concrete step relation.
 
@@ -208,8 +213,8 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
             regs[instr.j] = s.value(instr.i)
             tag = "t"
     if not nxt:
-        return SymHalt(SymState(s.pc, regs), f"{tag}·l")
-    return SymNext(SymState(nxt, regs), f"{tag}·r")
+        return SymHalt(SymState(s.pc, regs), _RULES[tag][1])
+    return SymNext(SymState(nxt, regs), _RULES[tag][0])
 
 
 def _universe(p: Program, cert: Cert) -> set[int]:

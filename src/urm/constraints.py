@@ -7,14 +7,21 @@ Relational facts about the variables are kept as difference-bound
 atoms, `x - y rel k` or `x rel k` with integer k.  Conjunctions of such
 atoms are decidable by shortest-path closure over the constraint graph;
 this fragment is deliberately the whole constraint language (no
-disjunction, no coefficients other than one).  Every question about a
-set goes through the same two steps: `_range` reads the tightest
-interval [lo, hi] of one difference off the closure, and `_holds` says
-whether every value in that interval satisfies a relation.  `entails`,
-`decide_eq`, `_satisfiable` and the ground case of `Atom.trivial_value`
-differ only in the relation they ask.  A `ConstraintSet` keeps its atoms
-exactly as written, and its closure is computed once, on first use, and
-kept with the set (`ConstraintSet.closure`).
+disjunction, no coefficients other than one).  The `=` atoms are not
+edges of that graph: they first merge the variables into equality
+classes, each member a fixed offset from its class's root (the zero
+cycles of a difference-bound matrix collapsed, as in its minimal
+constraint systems), and the closure runs over the roots alone, so its
+cost follows the number of classes, not of variables.
+
+Every question about a set goes through the same two steps: `_range`
+reads the tightest interval [lo, hi] of one difference off the closure,
+and `_holds` says whether every value in that interval satisfies a
+relation.  `entails`, `decide_eq`, `_satisfiable` and the ground case of
+`Atom.trivial_value` differ only in the relation they ask.  A
+`ConstraintSet` keeps its atoms exactly as written, and its closure is
+computed once, on first use, and kept with the set
+(`ConstraintSet.closure`).
 
 Disequalities are second-class: an `!=` atom is never used for bound
 reasoning, `_satisfiable` only checks each one against the bounds, and
@@ -126,38 +133,79 @@ class ConstraintSet:
         return cls(frozenset(atoms))
 
     @cached_property
-    def closure(self) -> tuple[dict, bool]:
+    def closure(self) -> tuple[tuple[dict, dict], bool]:
         return _closure(self)
 
 
-def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
-    """All-pairs tightest difference bounds; second part is feasibility.
+def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
+    """Tightest difference bounds between equality classes; second part
+    is feasibility.
 
-    Nodes are the variables plus None for the literal zero.  An edge
-    u -> v of weight w records value(v) - value(u) <= w; ambient
-    nonnegativity adds v -> None with weight 0 for every variable.  An
-    `=` atom gives both bounds.  An atom without variables lands on the
-    zero node's self-loop, which a false one makes negative.
+    Nodes are the variables plus None for the literal zero.  The `=`
+    atoms first merge nodes into classes: the first part's class map
+    sends each node v to (root, offset) with value(v) = value(root) +
+    offset, and joining two members of one class at another offset
+    makes the set infeasible.  Every other bound is then an edge between
+    roots, with the offsets folded into its weight: an edge u -> v of
+    weight w records value(v) - value(u) <= w, and ambient nonnegativity
+    adds v -> None with weight 0 for every variable.  An atom without
+    variables lands on the zero class's self-loop, which a false one
+    makes negative.  The second part holds the roots' closed rows, so
+    the closure costs the cube of the number of classes, not of
+    variables.  It is exact: in a feasible set no other bound can tighten
+    a difference that `=` atoms fix.
     """
+    link: dict = {}  # node -> (parent, d) with value(node) = value(parent) + d; roots absent
+
+    def find(v):
+        if v not in link:
+            return v, 0
+        path = []
+        while v in link:
+            path.append(v)
+            v = link[v][0]
+        off = 0
+        for u in reversed(path):
+            off += link[u][1]
+            link[u] = (v, off)
+        return v, off
+
+    feasible = True
     nodes: set[str | None] = {None}
     for a in cs.atoms:
-        nodes |= a.variables()
-    dist: dict = {u: {v: (0 if u == v else _INF) for v in nodes} for u in nodes}
+        nodes.add(a.x)
+        nodes.add(a.y)
+        if a.rel == "=":
+            (rx, ox), (ry, oy) = find(a.x), find(a.y)
+            if rx != ry:
+                link[rx] = (ry, oy + a.k - ox)
+            elif ox != oy + a.k:
+                feasible = False
+    cls = {v: find(v) for v in nodes}
+    roots = {r for r, _ in cls.values()}
+    rows: dict = {u: {v: (0 if u == v else _INF) for v in roots} for u in roots}
+
+    def edge(u, v, w):
+        (ru, ou), (rv, ov) = cls[u], cls[v]
+        w += ou - ov
+        if w < rows[ru][rv]:
+            rows[ru][rv] = w
+
     for v in nodes:
         if v is not None:
-            dist[v][None] = 0
+            edge(v, None, 0)
     for a in cs.atoms:
-        if a.rel in ("<=", "="):
-            dist[a.y][a.x] = min(dist[a.y][a.x], a.k)
-        if a.rel in (">=", "="):
-            dist[a.x][a.y] = min(dist[a.x][a.y], -a.k)
+        if a.rel == "<=":
+            edge(a.y, a.x, a.k)
+        elif a.rel == ">=":
+            edge(a.x, a.y, -a.k)
         elif a.rel == "!=" and a.trivial_value() is False:
-            dist[None][None] = -1
-    for w in nodes:
+            feasible = False
+    for w in roots:
         # finite entries only: an int beyond float range plus inf overflows
-        reach = [(v, d) for v, d in dist[w].items() if d != _INF]
-        for u in nodes:
-            du = dist[u]
+        reach = [(v, d) for v, d in rows[w].items() if d != _INF]
+        for u in roots:
+            du = rows[u]
             through = du[w]
             if through == _INF:
                 continue
@@ -165,8 +213,8 @@ def _closure(cs: ConstraintSet) -> tuple[dict, bool]:
                 cand = through + d
                 if cand < du[v]:
                     du[v] = cand
-    feasible = all(dist[u][u] >= 0 for u in nodes)
-    return dist, feasible
+    feasible = feasible and all(rows[u][u] >= 0 for u in roots)
+    return (cls, rows), feasible
 
 
 def _satisfiable(cs: ConstraintSet) -> bool:
@@ -179,15 +227,24 @@ def _satisfiable(cs: ConstraintSet) -> bool:
     return feasible and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
 
 
-def _bound(dist: dict, frm: str | None, to: str | None) -> float:
-    """Tightest derivable k with value(to) - value(frm) <= k.
+def _bound(dist: tuple[dict, dict], frm: str | None, to: str | None) -> float:
+    """Tightest derivable k with value(to) - value(frm) <= k, read off the
+    closed row between the two classes and shifted by their offsets.
 
     A variable the closure lacks is unconstrained, so only the zero
-    node's row, its nonnegativity, bounds the difference from it."""
-    return 0 if frm == to else dist.get(frm, dist[None]).get(to, _INF)
+    node's class, its nonnegativity, bounds the difference from it."""
+    if frm == to:
+        return 0
+    cls, rows = dist
+    if to not in cls:
+        return _INF
+    (rf, of), (rt, ot) = cls.get(frm, cls[None]), cls[to]
+    d = rows[rf][rt]
+    # inf plus an int beyond float range overflows
+    return d if d == _INF else d + ot - of
 
 
-def _range(dist: dict, x: str | None, y: str | None) -> tuple[float, float]:
+def _range(dist: tuple[dict, dict], x: str | None, y: str | None) -> tuple[float, float]:
     """Tightest (lo, hi) with lo <= value(x) - value(y) <= hi; (0, 0) when
     x and y are the same side."""
     return -_bound(dist, x, y), _bound(dist, y, x)

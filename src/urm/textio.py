@@ -168,9 +168,9 @@ def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, in
 # Keys that may appear at most once.
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))
 # The most `constraint:` and `invariant:` lines a certificate may have.  A
-# constraint set's closure holds a bound per pair of its variables, so
-# its memory grows with the square of its atoms; at 500 `urm cert` peaks
-# near 50 MB.
+# constraint set's closure holds a bound per pair of its equality classes,
+# so without `=` atoms its memory grows with the square of its atoms; at
+# 500 `urm cert` peaks near 50 MB.
 MAX_ATOM_LINES = 500
 # The largest `bound:`.  Each step of a loop walk stays in its trail, which
 # an accepted certificate prints, until the check ends; at this cap a

@@ -127,3 +127,50 @@ def atom_holds(atom, values: dict[str, int]) -> bool:
 def constraints_hold(cs, values: dict[str, int]) -> bool:
     """Truth of every atom of the constraint set `cs` under `values`."""
     return all(atom_holds(atom, values) for atom in cs.atoms)
+
+
+def closure_oracle(cs):
+    """(bound, feasible) for the constraint set `cs` by a plain all-pairs
+    Floyd-Warshall over every variable and the zero node, each `=` atom
+    read as its two bounds and no equality classes formed.
+
+    bound(frm, to) is the tightest k with value(to) - value(frm) <= k,
+    None when no bound is derivable; a variable the set does not mention
+    reads the zero node's row.  Distances are a list of lists with None
+    for infinity, so constants of any size stay exact integers."""
+    names = [None] + sorted({v for atom in cs.atoms for v in (atom.x, atom.y) if v is not None})
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    m = [[0 if i == j else None for j in range(n)] for i in range(n)]
+
+    def tighten(i, j, w):
+        if m[i][j] is None or w < m[i][j]:
+            m[i][j] = w
+
+    for i in range(1, n):
+        tighten(i, 0, 0)
+    feasible = True
+    for atom in cs.atoms:
+        x, y = index[atom.x], index[atom.y]
+        if atom.rel in ("<=", "="):
+            tighten(y, x, atom.k)
+        if atom.rel in (">=", "="):
+            tighten(x, y, -atom.k)
+        if atom.rel == "!=" and x == y == 0 and atom.k == 0:
+            feasible = False
+    for w in range(n):
+        for i in range(n):
+            if m[i][w] is not None:
+                for j in range(n):
+                    if m[w][j] is not None:
+                        tighten(i, j, m[i][w] + m[w][j])
+    feasible = feasible and all(m[i][i] >= 0 for i in range(n))
+
+    def bound(frm, to):
+        if frm == to:
+            return 0
+        if to not in index:
+            return None
+        return m[index.get(frm, 0)][index[to]]
+
+    return bound, feasible

@@ -81,6 +81,17 @@ def test_sym_step_updates_values_like_the_rules():
     assert r.state.regs[3] == SymValue("v3", 1)
 
 
+def test_sym_step_shares_one_rule_string_per_rule():
+    """A trail keeps a rule per step, so steps by the same rule hand out
+    the same string rather than a copy each."""
+    p = Program((Succ(1), Succ(1)))
+    first = sym_step(p, SymState(1, dict(FRESH)), ConstraintSet())
+    second = sym_step(p, SymState(1, dict(FRESH)), ConstraintSet())
+    assert first.rule == "s·r" and first.rule is second.rule
+    last = sym_step(p, first.state, ConstraintSet())
+    assert last.rule == "s·l" and last.rule is sym_step(p, first.state, ConstraintSet()).rule
+
+
 def test_sym_step_requires_standard_form():
     with pytest.raises(NotStandardForm):
         sym_step(Program((Jump(1, 1, 9),)), SymState(1, {1: SymValue(offset=0)}), ConstraintSet())

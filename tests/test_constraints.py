@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -19,8 +20,8 @@ from urm import (
     substitute,
 )
 from urm import constraints
-from urm.constraints import _closure, _satisfiable, parse_reg_var, reg_var
-from oracles import atom_holds, constraints_hold
+from urm.constraints import _closure, _range, _satisfiable, parse_reg_var, reg_var
+from oracles import atom_holds, closure_oracle, constraints_hold
 
 
 def test_symbolic_values_are_naturals():
@@ -223,6 +224,80 @@ def test_constants_beyond_float_range():
     assert not entails(cs, Atom("a", "b", ">=", huge + 1))
     assert _satisfiable(cs)
     assert not _satisfiable(ConstraintSet.of(*cs.atoms, Atom("a", None, "!=", huge)))
+
+
+def test_a_deep_equality_chain_closes_without_recursion():
+    """5,000 `=` atoms in one chain merge into one class at the default
+    recursion limit."""
+    assert sys.getrecursionlimit() <= 5000
+    cs = ConstraintSet.of(*(Atom(f"v{i}", f"v{i + 1}", "=", 1) for i in range(1, 5001)))
+    assert entails(cs, Atom("v1", "v5001", "=", 5000))
+    assert not entails(cs, Atom("v1", "v5001", "<=", 4999))
+
+
+def test_equality_offsets_beyond_float_range():
+    """Class offsets are exact integers, and an unbounded difference stays
+    unbounded however large the offsets it would be shifted by."""
+    huge = 10**400
+    cs = ConstraintSet.of(Atom("a", "b", "=", huge), Atom("b", "c", "=", huge))
+    assert entails(cs, Atom("a", "c", "=", 2 * huge))
+    assert not entails(cs, Atom("a", "c", "<=", 2 * huge - 1))
+    assert entails(cs, Atom("a", None, ">=", 2 * huge))
+    assert not entails(cs, Atom("a", None, "<=", huge**2))
+    assert not entails(cs, Atom("a", "d", "<=", huge**2))
+    assert _satisfiable(cs)
+    assert decide_eq(SymValue("a"), SymValue("c", 2 * huge), cs) is True
+    assert decide_eq(SymValue("a"), SymValue("d"), cs) is None
+
+
+def _random_closure_case(rng: random.Random) -> ConstraintSet:
+    """A set over a..e and the zero node, weighted toward `=` atoms, with
+    now and then an equality cycle that may not close, a ground false
+    `!=` atom or a constant near +-10^400."""
+    names = ("a", "b", "c", "d", "e")
+    rels = ("=", "=", "=", "<", "<=", ">=", ">", "!=")
+
+    def constant():
+        k = rng.randint(-3, 3)
+        return k + rng.choice((-1, 1)) * 10**400 if rng.random() < 0.1 else k
+
+    atoms = [Atom(*rng.sample((*names, None), 2), rng.choice(rels), constant()) for _ in range(rng.randint(0, 7))]
+    if rng.random() < 0.2:
+        cycle = rng.sample(names, rng.randint(2, 4))
+        atoms += [Atom(u, v, "=", rng.randint(-1, 1)) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    if rng.random() < 0.05:
+        atoms.append(Atom(None, None, "!=", 0))
+    return ConstraintSet.of(*atoms)
+
+
+def test_closure_matches_floyd_warshall_over_every_variable():
+    """Merging equality classes changes no answer: feasibility,
+    `_satisfiable` and every pair's `_range` (a variable no atom mentions
+    included) equal those of a plain closure over every variable."""
+    rng = random.Random(14)
+    inf = float("inf")
+    sides = ("a", "b", "c", "d", "e", "unmentioned", None)
+    feasible_sets = 0
+    for _ in range(4000):
+        cs = _random_closure_case(rng)
+        dist, feasible = _closure(cs)
+        bound, expected = closure_oracle(cs)
+        assert feasible is expected, cs
+        if not feasible:
+            assert not _satisfiable(cs)
+            continue
+        feasible_sets += 1
+
+        def oracle_range(x, y):
+            lo, hi = bound(x, y), bound(y, x)
+            return (-inf if lo is None else -lo, inf if hi is None else hi)
+
+        pinned = any(a.rel == "!=" and oracle_range(a.x, a.y) == (a.k, a.k) for a in cs.atoms)
+        assert _satisfiable(cs) is not pinned, cs
+        for x in sides:
+            for y in sides:
+                assert _range(dist, x, y) == oracle_range(x, y), (cs, x, y)
+    assert 1000 < feasible_sets < 3500
 
 
 def test_unsatisfiable_sets_have_no_model():

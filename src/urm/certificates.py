@@ -262,11 +262,11 @@ def _walk(
     return None
 
 
-def _assume(p: Program, cert: Cert, *extra: Atom) -> tuple[SymState, ConstraintSet]:
-    """Fresh symbolic state at the loop head, constrained by the invariant
-    and `extra`; register i holds the variable named after it, so the
-    atoms are assumed as written."""
-    start = SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in _universe(p, cert)})
+def _assume(cert: Cert, universe: set[int], *extra: Atom) -> tuple[SymState, ConstraintSet]:
+    """Fresh symbolic state at the loop head over the registers in
+    `universe`, constrained by the invariant and `extra`; register i holds
+    the variable named after it, so the atoms are assumed as written."""
+    start = SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in universe})
     return start, ConstraintSet(frozenset((*cert.invariant, *extra)))
 
 
@@ -278,8 +278,9 @@ def _require_entailed(code: str, cs: ConstraintSet, atoms: tuple[Atom, ...], reg
             raise _Rejected(code, atom=a)
 
 
-def _enter_loop(p: Program, cert: Cert) -> None:
-    """Prefix phase: reach the head and establish the invariant there."""
+def _enter_loop(p: Program, cert: Cert) -> set[int]:
+    """Prefix phase: reach the head and establish the invariant there;
+    returns the `_universe` that the loop phases start from too."""
     if not p.standard:
         raise NotStandardForm("certificates require a standard-form program")
     if cert.loop_head > len(p):
@@ -287,7 +288,8 @@ def _enter_loop(p: Program, cert: Cert) -> None:
     # no input meets the constraints, so any claim would hold vacuously
     if not _satisfiable(cert.param_constraints):
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
-    s = SymState(1, {i: cert.init.get(i, _ZERO) for i in _universe(p, cert)})
+    universe = _universe(p, cert)
+    s = SymState(1, {i: cert.init.get(i, _ZERO) for i in universe})
     if s.pc != cert.loop_head:
         # the prefix trail is never printed, so none is kept
         res = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
@@ -295,12 +297,13 @@ def _enter_loop(p: Program, cert: Cert) -> None:
             raise _Rejected(PREFIX_FAILED)
         s = res.state
     _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert.invariant, s.regs)
+    return universe
 
 
-def _close_loop(p: Program, cert: Cert, *extra: Atom):
+def _close_loop(p: Program, cert: Cert, universe: set[int], *extra: Atom):
     """Loop phase: from the head under the invariant and `extra` back to it,
     re-establishing the invariant; returns (start, end, cs, trail)."""
-    start, cs = _assume(p, cert, *extra)
+    start, cs = _assume(cert, universe, *extra)
     trail: list[TrailEntry] = []
     res = _walk(p, start, cs, cert.step_bound, cert.loop_head, trail)
     if isinstance(res, SymHalt):
@@ -314,8 +317,7 @@ def _close_loop(p: Program, cert: Cert, *extra: Atom):
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     """Accept iff the certified lasso proves the program never halts."""
     try:
-        _enter_loop(p, cert)
-        _, _, _, trail = _close_loop(p, cert)
+        _, _, _, trail = _close_loop(p, cert, _enter_loop(p, cert))
     except _Rejected as rejected:
         return rejected.report
     return CertReport(accepted=True, trail=tuple(trail))
@@ -345,14 +347,14 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
     try:
-        _enter_loop(p, cert)
-        start, end, cs, cont_trail = _close_loop(p, cert, cert.continue_atom())
+        universe = _enter_loop(p, cert)
+        start, end, cs, cont_trail = _close_loop(p, cert, universe, cert.continue_atom())
         x, y = cert.ranking
         if not entails(cs, Atom(reg_var(x), reg_var(y), ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)
-        start, cs = _assume(p, cert, cert.exit_atom())
+        start, cs = _assume(cert, universe, cert.exit_atom())
         exit_trail: list[TrailEntry] = []
         res = _walk(p, start, cs, cert.step_bound, trail=exit_trail)
         if res is None:

@@ -20,7 +20,7 @@ from .constraints import format_atom
 from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, Program, compatible, include, restrict
-from .textio import _content_lines, _tokens, format_config, parse_cert, parse_config, parse_program
+from .textio import _Bad, _content_lines, format_config, parse_cert, parse_config, parse_program
 
 DEFAULT_FUEL = 100000
 # `run` prints registers r1..r_rho, so its time, memory and output grow
@@ -105,9 +105,9 @@ def _require_printable(path: str, text: str, p: Program, what: str, cap: int) ->
         return
     for ln, line in _content_lines(text):
         # a parsed line's register operands are its tokens 1 and 2
-        for tok, col in _tokens(line)[1:3]:
+        for at, tok in enumerate(line.split()[1:3], start=1):
             if int(tok) > cap:
-                err = SourceError(ln, col, f"{what} takes register indices up to {cap}")
+                err = _Bad(at, f"{what} takes register indices up to {cap}").error(ln, line)
                 raise _Failure(f"{path}: {err}")
 
 

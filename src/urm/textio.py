@@ -3,12 +3,12 @@
 Programs are one instruction per line (`Z i`, `S i`, `T i j`, `J i j k`),
 configurations are comma-separated naturals, and certificates are a
 line-oriented `key: value` format.  All formats treat `#` as a comment
-to end of line and ignore blank lines: every reader takes its lines from
-`_content_lines`, and the comma lists (a configuration, `init:`) are
-read by `_fields`.  Errors are reported as SourceError with the 1-based
-line and column of the offending token.
+to end of line and ignore blank lines.  Every reader splits the lines of
+`_content_lines` with `str.split` (a comma list with `_fields`), and a
+SourceError gives the 1-based line and column of the offending token,
+computed only for the line that fails.
 
-Certificate grammar, by key:
+Certificate grammar, by key, in any order:
 
     kind: diverges | terminates
     params: m n z                # parameter names, space-separated
@@ -59,44 +59,62 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield ln, line
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+class _Bad(Exception):
+    """`_Bad(at, message)`: the `at`-th token (or field) of a line split
+    by a reader is wrong, or the whole line when `at` is None."""
+
+    def error(self, ln: int, text: str, col: int = 1, sep: str | None = None) -> SourceError:
+        """Its SourceError on line `ln`, `text` (split on whitespace or `sep`)
+        starting at column `col`; a blank field is placed at its end."""
+        at, message = self.args
+        if at is None:
+            return SourceError(ln, 1, message)
+        if sep is None:
+            start = ([m.start() for m in _TOKEN.finditer(text)][at:] or [0])[0]
+        else:
+            parts = text.split(sep)[: at + 1]
+            start = sum(map(len, parts)) + at - len(parts[-1].lstrip())
+        return SourceError(ln, col + start, message)
 
 
-def _nat(tok: str, line: int, column: int) -> int:
+def _nat(tok: str, at: int) -> int:
     if not (tok.isascii() and tok.isdigit()):
-        raise SourceError(line, column, f"expected a natural number, got {tok!r}")
+        raise _Bad(at, f"expected a natural number, got {tok!r}")
     try:
         return int(tok)
     except ValueError:  # longer than the interpreter's int conversion limit
-        raise SourceError(line, column, f"number too long ({len(tok)} digits)") from None
+        raise _Bad(at, f"number too long ({len(tok)} digits)") from None
 
 
-def _reg_index(tok: str, line: int, column: int) -> int | None:
-    """`parse_reg_var` of a token, with a positioned error for an index
-    longer than the interpreter's int conversion limit."""
+def _register(tok: str, at: int, refusal: str | None = None) -> int | None:
+    """`parse_reg_var` of a token, refusing an index past the int digit
+    limit and, given a `refusal`, a token that names no register."""
     try:
-        return parse_reg_var(tok)
+        index = parse_reg_var(tok)
     except ValueError:
-        raise SourceError(line, column, f"number too long ({len(tok) - 1} digits)") from None
+        raise _Bad(at, f"number too long ({len(tok) - 1} digits)") from None
+    if index is None and refusal:
+        raise _Bad(at, refusal)
+    return index
 
 
 def parse_program(text: str) -> Program:
     """Program from assembly text; positions follow file order."""
     instructions: list[Instruction] = []
     for ln, line in _content_lines(text):
-        toks = _tokens(line)
-        (mnemonic, mcol), args = toks[0], toks[1:]
-        kind = _SYNTAX.get(mnemonic)
-        if kind is None:
-            raise SourceError(ln, mcol, f"unknown mnemonic {mnemonic!r}")
-        arity = len(kind.__match_args__)
-        if len(args) != arity:
-            raise SourceError(ln, mcol, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
-        values = [_nat(tok, ln, col) for tok, col in args]
-        for value, (_, col) in zip(values[:2], args):
-            if value < 1:
-                raise SourceError(ln, col, "register indices start at 1")
+        mnemonic, *args = line.split()
+        try:
+            kind = _SYNTAX.get(mnemonic)
+            if kind is None:
+                raise _Bad(0, f"unknown mnemonic {mnemonic!r}")
+            arity = len(kind.__match_args__)
+            if len(args) != arity:
+                raise _Bad(0, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
+            values = [_nat(tok, at) for at, tok in enumerate(args, start=1)]
+            if 0 in values[:2]:
+                raise _Bad(values.index(0) + 1, "register indices start at 1")
+        except _Bad as bad:
+            raise bad.error(ln, line) from None
         instructions.append(kind(*values))
     if not instructions:
         raise SourceError(1, 1, "empty program")
@@ -111,17 +129,14 @@ def print_program(p: Program) -> str:
     )
 
 
-def _fields(text: str, ln: int, col: int, what: str, read: Callable[[str, int, int], object]) -> list:
-    """`read(token, ln, column)` of each field of the comma list `text`,
-    whose first character is at column `col`."""
+def _fields(text: str, what: str, read: Callable[[str, int], object]) -> list:
+    """`read(field, at)` of each field of the comma list `text`, the `at`-th."""
     out = []
-    for part in text.split(","):
+    for at, part in enumerate(text.split(",")):
         tok = part.strip()
-        column = col + len(part) - len(part.lstrip())
         if not tok:
-            raise SourceError(ln, column, f"expected {what}")
-        out.append(read(tok, ln, column))
-        col += len(part) + 1
+            raise _Bad(at, f"expected {what}")
+        out.append(read(tok, at))
     return out
 
 
@@ -142,7 +157,10 @@ def parse_config(text: str) -> FiniteConfig:
             return FiniteConfig._of(tuple(map(int, body.split(","))))
         except ValueError:
             pass
-    return FiniteConfig._of(tuple(_fields(line, ln, 1, "a natural number", _nat)))
+    try:
+        return FiniteConfig._of(tuple(_fields(line, "a natural number", _nat)))
+    except _Bad as bad:
+        raise bad.error(ln, line, sep=",") from None
 
 
 def format_config(values) -> str:
@@ -150,23 +168,25 @@ def format_config(values) -> str:
     return ",".join(map(_decimal, values))
 
 
-def _parse_term(tok: str, ln: int, col: int, names: str) -> tuple[str | None, int]:
-    """Operand `ident`, `ident+nat`, or `nat` as (variable, offset)."""
+def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
+    """Operand `ident`, `ident+nat`, or `nat` as (variable, offset); the
+    variable of a "register" operand must name one."""
     base, plus, offset_tok = tok.partition("+")
     if plus and not offset_tok:
-        raise SourceError(ln, col, f"missing offset after '+' in {tok!r}")
+        raise _Bad(at, f"missing offset after '+' in {tok!r}")
     if base.isascii() and base.isdigit():
         if plus:
-            raise SourceError(ln, col, f"offset on a constant in {tok!r}")
-        return None, _nat(base, ln, col)
+            raise _Bad(at, f"offset on a constant in {tok!r}")
+        return None, _nat(base, at)
     if not _IDENT.match(base):
-        raise SourceError(ln, col, f"expected a {names} operand, got {tok!r}")
-    offset = _nat(offset_tok, ln, col) if plus else 0
+        raise _Bad(at, f"expected a {names} operand, got {tok!r}")
+    offset = _nat(offset_tok, at) if plus else 0
+    if names == "register":
+        _register(base, at, f"expected a register operand like r1, got {tok!r}")
     return base, offset
 
 
-# Keys that may appear at most once.
-_ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))
+_ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A
 # constraint set's closure holds a bound per pair of its equality classes,
 # so without `=` atoms its memory grows with the square of its atoms; at
@@ -184,94 +204,79 @@ def parse_cert(text: str):
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []
     invariant: list[Atom] = []
+    uses: dict[str, tuple[int, str, int]] = {}  # a parameter's first (line number, line, token)
 
-    def param_term(tok: str, ln: int, col: int) -> tuple[str | None, int]:
-        var, offset = _parse_term(tok, ln, col, "parameter")
-        if var is not None and var not in once.get("params", ()):
-            raise SourceError(ln, col, f"undeclared parameter {var!r}")
+    def param_term(tok: str, at: int) -> tuple[str | None, int]:
+        var, offset = _term(tok, at, "parameter")
+        if var is not None and var not in uses:
+            uses[var] = (ln, line, at)
         return var, offset
 
-    def register_term(tok: str, ln: int, col: int) -> tuple[str | None, int]:
-        var, offset = _parse_term(tok, ln, col, "register")
-        if var is not None and _reg_index(var, ln, col) is None:
-            raise SourceError(ln, col, f"expected a register operand like r1, got {tok!r}")
-        return var, offset
-
-    def atom(toks: list[tuple[str, int]], ln: int, term) -> Atom:
-        if len(toks) != 3:
-            raise SourceError(ln, toks[0][1] if toks else 1, "expected 'A rel B'")
-        (ltok, lcol), (rel, rcol), (rtok, ccol) = toks
-        if rel not in REL_SYMBOLS:
-            raise SourceError(ln, rcol, f"unknown relation {rel!r}")
-        vx, cx = term(ltok, ln, lcol)
-        vy, cy = term(rtok, ln, ccol)
-        return Atom(vx, vy, rel, cy - cx)
-
-    def register(tok: str, ln: int, col: int) -> int:
-        index = _reg_index(tok, ln, col)
-        if index is None:
-            raise SourceError(ln, col, f"expected a register like r1, got {tok!r}")
-        return index
-
-    def pair(toks: list[tuple[str, int]], ln: int, what: str) -> tuple[int, int, list[tuple[str, int]]]:
-        if len(toks) < 3 or toks[1][0] != "-":
-            raise SourceError(ln, toks[0][1] if toks else 1, f"expected '{what}'")
-        return register(toks[0][0], ln, toks[0][1]), register(toks[2][0], ln, toks[2][1]), toks[3:]
-
-    for ln, line in _content_lines(text):
-        key, colon, value = line.partition(":")
-        if not colon:
-            raise SourceError(ln, 1, "expected 'key: value'")
-        vcol = len(key) + 2
-        key = key.strip()
-        toks = [(tok, vcol + col - 1) for tok, col in _tokens(value)]
-        col0 = toks[0][1] if toks else vcol
-        if key in _ONCE:
+    try:
+        for ln, line in _content_lines(text):
+            key, colon, value = line.partition(":")
+            key, toks = key.strip(), value.split()
+            if not colon:
+                raise _Bad(None, "expected 'key: value'")
+            if key == "constraint" or key == "invariant":
+                if len(constraints) + len(invariant) == MAX_ATOM_LINES:
+                    raise _Bad(None, f"more than {MAX_ATOM_LINES} constraint and invariant lines")
+                if len(toks) != 3:
+                    raise _Bad(0 if toks else None, "expected 'A rel B'")
+                if toks[1] not in REL_SYMBOLS:
+                    raise _Bad(1, f"unknown relation {toks[1]!r}")
+                if key == "constraint":
+                    (vx, cx), (vy, cy) = param_term(toks[0], 0), param_term(toks[2], 2)
+                else:
+                    (vx, cx), (vy, cy) = _term(toks[0], 0, "register"), _term(toks[2], 2, "register")
+                (constraints if key == "constraint" else invariant).append(Atom(vx, vy, toks[1], cy - cx))
+                continue
+            if key not in _ONCE:
+                raise _Bad(None, f"unknown key {key!r}")
             if key in seen:
-                raise SourceError(ln, 1, f"duplicate {key!r} line (first on line {seen[key]})")
+                raise _Bad(None, f"duplicate {key!r} line (first on line {seen[key]})")
             seen[key] = ln
-        elif key in ("constraint", "invariant") and len(constraints) + len(invariant) == MAX_ATOM_LINES:
-            raise SourceError(ln, 1, f"more than {MAX_ATOM_LINES} constraint and invariant lines")
-        if key == "kind":
-            if value.strip() not in ("diverges", "terminates"):
-                raise SourceError(ln, col0, "kind must be 'diverges' or 'terminates'")
-            once[key] = value.strip()
-        elif key == "params":
-            names = once[key] = []
-            for tok, col in toks:
-                if not _IDENT.match(tok):
-                    raise SourceError(ln, col, f"invalid parameter name {tok!r}")
-                if _reg_index(tok, ln, col) is not None:
-                    raise SourceError(ln, col, f"parameter {tok!r} clashes with a register name")
-                if tok in names:
-                    raise SourceError(ln, col, f"duplicate parameter {tok!r}")
-                names.append(tok)
-        elif key == "constraint":
-            constraints.append(atom(toks, ln, param_term))
-        elif key == "init":
-            terms = _fields(value, ln, vcol, "a value", param_term)
-            once[key] = {i: SymValue(*term) for i, term in enumerate(terms, start=1)}
-        elif key in ("head", "bound"):
-            if len(toks) != 1:
-                what = "position" if key == "head" else "step bound"
-                raise SourceError(ln, col0, f"expected a single {what}")
-            once[key] = _nat(toks[0][0], ln, toks[0][1])
-            if key == "bound" and once[key] > MAX_STEP_BOUND:
-                raise SourceError(ln, toks[0][1], f"bound must be at most {MAX_STEP_BOUND}")
-        elif key == "invariant":
-            invariant.append(atom(toks, ln, register_term))
-        elif key == "split":
-            x, y, rest = pair(toks, ln, "split: rX - rY > k")
-            if len(rest) != 2 or rest[0][0] != ">":
-                raise SourceError(ln, rest[0][1] if rest else col0, "expected '> k' after the register pair")
-            once[key] = (x, y, _nat(rest[1][0], ln, rest[1][1]))
-        elif key == "ranking":
-            x, y, rest = pair(toks, ln, "ranking: rX - rY")
-            if rest:
-                raise SourceError(ln, rest[0][1], "unexpected trailing tokens")
-            once[key] = (x, y)
-        else:
-            raise SourceError(ln, 1, f"unknown key {key!r}")
+            if key == "kind":
+                if toks not in (["diverges"], ["terminates"]):
+                    raise _Bad(0, "kind must be 'diverges' or 'terminates'")
+                once[key] = toks[0]
+            elif key == "params":
+                names = once[key] = set()
+                for at, tok in enumerate(toks):
+                    if not _IDENT.match(tok):
+                        raise _Bad(at, f"invalid parameter name {tok!r}")
+                    if _register(tok, at) is not None:
+                        raise _Bad(at, f"parameter {tok!r} clashes with a register name")
+                    if tok in names:
+                        raise _Bad(at, f"duplicate parameter {tok!r}")
+                    names.add(tok)
+            elif key == "init":
+                once[key] = {i: SymValue(*term) for i, term in enumerate(_fields(value, "a value", param_term), 1)}
+            elif key in ("head", "bound"):
+                if len(toks) != 1:
+                    raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")
+                once[key] = _nat(toks[0], 0)
+                if key == "bound" and once[key] > MAX_STEP_BOUND:
+                    raise _Bad(0, f"bound must be at most {MAX_STEP_BOUND}")
+            else:  # a register pair `rX - rY`, then `> k` for a split
+                if len(toks) < 3 or toks[1] != "-":
+                    raise _Bad(0 if toks else None, f"expected '{key}: rX - rY{' > k' * (key == 'split')}'")
+                once[key] = tuple(_register(toks[at], at, f"expected a register like r1, got {toks[at]!r}")
+                                  for at in (0, 2))
+                if key == "ranking":
+                    if len(toks) > 3:
+                        raise _Bad(3, "unexpected trailing tokens")
+                elif len(toks) != 5 or toks[3] != ">":
+                    raise _Bad(3 if len(toks) > 3 else 0, "expected '> k' after the register pair")
+                else:
+                    once[key] += (_nat(toks[4], 4),)
+        params = once.get("params", ())
+        for var, (ln, line, at) in uses.items():
+            if var not in params:
+                raise _Bad(at, f"undeclared parameter {var!r}")
+    except _Bad as bad:
+        key, _, value = line.partition(":")
+        raise bad.error(ln, value, len(key) + 2, "," if key.strip() == "init" else None) from None
 
     for key in ("kind", "head", "bound"):
         if key not in once:
@@ -280,19 +285,13 @@ def parse_cert(text: str):
         raise SourceError(seen["bound"], 1, "bound must be at least 1")
     if once["head"] < 1:
         raise SourceError(seen["head"], 1, "head positions start at 1")
-    common = dict(
-        param_constraints=ConstraintSet(frozenset(constraints)),
-        init=once.get("init", {}),
-        loop_head=once["head"],
-        invariant=tuple(invariant),
-        step_bound=once["bound"],
-    )
-    if once["kind"] == "diverges":
-        for key in ("split", "ranking"):
-            if key in seen:
-                raise SourceError(seen[key], 1, f"{key!r} is only for kind terminates")
-        return DivergenceCert(**common)
+    terminates = once["kind"] == "terminates"
     for key in ("split", "ranking"):
-        if key not in once:
+        if key in seen and not terminates:
+            raise SourceError(seen[key], 1, f"{key!r} is only for kind terminates")
+        if key not in once and terminates:
             raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
-    return TerminationCert(**common, split=once["split"], ranking=once["ranking"])
+    cert = TerminationCert if terminates else DivergenceCert
+    return cert(param_constraints=ConstraintSet(frozenset(constraints)), init=once.get("init", {}),
+                loop_head=once["head"], invariant=tuple(invariant), step_bound=once["bound"],
+                **{key: once[key] for key in ("split", "ranking") if terminates})

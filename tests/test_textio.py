@@ -375,7 +375,7 @@ ERRORS = [
     (parse_cert, D + "params: m n\nconstraint: m <", 3, 13, "expected 'A rel B'"),
     (parse_cert, D + "params: m n\nconstraint: m ~ n", 3, 15, "unknown relation '~'"),
     (parse_cert, D + "params: m n\nconstraint: m < q", 3, 17, "undeclared parameter 'q'"),
-    (parse_cert, D + "constraint: m < n\nparams: m n", 2, 13, "undeclared parameter 'm'"),
+    (parse_cert, D + "constraint: m < n\nparams: m", 2, 17, "undeclared parameter 'n'"),
     (parse_cert, D + "params: m n\nconstraint: m < n+", 3, 17, "missing offset after '+' in 'n+'"),
     (parse_cert, D + "params: m n\nconstraint: m < 3+1", 3, 17, "offset on a constant in '3+1'"),
     (parse_cert, D + "params: m n\nconstraint: m < -n", 3, 17, "expected a parameter operand, got '-n'"),

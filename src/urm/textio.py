@@ -259,8 +259,9 @@ def parse_cert(text: str):
                 if key == "bound" and once[key] > MAX_STEP_BOUND:
                     raise _Bad(0, f"bound must be at most {MAX_STEP_BOUND}")
             else:  # a register pair `rX - rY`, then `> k` for a split
+                form = "split: rX - rY > k" if key == "split" else "ranking: rX - rY"
                 if len(toks) < 3 or toks[1] != "-":
-                    raise _Bad(0 if toks else None, f"expected '{key}: rX - rY{' > k' * (key == 'split')}'")
+                    raise _Bad(0 if toks else None, f"expected '{form}'")
                 once[key] = tuple(_register(toks[at], at, f"expected a register like r1, got {toks[at]!r}")
                                   for at in (0, 2))
                 if key == "ranking":

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 import sys
 import tracemalloc
 
@@ -28,7 +30,7 @@ from urm import (
     parse_program,
     print_program,
 )
-from urm.textio import MAX_STEP_BOUND
+from urm.textio import MAX_STEP_BOUND, _Bad
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
@@ -432,3 +434,182 @@ def test_source_error_renders_position():
     err = SourceError(3, 7, "bad token")
     assert "line 3" in str(err)
     assert "column 7" in str(err)
+
+
+def test_params_may_come_on_any_line():
+    lines = _lines().split("\n")
+    assert lines[1].startswith("params:")
+    assert parse_cert("\n".join(lines[:1] + lines[2:] + lines[1:2])) == parse_cert(_lines())
+    after = parse_cert(D + "init: m, n+1\nconstraint: m < n\nparams: n m\nhead: 1\nbound: 2")
+    assert after == parse_cert(D + "params: n m\ninit: m, n+1\nconstraint: m < n\nhead: 1\nbound: 2")
+    assert after.init == {1: SymValue("m"), 2: SymValue("n", 1)}
+
+
+def test_the_first_undeclared_parameter_in_file_order_is_reported():
+    cases = [
+        # q is used before p, and its first use is the one reported
+        (D + "init: m, q\nconstraint: p < q\nparams: m\nhead: 1\nbound: 1", 2, 10, "q"),
+        (D + "constraint: m < q\ninit: q, p\nparams: m", 2, 17, "q"),
+        (D + "params: m\nhead: 1\nconstraint: m+1 < m\nbound: 1\nconstraint: 0 <= z+2", 6, 18, "z"),
+    ]
+    for text, line, column, name in cases:
+        with pytest.raises(SourceError) as info:
+            parse_cert(text)
+        assert (info.value.line, info.value.column, info.value.message) == (
+            line, column, f"undeclared parameter {name!r}")
+
+
+# What str.split and the regex \S+ both read as whitespace: ASCII blanks,
+# a CRLF file's \r, the information separators \x1c-\x1f, NEL, no-break
+# and ideographic spaces.
+SPACES = [" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "　"]
+
+
+def test_split_tokens_and_error_columns_agree_with_the_regex():
+    rng = random.Random(23)
+    for _ in range(5000):
+        line = "".join(rng.choices(SPACES + list("ab1+,-<:"), k=rng.randint(0, 24)))
+        found = list(re.finditer(r"\S+", line))
+        assert line.split() == [m.group() for m in found]
+        for at, m in enumerate(found):
+            assert _Bad(at, "bad").error(1, line).column == m.start() + 1
+
+
+def _spaced(rng: random.Random, toks: list[str]) -> tuple[str, list[int]]:
+    """`toks` joined by random runs of whitespace, and each one's column."""
+    line, columns = "".join(rng.choices(SPACES, k=rng.randint(0, 2))), []
+    for tok in toks:
+        columns.append(len(line) + 1)
+        line += tok + "".join(rng.choices(SPACES, k=rng.randint(1, 3)))
+    return line, columns
+
+
+def test_readers_place_an_error_by_the_regex_columns():
+    rng = random.Random(29)
+    for _ in range(3000):
+        at = rng.randrange(4)
+        toks = ["J", "1", "2", "3"]
+        toks[at] = "x" if at else "Q"
+        line, columns = _spaced(rng, toks)
+        comment = rng.choice(["", "# J x Q", "#"])
+        with pytest.raises(SourceError) as info:
+            parse_program("S 1\r\n\n" + line + comment + "\r\nS 2")
+        assert (info.value.line, info.value.column) == (3, columns[at])
+        rel = rng.choice(["<", "~"])
+        toks = ["r1", rel, "r2"]
+        at = 1 if rel == "~" else rng.choice([0, 2])
+        if rel == "<":
+            toks[at] = "r01"
+        line, columns = _spaced(rng, toks)
+        with pytest.raises(SourceError) as info:
+            parse_cert(D + "invariant:" + line + comment + "\nhead: 1\nbound: 1")
+        assert (info.value.line, info.value.column) == (2, len("invariant:") + columns[at])
+
+
+LETTERS = "abcdefghjkmnpstuvwxy"
+
+
+def _random_cert(rng: random.Random) -> list[tuple[str, list[str]]]:
+    """A valid certificate as (key, value tokens) lines in random order;
+    `init:` has one token per comma field."""
+    params = rng.sample(LETTERS, rng.randint(1, 5))
+    regs = rng.randint(1, 6)
+
+    def term(names: list[str]) -> str:
+        roll = rng.random()
+        if roll < 0.2:
+            return str(rng.randrange(50))
+        return rng.choice(names) + (f"+{rng.randrange(9)}" if roll > 0.7 else "")
+
+    registers = [f"r{i}" for i in range(1, regs + 1)]
+    kind = rng.choice(["diverges", "terminates"])
+    lines = [("kind", [kind]), ("params", params), ("init", [term(params) for _ in range(regs)]),
+             ("head", [str(rng.randint(1, 5))]), ("bound", [str(rng.randint(1, 100))])]
+    for key, names in (("constraint", params), ("invariant", registers)):
+        lines += [(key, [term(names), rng.choice(["<", "<=", "=", ">=", ">", "!="]), term(names)])
+                  for _ in range(rng.randint(0, 4))]
+    if kind == "terminates":
+        x, y = rng.choice(registers), rng.choice(registers)
+        lines += [("split", [x, "-", y, ">", str(rng.randrange(5))]), ("ranking", [x, "-", y])]
+    rng.shuffle(lines)
+    return lines
+
+
+LONG_REG = "r" + LONG
+# Replacements that make any line they land on wrong, by key and token
+# index (None: any token of that key).
+MUTATIONS = {
+    ("kind", None): ["loops", LONG],
+    ("params", None): [LONG, "r1", "2x"],
+    ("constraint", 0): ["", LONG, "zz", "r01", "m+"],
+    ("constraint", 1): ["", "~", "=>"],
+    ("invariant", 0): ["", LONG, LONG_REG, "r01", "m"],
+    ("invariant", 1): ["", "~"],
+    ("init", None): ["", LONG, "zz", "r01"],
+    ("head", None): [LONG, "x", "-1"],
+    ("bound", None): [LONG, "x", "0x1"],
+    ("split", 0): ["", LONG_REG, "r01"],
+    ("split", 3): ["", ">="],
+    ("split", 4): ["", LONG, "-1"],
+    ("ranking", 0): ["", LONG_REG, "r01"],
+}
+MUTATIONS[("constraint", 2)] = MUTATIONS[("constraint", 0)]
+MUTATIONS[("invariant", 2)] = MUTATIONS[("invariant", 0)]
+MUTATIONS[("ranking", 2)] = MUTATIONS[("split", 2)] = MUTATIONS[("split", 0)]
+
+
+def _token_starts(line: str, start: int = 0) -> set[int]:
+    """Column 1, and each column of `line` from its index `start` on where
+    a token or a comma field begins, or where a blank comma field ends."""
+    fields = line[start:].split(",")
+    ends = list(itertools.accumulate(len(field) + 1 for field in fields))
+    return ({1} | {m.start() + 1 for m in re.compile(r"\S+").finditer(line, start)}
+            | {start + end - len(field) for end, field in zip(ends, fields)}
+            | {start + end for end, field in zip(ends, fields) if not field.strip()})
+
+
+def _lay_out(rng: random.Random, lines: list[tuple[int, str]]) -> tuple[str, list[int]]:
+    """The text of `lines` with blank and comment lines between them, and
+    each one's line number."""
+    out, numbers = [], []
+    for line in lines:
+        out += rng.choice([[], [""], ["# note"], ["  # r1 < r2"]])
+        numbers.append(len(out) + 1)
+        out.append(line + rng.choice(["", "  # note", "\r"]))
+    return "\n".join(out), numbers
+
+
+def _cert_line(rng: random.Random, key: str, toks: list[str]) -> str:
+    return key + ":" + (" " + ",".join(toks) if key == "init" else _spaced(rng, toks)[0])
+
+
+def test_every_mutated_token_is_refused_at_its_line():
+    rng = random.Random(31)
+    for _ in range(600):
+        lines = _random_cert(rng)
+        texts = [_cert_line(rng, key, toks) for key, toks in lines]
+        layout = rng.random()
+        parse_cert(_lay_out(random.Random(layout), texts)[0])
+        i, at = rng.choice([(i, at) for i, (key, toks) in enumerate(lines) for at in range(len(toks))
+                            if (key, at) in MUTATIONS or (key, None) in MUTATIONS])
+        key, toks = lines[i][0], list(lines[i][1])
+        toks[at] = rng.choice(MUTATIONS.get((key, at)) or MUTATIONS[(key, None)])
+        texts[i] = _cert_line(rng, key, toks)
+        text, numbers = _lay_out(random.Random(layout), texts)
+        with pytest.raises(SourceError) as info:
+            parse_cert(text)
+        line = text.split("\n")[numbers[i] - 1]
+        assert info.value.line == numbers[i], (text, info.value)
+        assert info.value.column in _token_starts(line, len(key) + 1), (line, info.value)
+    for _ in range(600):
+        toks = [line.split() for line in print_program(random_program(rng, max_len=8, max_reg=9)).split("\n")]
+        i = rng.randrange(len(toks))
+        at = rng.randrange(len(toks[i]))
+        toks[i][at] = rng.choice(["Q", "", "z"]) if at == 0 else rng.choice(["", LONG, "r01", "-1", "x"])
+        texts = [_spaced(rng, line)[0] for line in toks]
+        text, numbers = _lay_out(rng, texts)
+        with pytest.raises(SourceError) as info:
+            parse_program(text)
+        line = text.split("\n")[numbers[i] - 1]
+        assert info.value.line == numbers[i], (text, info.value)
+        assert info.value.column in _token_starts(line), (line, info.value)

@@ -17,6 +17,10 @@ difference must be nonnegative and strictly decrease, and under the
 exit case the program must halt within the step bound.  The two cases
 cover all values, so together they prove the loop exits.
 
+Each invariant operand is resolved to its register index once, when the
+certificate is constructed; the checks read those indices and never a
+register name.
+
 Rejection reports carry a single reason code and, where useful, the
 offending program position or invariant atom.  Parameter constraints
 that no input meets are rejected too: such a claim holds only because
@@ -36,7 +40,6 @@ from .constraints import (
     entails,
     parse_reg_var,
     reg_var,
-    substitute,
     _satisfiable,
     _ZERO,
 )
@@ -156,6 +159,14 @@ class TerminationCert:
 Cert = Union[DivergenceCert, TerminationCert]
 
 
+def _reg_index(var: str | None) -> int:
+    """Register index of an invariant operand; 0 for an absent side."""
+    index = 0 if var is None else parse_reg_var(var)
+    if index is None:
+        raise ValueError(f"not a register operand: {var!r}")
+    return index
+
+
 def _check_common(cert: Cert) -> None:
     if cert.loop_head < 1:
         raise PcOutOfRange("loop head is indexed from 1")
@@ -164,10 +175,9 @@ def _check_common(cert: Cert) -> None:
     for index in cert.init:
         if index < 1:
             raise ValueError("registers are indexed from 1")
-    for a in cert.invariant:
-        for var in (a.x, a.y):
-            if var is not None and parse_reg_var(var) is None:
-                raise ValueError(f"not a register operand: {var!r}")
+    # each atom's (x, y) register indices, kept as `Program` keeps its
+    # facts: no field, so equality and `repr` see only the claim
+    object.__setattr__(cert, "_operands", tuple((_reg_index(a.x), _reg_index(a.y)) for a in cert.invariant))
 
 
 # The ten rule strings, (non-final, final) per tag, built once: a trail
@@ -221,7 +231,7 @@ def _universe(p: Program, cert: Cert) -> set[int]:
     """The registers the program or the certificate mentions; no other
     register is ever read, so the symbolic state leaves them out."""
     out = set(p.registers) | set(cert.init)
-    out |= {parse_reg_var(var) for a in cert.invariant for var in a.variables()}
+    out |= {i for pair in cert._operands for i in pair if i}
     if isinstance(cert, TerminationCert):
         out |= {*cert.split[:2], *cert.ranking}
     return out
@@ -270,11 +280,14 @@ def _assume(cert: Cert, universe: set[int], *extra: Atom) -> tuple[SymState, Con
     return start, ConstraintSet(frozenset((*cert.invariant, *extra)))
 
 
-def _require_entailed(code: str, cs: ConstraintSet, atoms: tuple[Atom, ...], regs: Mapping[int, SymValue]) -> None:
-    """Reject with `code` at the first atom that `cs` does not entail once
-    its registers read `regs`."""
-    for a in atoms:
-        if not entails(cs, substitute(a, regs)):
+def _require_entailed(code: str, cs: ConstraintSet, cert: Cert, regs: Mapping[int, SymValue]) -> None:
+    """Reject with `code` at the first invariant atom that `cs` does not
+    entail once its registers read `regs`, their offsets folded into the
+    bound; `regs` holds every register of the `_universe`."""
+    for a, (i, j) in zip(cert.invariant, cert._operands):
+        x = regs[i] if i else _ZERO
+        y = regs[j] if j else _ZERO
+        if not entails(cs, Atom(x.var, y.var, a.rel, a.k - x.offset + y.offset)):
             raise _Rejected(code, atom=a)
 
 
@@ -296,7 +309,7 @@ def _enter_loop(p: Program, cert: Cert) -> set[int]:
         if not isinstance(res, SymNext):
             raise _Rejected(PREFIX_FAILED)
         s = res.state
-    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert.invariant, s.regs)
+    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s.regs)
     return universe
 
 
@@ -310,7 +323,7 @@ def _close_loop(p: Program, cert: Cert, universe: set[int], *extra: Atom):
         raise _Rejected(HALTED_DURING_LOOP, pc=res.state.pc)
     if res is None:
         raise _Rejected(LOOP_NOT_CLOSED)
-    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert.invariant, res.state.regs)
+    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, res.state.regs)
     return start, res.state, cs, trail
 
 

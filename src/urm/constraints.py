@@ -30,6 +30,9 @@ syntactically identical atom.  Certificates that would need case
 analysis on a disequality have to be rewritten with strict bounds.
 
 All variables range over naturals; `x >= 0` is ambient and never stated.
+A certificate names register i by the variable `reg_var(i)`, `ri`;
+`parse_reg_var` reads such a name back, and the certificate checker
+substitutes symbolic values for its registers by index.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 from .errors import UnsupportedAtom
 
@@ -287,24 +289,6 @@ def parse_reg_var(name: str) -> int | None:
     if name[:1] == "r" and digits.isascii() and digits.isdigit() and digits[0] != "0":
         return int(digits)
     return None
-
-
-def _subst_side(var: str | None, regs: Mapping[int, SymValue]) -> SymValue:
-    if var is None:
-        return _ZERO
-    index = parse_reg_var(var)
-    if index is None:
-        raise ValueError(f"not a register operand: {var!r}")
-    if index not in regs:
-        raise ValueError(f"register {index} has no symbolic value")
-    return regs[index]
-
-
-def substitute(a: Atom, regs: Mapping[int, SymValue]) -> Atom:
-    """Replace register operands by their symbolic values, folding offsets."""
-    x = _subst_side(a.x, regs)
-    y = _subst_side(a.y, regs)
-    return Atom(x.var, y.var, a.rel, a.k - x.offset + y.offset)
 
 
 # `str` refuses an int of more digits than sys.get_int_max_str_digits(),

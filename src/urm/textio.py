@@ -65,15 +65,19 @@ class _Bad(Exception):
 
     def error(self, ln: int, text: str, col: int = 1, sep: str | None = None) -> SourceError:
         """Its SourceError on line `ln`, `text` (split on whitespace or `sep`)
-        starting at column `col`; a blank field is placed at its end."""
+        starting at column `col`.  A blank field is placed at the separator
+        after it, or, when it is the last field, at the one before it (for a
+        lone field, the column before `col`), so never past the line's end."""
         at, message = self.args
         if at is None:
             return SourceError(ln, 1, message)
         if sep is None:
             start = ([m.start() for m in _TOKEN.finditer(text)][at:] or [0])[0]
         else:
-            parts = text.split(sep)[: at + 1]
-            start = sum(map(len, parts)) + at - len(parts[-1].lstrip())
+            parts = text.split(sep)
+            start = sum(map(len, parts[: at + 1])) + at - len(parts[at].lstrip())
+            if at == len(parts) - 1 and not parts[at].strip():
+                start -= len(parts[at]) + 1
         return SourceError(ln, col + start, message)
 
 
@@ -256,6 +260,8 @@ def parse_cert(text: str):
                 if len(toks) != 1:
                     raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")
                 once[key] = _nat(toks[0], 0)
+                if once[key] < 1:
+                    raise _Bad(0, "head positions start at 1" if key == "head" else "bound must be at least 1")
                 if key == "bound" and once[key] > MAX_STEP_BOUND:
                     raise _Bad(0, f"bound must be at most {MAX_STEP_BOUND}")
             else:  # a register pair `rX - rY`, then `> k` for a split
@@ -282,10 +288,6 @@ def parse_cert(text: str):
     for key in ("kind", "head", "bound"):
         if key not in once:
             raise SourceError(1, 1, f"missing {key!r} line")
-    if once["bound"] < 1:
-        raise SourceError(seen["bound"], 1, "bound must be at least 1")
-    if once["head"] < 1:
-        raise SourceError(seen["head"], 1, "head positions start at 1")
     terminates = once["kind"] == "terminates"
     for key in ("split", "ranking"):
         if key in seen and not terminates:

@@ -18,6 +18,8 @@ from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, random
 from urm.certificates import (
     DivergenceCert,
     HALTED_DURING_LOOP,
+    INVARIANT_NOT_ESTABLISHED,
+    INVARIANT_NOT_PRESERVED,
     RANKING_NOT_NONNEGATIVE,
     TerminationCert,
     UNDECIDED_BRANCH,
@@ -250,19 +252,25 @@ def test_criterion_07_certificates_match_sampled_behavior(samples_dir):
 
 
 def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
+    # the last two need an invariant atom's offsets folded into its bound,
+    # from the file (r1+2 < r2+1) and from the loop's S 2 (r2+1 <= r1+5)
     cases = [
-        ("minus.urm", "rejected/minus-div-weak.cert", UNDECIDED_BRANCH, 1),
-        ("b.urm", "rejected/b-div.cert", HALTED_DURING_LOOP, 2),
-        ("minus.urm", "rejected/minus-term-revrank.cert", RANKING_NOT_NONNEGATIVE, None),
+        ("minus.urm", "rejected/minus-div-weak.cert", UNDECIDED_BRANCH, 1, None),
+        ("b.urm", "rejected/b-div.cert", HALTED_DURING_LOOP, 2, None),
+        ("minus.urm", "rejected/minus-term-revrank.cert", RANKING_NOT_NONNEGATIVE, None, None),
+        ("minus.urm", "rejected/minus-div-gap.cert", INVARIANT_NOT_ESTABLISHED, None, Atom("r1", "r2", "<=", -2)),
+        ("minus.urm", "rejected/minus-div-window.cert", INVARIANT_NOT_PRESERVED, None, Atom("r2", "r1", "<=", 4)),
     ]
-    for prog_name, cert_name, code, pc in cases:
+    for prog_name, cert_name, code, pc, atom in cases:
         p, cert = _load(samples_dir, prog_name, cert_name)
         report = _check(p, cert)
         assert not report.accepted
         assert report.reason.code == code
         assert report.reason.pc == pc
-    print("criterion 8 PASS: 3 rejected certificates with codes "
-          f"{UNDECIDED_BRANCH}, {HALTED_DURING_LOOP}, {RANKING_NOT_NONNEGATIVE}")
+        assert report.reason.atom == atom
+    print("criterion 8 PASS: 5 rejected certificates with codes "
+          f"{UNDECIDED_BRANCH}, {HALTED_DURING_LOOP}, {RANKING_NOT_NONNEGATIVE}, "
+          f"{INVARIANT_NOT_ESTABLISHED}, {INVARIANT_NOT_PRESERVED}")
 
 
 def _random_operand(rng, names):

@@ -20,12 +20,13 @@ PUBLIC = [
     "check_divergence", "check_termination", "compatible", "decide_abstract", "decide_eq",
     "entails", "format_atom", "format_config", "include", "mv", "parse_cert", "parse_config",
     "parse_program", "print_program", "reg_var", "restrict", "run", "run_finite", "sc", "step",
-    "substitute", "sym_step", "trace", "zr",
+    "sym_step", "trace", "zr",
 ]
 
 # Removed because nothing in the package called them, because they only
-# returned a cached `Program` property, or because the one value type
-# `SymValue` took their place; (owner, attribute).
+# returned a cached `Program` property, because the one value type
+# `SymValue` took their place, or because the checker substitutes through
+# the register indices a certificate keeps; (owner, attribute).
 REMOVED = [
     (machine, "rho"),
     (machine, "is_standard_form"),
@@ -37,6 +38,8 @@ REMOVED = [
     (constraints, "Const"),
     (constraints, "VarPlus"),
     (constraints, "_parts"),
+    (constraints, "substitute"),
+    (constraints, "_subst_side"),
 ]
 
 

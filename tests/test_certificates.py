@@ -36,6 +36,8 @@ from urm.certificates import (
     SymHalt,
     SymNext,
 )
+from urm import certificates, constraints
+from urm.constraints import parse_reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
 from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, naive_run, random_program
@@ -323,6 +325,42 @@ def test_invariant_atoms_must_name_registers():
         check_divergence(p, _minus_cert(invariant=stray))
     with pytest.raises(ValueError, match="not a register operand: 'm'"):
         check_termination(p, _term_cert(invariant=stray))
+
+
+def test_the_checks_read_no_register_name(u_minus, samples_dir, monkeypatch):
+    """Construction resolves each invariant operand once; the checks then
+    substitute through the kept indices and parse no `rI` name."""
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return parse_reg_var(name)
+
+    monkeypatch.setattr(certificates, "parse_reg_var", counting)
+    monkeypatch.setattr(constraints, "parse_reg_var", counting)
+    texts = [(samples_dir / name).read_text() for name in (
+        "minus-div.cert", "minus-term.cert", "rejected/minus-div-weak.cert", "rejected/minus-term-revrank.cert",
+        "rejected/minus-div-gap.cert", "rejected/minus-div-window.cert")]
+    built = _minus_cert(invariant=(Atom("r1", "r2", "<", 0), Atom(None, "r3", "<=", 0), Atom("r2", None, ">=", 1)))
+    for cert in [parse_cert(text) for text in texts] + [built]:
+        calls.clear()
+        cert = dataclasses.replace(cert)
+        assert len(calls) == sum(len(a.variables()) for a in cert.invariant)
+        calls.clear()
+        check = check_termination if isinstance(cert, TerminationCert) else check_divergence
+        check(u_minus, cert)
+        assert calls == []
+
+
+def test_kept_operands_are_no_field(samples_dir):
+    """The register indices a certificate keeps stay out of its fields,
+    so equality, `repr` and `dataclasses.replace` see the claim alone."""
+    parsed = _load(samples_dir, "minus-div.cert")
+    assert parsed._operands == ((1, 2),)
+    assert parsed == _minus_cert()
+    assert "_operands" not in {f.name for f in dataclasses.fields(parsed)}
+    assert "_operands" not in repr(parsed)
+    assert dataclasses.replace(parsed, invariant=(Atom(None, "r3", "<=", 0),))._operands == ((0, 3),)
 
 
 def test_loop_head_must_be_a_position(u_minus):

@@ -17,7 +17,6 @@ from urm import (
     decide_eq,
     entails,
     format_atom,
-    substitute,
 )
 from urm import constraints
 from urm.constraints import _closure, _range, _satisfiable, parse_reg_var, reg_var
@@ -172,20 +171,6 @@ def test_register_variable_names_round_trip():
     # digits outside ASCII name no register: Arabic-Indic one, superscript two
     assert parse_reg_var("r\u0661") is None
     assert parse_reg_var("r\u00b2") is None
-
-
-def test_substitute_folds_offsets_into_the_bound():
-    regs = {1: SymValue("v1"), 2: SymValue("v2", 1)}
-    assert substitute(Atom("r1", "r2", "<", 0), regs) == Atom("v1", "v2", "<=", 0)
-    assert substitute(Atom("r1", None, ">=", 2), {1: SymValue(offset=5)}) == Atom(None, None, ">=", -3)
-    assert substitute(Atom("r1", "r2", "=", 0), {1: SymValue("w", 2), 2: SymValue(offset=1)}) == Atom("w", None, "=", -1)
-
-
-def test_substitute_requires_register_operands():
-    with pytest.raises(ValueError):
-        substitute(Atom("x", "r1", "<=", 0), {1: SymValue(offset=0)})
-    with pytest.raises(ValueError):
-        substitute(Atom("r1", "r2", "<=", 0), {1: SymValue(offset=0)})
 
 
 def test_eval_atom_and_satisfies():

@@ -143,11 +143,13 @@ def _per_field_config(text: str):
         return lines[1][0], 1, "expected a single line"
     ln, line = lines[0]
     values, col = [], 1
-    for part in line.split(","):
+    parts = line.split(",")
+    for n, part in enumerate(parts):
         tok = part.strip()
         column = col + len(part) - len(part.lstrip())
         if not tok:
-            return ln, column, "expected a natural number"
+            # a blank field at the comma after it; the last one, before it
+            return ln, column if n < len(parts) - 1 else col - 1, "expected a natural number"
         if not (tok.isascii() and tok.isdigit()):
             return ln, column, f"expected a natural number, got {tok!r}"
         try:
@@ -362,6 +364,9 @@ ERRORS = [
     (parse_config, "# note\n", 1, 1, "empty input"),
     (parse_config, "1\n# note\n2", 3, 1, "expected a single line"),
     (parse_config, "1, ,2", 1, 4, "expected a natural number"),
+    (parse_config, "1, ", 1, 2, "expected a natural number"),
+    (parse_config, "1,", 1, 2, "expected a natural number"),
+    (parse_config, "1,\r", 1, 2, "expected a natural number"),
     (parse_config, "1,x", 1, 3, "expected a natural number, got 'x'"),
     (parse_config, "-1", 1, 1, "expected a natural number, got '-1'"),
     (parse_config, f"1,{LONG}", 1, 3, TOO_LONG),
@@ -385,6 +390,8 @@ ERRORS = [
     (parse_cert, D + f"params: m n\nconstraint: m < {LONG}", 3, 17, TOO_LONG),
     (parse_cert, D + "params: m n\ninit: m, , 0", 3, 10, "expected a value"),
     (parse_cert, D + "params: m n\ninit: m, q", 3, 10, "undeclared parameter 'q'"),
+    (parse_cert, D + "params: m n\ninit: m, ", 3, 8, "expected a value"),
+    (parse_cert, D + "init:", 2, 5, "expected a value"),
     (parse_cert, D + "head: 1 2", 2, 7, "expected a single position"),
     (parse_cert, D + "head: x", 2, 7, "expected a natural number, got 'x'"),
     (parse_cert, D + "invariant: r1 < m", 2, 17, "expected a register operand like r1, got 'm'"),
@@ -403,10 +410,12 @@ ERRORS = [
     (parse_cert, T + "ranking: r1 - r2 r3", 4, 18, "unexpected trailing tokens"),
     (parse_cert, T + "ranking: r1", 4, 10, "expected 'ranking: rX - rY'"),
     (parse_cert, D + "head: 1\nbound: 4 5", 3, 8, "expected a single step bound"),
-    (parse_cert, D + "head: 1\nbound: 0", 3, 1, "bound must be at least 1"),
+    (parse_cert, D + "head: 1\nbound: 0", 3, 8, "bound must be at least 1"),
     (parse_cert, D + "head: 1\nbound:  100001", 3, 9, "bound must be at most 100000"),
-    (parse_cert, D + "head: 0\nbound: 1", 2, 1, "head positions start at 1"),
-    (parse_cert, D + "head: 0\nbound: 0", 3, 1, "bound must be at least 1"),
+    (parse_cert, D + "head: 0\nbound: 1", 2, 7, "head positions start at 1"),
+    (parse_cert, D + "head: 0\nbound: 0", 2, 7, "head positions start at 1"),
+    (parse_cert, D + "bound: 0\nhead: 0", 2, 8, "bound must be at least 1"),
+    (parse_cert, "head: 0", 1, 7, "head positions start at 1"),
     (parse_cert, "head: 1\nbound: 1", 1, 1, "missing 'kind' line"),
     (parse_cert, D + "bound: 1", 1, 1, "missing 'head' line"),
     (parse_cert, D + "head: 1", 1, 1, "missing 'bound' line"),
@@ -560,12 +569,19 @@ MUTATIONS[("ranking", 2)] = MUTATIONS[("split", 2)] = MUTATIONS[("split", 0)]
 
 def _token_starts(line: str, start: int = 0) -> set[int]:
     """Column 1, and each column of `line` from its index `start` on where
-    a token or a comma field begins, or where a blank comma field ends."""
-    fields = line[start:].split(",")
+    a token or a comma field begins, or the separator that places a blank
+    comma field: the comma after it, or, for the last field of the line
+    without its comment, the comma (or `key:` colon) before it.  None lies
+    past the line's end."""
+    fields = line.split("#", 1)[0][start:].split(",")
     ends = list(itertools.accumulate(len(field) + 1 for field in fields))
-    return ({1} | {m.start() + 1 for m in re.compile(r"\S+").finditer(line, start)}
-            | {start + end - len(field) for end, field in zip(ends, fields)}
-            | {start + end for end, field in zip(ends, fields) if not field.strip()})
+    blank = [(end, field) for end, field in zip(ends, fields) if not field.strip()]
+    columns = ({1} | {m.start() + 1 for m in re.compile(r"\S+").finditer(line, start)}
+               | {start + end - len(field) for end, field in zip(ends, fields) if field.strip()}
+               | {start + end for end, field in blank if end < ends[-1]}
+               | {start + end - len(field) - 1 for end, field in blank if end == ends[-1]})
+    assert max(columns) <= len(line)
+    return columns
 
 
 def _lay_out(rng: random.Random, lines: list[tuple[int, str]]) -> tuple[str, list[int]]:

@@ -17,6 +17,10 @@ difference must be nonnegative and strictly decrease, and under the
 exit case the program must halt within the step bound.  The two cases
 cover all values, so together they prove the loop exits.
 
+Both kinds share the lasso's fields and their checks in one frozen
+base, `_Lasso`; a termination certificate adds only its split and
+ranking.  `init` is a tuple, r1 first, so a certificate hashes.
+
 Each invariant operand is resolved to its register index once, when the
 certificate is constructed; the checks read those indices and never a
 register name.
@@ -109,21 +113,37 @@ class CertReport:
 
 
 @dataclass(frozen=True)
-class DivergenceCert:
-    """Claim: from the certified initial contents the program never halts."""
+class _Lasso:
+    """The lasso both certificate kinds claim: from `init` (r1 first, as
+    the `init:` line writes it) under `param_constraints`, a prefix to
+    `loop_head`, then a body under `invariant`, each phase at most
+    `step_bound` symbolic steps."""
 
     param_constraints: ConstraintSet
-    init: Mapping[int, SymValue]
+    init: tuple[SymValue, ...]
     loop_head: int
     invariant: tuple[Atom, ...]
     step_bound: int
 
     def __post_init__(self) -> None:
-        _check_common(self)
+        if not isinstance(self.init, tuple) or not all(isinstance(v, SymValue) for v in self.init):
+            raise ValueError("init is a tuple of SymValue, r1 first")
+        if self.loop_head < 1:
+            raise PcOutOfRange("loop head is indexed from 1")
+        if self.step_bound < 1:
+            raise ValueError("step bound must be positive")
+        # each atom's (x, y) register indices, kept as `Program` keeps its
+        # facts: no field, so equality and `repr` see only the claim
+        object.__setattr__(self, "_operands", tuple((_reg_index(a.x), _reg_index(a.y)) for a in self.invariant))
 
 
 @dataclass(frozen=True)
-class TerminationCert:
+class DivergenceCert(_Lasso):
+    """Claim: from the certified initial contents the program never halts."""
+
+
+@dataclass(frozen=True)
+class TerminationCert(_Lasso):
     """Claim: from the certified initial contents the program halts.
 
     `split` is a register pair with a threshold (x, y, k); the continue
@@ -131,32 +151,16 @@ class TerminationCert:
     `ranking` names the register pair whose difference decreases.
     """
 
-    param_constraints: ConstraintSet
-    init: Mapping[int, SymValue]
-    loop_head: int
-    invariant: tuple[Atom, ...]
     split: tuple[int, int, int]
     ranking: tuple[int, int]
-    step_bound: int
 
     def __post_init__(self) -> None:
-        _check_common(self)
+        super().__post_init__()
         for index in (*self.split[:2], *self.ranking):
             if index < 1:
                 raise ValueError("registers are indexed from 1")
         if self.split[2] < 0:
             raise ValueError("split threshold is a natural")
-
-    def continue_atom(self) -> Atom:
-        x, y, k = self.split
-        return Atom(reg_var(x), reg_var(y), ">=", k + 1)
-
-    def exit_atom(self) -> Atom:
-        x, y, k = self.split
-        return Atom(reg_var(x), reg_var(y), "<=", k)
-
-
-Cert = Union[DivergenceCert, TerminationCert]
 
 
 def _reg_index(var: str | None) -> int:
@@ -165,19 +169,6 @@ def _reg_index(var: str | None) -> int:
     if index is None:
         raise ValueError(f"not a register operand: {var!r}")
     return index
-
-
-def _check_common(cert: Cert) -> None:
-    if cert.loop_head < 1:
-        raise PcOutOfRange("loop head is indexed from 1")
-    if cert.step_bound < 1:
-        raise ValueError("step bound must be positive")
-    for index in cert.init:
-        if index < 1:
-            raise ValueError("registers are indexed from 1")
-    # each atom's (x, y) register indices, kept as `Program` keeps its
-    # facts: no field, so equality and `repr` see only the claim
-    object.__setattr__(cert, "_operands", tuple((_reg_index(a.x), _reg_index(a.y)) for a in cert.invariant))
 
 
 # The ten rule strings, (non-final, final) per tag, built once: a trail
@@ -227,10 +218,10 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     return SymNext(SymState(nxt, regs), _RULES[tag][0])
 
 
-def _universe(p: Program, cert: Cert) -> set[int]:
+def _universe(p: Program, cert: _Lasso) -> set[int]:
     """The registers the program or the certificate mentions; no other
     register is ever read, so the symbolic state leaves them out."""
-    out = set(p.registers) | set(cert.init)
+    out = set(p.registers) | set(range(1, len(cert.init) + 1))
     out |= {i for pair in cert._operands for i in pair if i}
     if isinstance(cert, TerminationCert):
         out |= {*cert.split[:2], *cert.ranking}
@@ -272,7 +263,7 @@ def _walk(
     return None
 
 
-def _assume(cert: Cert, universe: set[int], *extra: Atom) -> tuple[SymState, ConstraintSet]:
+def _assume(cert: _Lasso, universe: set[int], *extra: Atom) -> tuple[SymState, ConstraintSet]:
     """Fresh symbolic state at the loop head over the registers in
     `universe`, constrained by the invariant and `extra`; register i holds
     the variable named after it, so the atoms are assumed as written."""
@@ -280,7 +271,7 @@ def _assume(cert: Cert, universe: set[int], *extra: Atom) -> tuple[SymState, Con
     return start, ConstraintSet(frozenset((*cert.invariant, *extra)))
 
 
-def _require_entailed(code: str, cs: ConstraintSet, cert: Cert, regs: Mapping[int, SymValue]) -> None:
+def _require_entailed(code: str, cs: ConstraintSet, cert: _Lasso, regs: Mapping[int, SymValue]) -> None:
     """Reject with `code` at the first invariant atom that `cs` does not
     entail once its registers read `regs`, their offsets folded into the
     bound; `regs` holds every register of the `_universe`."""
@@ -291,7 +282,7 @@ def _require_entailed(code: str, cs: ConstraintSet, cert: Cert, regs: Mapping[in
             raise _Rejected(code, atom=a)
 
 
-def _enter_loop(p: Program, cert: Cert) -> set[int]:
+def _enter_loop(p: Program, cert: _Lasso) -> set[int]:
     """Prefix phase: reach the head and establish the invariant there;
     returns the `_universe` that the loop phases start from too."""
     if not p.standard:
@@ -302,7 +293,8 @@ def _enter_loop(p: Program, cert: Cert) -> set[int]:
     if not _satisfiable(cert.param_constraints):
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     universe = _universe(p, cert)
-    s = SymState(1, {i: cert.init.get(i, _ZERO) for i in universe})
+    init = cert.init
+    s = SymState(1, {i: init[i - 1] if i <= len(init) else _ZERO for i in universe})
     if s.pc != cert.loop_head:
         # the prefix trail is never printed, so none is kept
         res = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
@@ -313,7 +305,7 @@ def _enter_loop(p: Program, cert: Cert) -> set[int]:
     return universe
 
 
-def _close_loop(p: Program, cert: Cert, universe: set[int], *extra: Atom):
+def _close_loop(p: Program, cert: _Lasso, universe: set[int], *extra: Atom):
     """Loop phase: from the head under the invariant and `extra` back to it,
     re-establishing the invariant; returns (start, end, cs, trail)."""
     start, cs = _assume(cert, universe, *extra)
@@ -361,13 +353,15 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
     try:
         universe = _enter_loop(p, cert)
-        start, end, cs, cont_trail = _close_loop(p, cert, universe, cert.continue_atom())
+        x, y, k = cert.split
+        split = reg_var(x), reg_var(y)
+        start, end, cs, cont_trail = _close_loop(p, cert, universe, Atom(*split, ">=", k + 1))
         x, y = cert.ranking
         if not entails(cs, Atom(reg_var(x), reg_var(y), ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)
-        start, cs = _assume(cert, universe, cert.exit_atom())
+        start, cs = _assume(cert, universe, Atom(*split, "<=", k))
         exit_trail: list[TrailEntry] = []
         res = _walk(p, start, cs, cert.step_bound, trail=exit_trail)
         if res is None:

@@ -137,17 +137,14 @@ def step(s: MachineState) -> StepResult:
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
 
 
-def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
+def _compile(p: Program) -> list[tuple[int, int, int, int, int]]:
     """Code over register slots, slot s standing for `p.registers[s]`.
 
     Each entry is (tag, a, b, jump target, next position), the next
-    position being 0 after the last instruction.  Returns the code and
-    the length of `run`'s back-off lists: one past the highest target k
-    of a jump at a position >= k (a loop head, or 0), else 0."""
+    position being 0 after the last instruction."""
     slot = {reg: s for s, reg in enumerate(p.registers)}
     n = len(p)
     code = []
-    heads = 0
     for pos, instr in enumerate(p, start=1):
         nxt = pos + 1 if pos < n else 0
         if isinstance(instr, Zero):
@@ -157,10 +154,8 @@ def _compile(p: Program) -> tuple[list[tuple[int, int, int, int, int]], int]:
         elif isinstance(instr, Transfer):
             code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
         else:
-            if instr.k <= pos:
-                heads = max(heads, instr.k + 1)
             code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
-    return code, heads
+    return code
 
 
 def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int, budget: int) -> int:
@@ -218,13 +213,14 @@ def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int, bool]:
     would run next when the fuel ran out."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    code, heads = _compile(p)
+    code = _compile(p)
     pc = 1
     steps = 0
-    # back-off per loop head: the step count from which a leap may be
-    # tried again, and the wait after the next failure
-    retry = [0] * heads
-    wait = [1] * heads
+    # back-off per loop head, by position (0, the halt target, is never
+    # written): the step count from which a leap may be tried again, and
+    # the wait after the next failure
+    retry = [0] * (len(code) + 1)
+    wait = [1] * (len(code) + 1)
     while steps < fuel:
         tag, a, b, k, nxt = code[pc - 1]
         steps += 1

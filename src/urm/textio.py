@@ -255,7 +255,7 @@ def parse_cert(text: str):
                         raise _Bad(at, f"duplicate parameter {tok!r}")
                     names.add(tok)
             elif key == "init":
-                once[key] = {i: SymValue(*term) for i, term in enumerate(_fields(value, "a value", param_term), 1)}
+                once[key] = tuple(SymValue(*term) for term in _fields(value, "a value", param_term))
             elif key in ("head", "bound"):
                 if len(toks) != 1:
                     raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")
@@ -295,6 +295,6 @@ def parse_cert(text: str):
         if key not in once and terminates:
             raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
     cert = TerminationCert if terminates else DivergenceCert
-    return cert(param_constraints=ConstraintSet(frozenset(constraints)), init=once.get("init", {}),
+    return cert(param_constraints=ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
                 loop_head=once["head"], invariant=tuple(invariant), step_bound=once["bound"],
                 **{key: once[key] for key in ("split", "ranking") if terminates})

@@ -76,7 +76,7 @@ def _sym_eval(sv, assignment):
 
 def _parameters(cert):
     names = {v for atom in cert.param_constraints.atoms for v in atom.variables()}
-    for sv in cert.init.values():
+    for sv in cert.init:
         if sv.var is not None:
             names.add(sv.var)
     return sorted(names)
@@ -89,7 +89,7 @@ def _sample_registers(cert, rng, high=10):
         assignment = {v: rng.randint(0, high) for v in names}
         if constraints_hold(cert.param_constraints, assignment):
             break
-    return {i: _sym_eval(sv, assignment) for i, sv in cert.init.items()}
+    return {i: _sym_eval(sv, assignment) for i, sv in enumerate(cert.init, 1)}
 
 
 def _invariant_holds(invariant, regs):
@@ -252,7 +252,7 @@ def test_criterion_07_certificates_match_sampled_behavior(samples_dir):
 
 
 def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
-    # the last two need an invariant atom's offsets folded into its bound,
+    # the gap and window rows need an invariant atom's offsets folded into its bound,
     # from the file (r1+2 < r2+1) and from the loop's S 2 (r2+1 <= r1+5)
     cases = [
         ("minus.urm", "rejected/minus-div-weak.cert", UNDECIDED_BRANCH, 1, None),
@@ -260,6 +260,8 @@ def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
         ("minus.urm", "rejected/minus-term-revrank.cert", RANKING_NOT_NONNEGATIVE, None, None),
         ("minus.urm", "rejected/minus-div-gap.cert", INVARIANT_NOT_ESTABLISHED, None, Atom("r1", "r2", "<=", -2)),
         ("minus.urm", "rejected/minus-div-window.cert", INVARIANT_NOT_PRESERVED, None, Atom("r2", "r1", "<=", 4)),
+        # r4 is no register of minus.urm: its value comes from `init:` by position
+        ("minus.urm", "rejected/minus-div-r4.cert", INVARIANT_NOT_ESTABLISHED, None, Atom("r4", None, "=", 8)),
     ]
     for prog_name, cert_name, code, pc, atom in cases:
         p, cert = _load(samples_dir, prog_name, cert_name)
@@ -268,7 +270,7 @@ def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
         assert report.reason.code == code
         assert report.reason.pc == pc
         assert report.reason.atom == atom
-    print("criterion 8 PASS: 5 rejected certificates with codes "
+    print(f"criterion 8 PASS: {len(cases)} rejected certificates with codes "
           f"{UNDECIDED_BRANCH}, {HALTED_DURING_LOOP}, {RANKING_NOT_NONNEGATIVE}, "
           f"{INVARIANT_NOT_ESTABLISHED}, {INVARIANT_NOT_PRESERVED}")
 

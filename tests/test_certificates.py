@@ -190,7 +190,7 @@ def test_reversed_ranking_is_not_nonnegative(u_minus, samples_dir):
 def _minus_cert(**overrides):
     fields = dict(
         param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0)),
-        init={1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")},
+        init=(SymValue("m"), SymValue("n"), SymValue("z")),
         loop_head=1,
         invariant=(Atom("r1", "r2", "<", 0),),
         step_bound=8,
@@ -201,14 +201,14 @@ def _minus_cert(**overrides):
 
 def test_prefix_that_halts_is_rejected():
     p = Program((Jump(1, 1, 0), Zero(1)))
-    cert = DivergenceCert(ConstraintSet(), {}, loop_head=2, invariant=(), step_bound=4)
+    cert = DivergenceCert(ConstraintSet(), (), loop_head=2, invariant=(), step_bound=4)
     report = check_divergence(p, cert)
     assert report.reason.code == PREFIX_FAILED
 
 
 def test_prefix_that_overruns_the_bound_is_rejected():
     p = Program((Succ(1), Succ(1), Succ(1), Jump(1, 1, 4)))
-    cert = DivergenceCert(ConstraintSet(), {}, loop_head=4, invariant=(), step_bound=2)
+    cert = DivergenceCert(ConstraintSet(), (), loop_head=4, invariant=(), step_bound=2)
     report = check_divergence(p, cert)
     assert report.reason.code == PREFIX_FAILED
 
@@ -216,7 +216,7 @@ def test_prefix_that_overruns_the_bound_is_rejected():
 def test_prefix_walk_keeps_no_trail():
     # a prefix that spins at position 1 and never reaches the head
     p = Program((Jump(1, 1, 1), Jump(1, 1, 2)))
-    cert = DivergenceCert(ConstraintSet(), {}, loop_head=2, invariant=(), step_bound=20000)
+    cert = DivergenceCert(ConstraintSet(), (), loop_head=2, invariant=(), step_bound=20000)
     tracemalloc.start()
     try:
         report = check_divergence(p, cert)
@@ -252,7 +252,7 @@ def test_too_small_a_bound_leaves_the_loop_open(u_minus):
 def _term_cert(**overrides):
     fields = dict(
         param_constraints=ConstraintSet.of(Atom("m", "n", ">=", 0)),
-        init={1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")},
+        init=(SymValue("m"), SymValue("n"), SymValue("z")),
         loop_head=1,
         invariant=(Atom("r1", "r2", ">=", 0),),
         split=(1, 2, 0),
@@ -277,7 +277,7 @@ def test_termination_exit_case_must_halt():
     p = Program((Jump(1, 2, 4), Succ(2), Jump(1, 1, 1), Jump(3, 3, 4)))
     cert = TerminationCert(
         param_constraints=ConstraintSet.of(Atom("m", "n", ">=", 0)),
-        init={1: SymValue("m"), 2: SymValue("n")},
+        init=(SymValue("m"), SymValue("n")),
         loop_head=1,
         invariant=(Atom("r1", "r2", ">=", 0),),
         split=(1, 2, 0),
@@ -291,7 +291,7 @@ def test_termination_exit_case_must_halt():
 def test_degenerate_split_never_returns_to_the_head(prog_b):
     cert = TerminationCert(
         param_constraints=ConstraintSet.of(Atom("a", "b", "!=", 0)),
-        init={1: SymValue("a"), 2: SymValue("b")},
+        init=(SymValue("a"), SymValue("b")),
         loop_head=1,
         invariant=(Atom("r1", "r2", "!=", 0),),
         split=(1, 1, 0),
@@ -309,11 +309,49 @@ def test_certificate_field_validation():
     with pytest.raises(PcOutOfRange):
         _minus_cert(loop_head=0)
     with pytest.raises(ValueError):
-        _minus_cert(init={0: SymValue(offset=1)})
-    with pytest.raises(ValueError):
         _term_cert(ranking=(0, 2))
     with pytest.raises(ValueError):
         _term_cert(split=(1, 2, -1))
+
+
+def test_init_is_a_tuple_of_symbolic_values():
+    """`init` is read by position, r1 first, so an old-style mapping from
+    register to value, which would be misread, is refused."""
+    for init in ({0: SymValue(offset=1)}, {1: SymValue("m"), 2: SymValue("n")}, [SymValue("m")], ("m", "n")):
+        with pytest.raises(ValueError, match="init is a tuple of SymValue"):
+            _minus_cert(init=init)
+        with pytest.raises(ValueError, match="init is a tuple of SymValue"):
+            _term_cert(init=init)
+
+
+def _key_sorted(text, reverse=False):
+    """`text`'s lines with content, stably sorted by key: the once-only
+    keys move, the `constraint:` and `invariant:` lines keep their order."""
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    return "\n".join(sorted(lines, key=lambda line: line.partition(":")[0], reverse=reverse))
+
+
+def test_certificates_are_hashable_values(samples_dir):
+    """A certificate is a frozen value: it hashes, equal texts give one set
+    member whatever their key order, and a copy hashes as the original."""
+    texts = [path.read_text() for path in sorted(samples_dir.rglob("*.cert"))]
+    assert len(texts) == 11
+    certs = [parse_cert(text) for text in texts]
+    assert len(set(certs)) == len(certs)
+    for text, cert in zip(texts, certs):
+        assert hash(cert) == hash(dataclasses.replace(cert))
+        assert {cert, parse_cert(_key_sorted(text)), parse_cert(_key_sorted(text, reverse=True))} == {cert}
+    assert {_minus_cert(): "claim"}[_load(samples_dir, "minus-div.cert")] == "claim"
+
+
+def test_the_two_kinds_are_apart(samples_dir):
+    """The CLI and the checks dispatch on the kind, so neither kind is the other."""
+    div, term = _load(samples_dir, "minus-div.cert"), _load(samples_dir, "minus-term.cert")
+    assert not isinstance(term, DivergenceCert)
+    assert not isinstance(div, TerminationCert)
+    assert [f.name for f in dataclasses.fields(term)] == [
+        "param_constraints", "init", "loop_head", "invariant", "step_bound", "split", "ranking"]
+    assert [f.name for f in dataclasses.fields(div)] == [f.name for f in dataclasses.fields(term)][:5]
 
 
 def test_invariant_atoms_must_name_registers():
@@ -361,6 +399,10 @@ def test_kept_operands_are_no_field(samples_dir):
     assert "_operands" not in {f.name for f in dataclasses.fields(parsed)}
     assert "_operands" not in repr(parsed)
     assert dataclasses.replace(parsed, invariant=(Atom(None, "r3", "<=", 0),))._operands == ((0, 3),)
+    # a termination certificate runs the shared checks too
+    term = _load(samples_dir, "minus-term.cert")
+    changed = dataclasses.replace(term, invariant=(Atom("r3", "r1", ">=", 0), Atom(None, "r2", "<", 4)))
+    assert (term._operands, changed._operands) == (((1, 2),), ((3, 1), (0, 2)))
 
 
 def test_loop_head_must_be_a_position(u_minus):
@@ -380,7 +422,7 @@ def test_unsatisfiable_constraints_are_rejected():
     p = Program((Jump(1, 2, 1), Succ(3)))
     cert = DivergenceCert(
         param_constraints=ConstraintSet.of(Atom("m", "n", "<", 0), Atom("n", "m", "<", 0)),
-        init={1: SymValue("m"), 2: SymValue("n")},
+        init=(SymValue("m"), SymValue("n")),
         loop_head=1,
         invariant=(Atom("r1", "r2", "=", 0),),
         step_bound=2,
@@ -404,7 +446,7 @@ def test_unsatisfiable_constraints_are_rejected():
 
 def _instantiate(cert, assignment):
     regs = {}
-    for i, value in cert.init.items():
+    for i, value in enumerate(cert.init, 1):
         if value.var is None:
             regs[i] = value.offset
         else:
@@ -415,7 +457,7 @@ def _instantiate(cert, assignment):
 def _sample_params(cert, rng, high=10):
     names = sorted(
         {v for atom in cert.param_constraints.atoms for v in atom.variables()}
-        | {v.var for v in cert.init.values() if v.var is not None}
+        | {v.var for v in cert.init if v.var is not None}
     )
     while True:
         assignment = {name: rng.randint(0, high) for name in names}
@@ -508,7 +550,7 @@ def test_accepted_random_certificates_are_sound():
         p = random_program(rng, 5, 3)
         fields = dict(
             param_constraints=ConstraintSet.of(*_random_atoms(rng, (None, "m", "n"))),
-            init={1: SymValue("m", rng.randint(0, 1)), 2: SymValue("n"), 3: SymValue(offset=rng.randint(0, 2))},
+            init=(SymValue("m", rng.randint(0, 1)), SymValue("n"), SymValue(offset=rng.randint(0, 2))),
             loop_head=rng.randint(1, len(p)),
             invariant=_random_atoms(rng, (None, "r1", "r2", "r3")),
             step_bound=rng.randint(1, 8),
@@ -522,6 +564,13 @@ def test_accepted_random_certificates_are_sound():
     assert accepted > 100
 
 
+def _with_init(cert, i, value):
+    """`cert.init` with register i's initial value replaced."""
+    init = list(cert.init)
+    init[i - 1] = value
+    return tuple(init)
+
+
 def test_accepted_mutations_of_the_minus_certificates_are_sound(u_minus, samples_dir):
     """Random certificates for random programs are almost never accepted
     termination claims, so mutate the subtraction samples too: one field
@@ -530,7 +579,7 @@ def test_accepted_mutations_of_the_minus_certificates_are_sound(u_minus, samples
     samples = [_load(samples_dir, "minus-div.cert"), _load(samples_dir, "minus-term.cert")]
     mutations = {
         "param_constraints": lambda cert: ConstraintSet.of(*_random_atoms(rng, (None, "m", "n", "z"))),
-        "init": lambda cert: {**cert.init, rng.randint(1, 3): SymValue(offset=rng.randint(0, 2))},
+        "init": lambda cert: _with_init(cert, rng.randint(1, 3), SymValue(offset=rng.randint(0, 2))),
         "loop_head": lambda cert: rng.randint(1, 5),
         "invariant": lambda cert: _random_atoms(rng, (None, "r1", "r2", "r3")),
         "step_bound": lambda cert: rng.randint(1, 8),

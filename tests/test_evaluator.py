@@ -286,7 +286,7 @@ def test_run_memory_follows_the_program_not_the_register_indices():
 def test_certificate_memory_follows_the_program_not_the_register_indices():
     big = 10**6
     p = Program((Zero(big), Jump(1, 1, 2)))
-    cert = DivergenceCert(ConstraintSet(), {}, loop_head=2, invariant=(), step_bound=4)
+    cert = DivergenceCert(ConstraintSet(), (), loop_head=2, invariant=(), step_bound=4)
     tracemalloc.start()
     try:
         report = check_divergence(p, cert)

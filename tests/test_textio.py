@@ -231,7 +231,7 @@ def test_parse_divergence_certificate(samples_dir):
     cert = parse_cert((samples_dir / "minus-div.cert").read_text())
     assert isinstance(cert, DivergenceCert)
     assert cert.param_constraints == ConstraintSet.of(Atom("m", "n", "<", 0))
-    assert cert.init == {1: SymValue("m"), 2: SymValue("n"), 3: SymValue("z")}
+    assert cert.init == (SymValue("m"), SymValue("n"), SymValue("z"))
     assert cert.loop_head == 1
     assert cert.invariant == (Atom("r1", "r2", "<", 0),)
     assert cert.step_bound == 8
@@ -258,7 +258,7 @@ def test_certificate_operands_allow_offsets_and_constants():
         "bound: 5\n"
     )
     assert cert.param_constraints == ConstraintSet.of(Atom("m", None, "<=", 3))
-    assert cert.init == {1: SymValue("m", 2), 2: SymValue(offset=3)}
+    assert cert.init == (SymValue("m", 2), SymValue(offset=3))
     assert cert.invariant == (Atom("r1", "r2", "<=", -1), Atom("r2", None, ">=", 1))
 
 
@@ -451,7 +451,7 @@ def test_params_may_come_on_any_line():
     assert parse_cert("\n".join(lines[:1] + lines[2:] + lines[1:2])) == parse_cert(_lines())
     after = parse_cert(D + "init: m, n+1\nconstraint: m < n\nparams: n m\nhead: 1\nbound: 2")
     assert after == parse_cert(D + "params: n m\ninit: m, n+1\nconstraint: m < n\nhead: 1\nbound: 2")
-    assert after.init == {1: SymValue("m"), 2: SymValue("n", 1)}
+    assert after.init == (SymValue("m"), SymValue("n", 1))
 
 
 def test_the_first_undeclared_parameter_in_file_order_is_reported():

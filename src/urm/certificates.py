@@ -19,7 +19,8 @@ cover all values, so together they prove the loop exits.
 
 Both kinds share the lasso's fields and their checks in one frozen
 base, `_Lasso`; a termination certificate adds only its split and
-ranking.  `init` is a tuple, r1 first, so a certificate hashes.
+ranking.  `init` (r1 first), `invariant`, `split` and `ranking` are
+tuples, so a certificate hashes.
 
 Each invariant operand is resolved to its register index once, when the
 certificate is constructed; the checks read those indices and never a
@@ -34,7 +35,7 @@ it covers nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 from .constraints import (
     Atom,
@@ -128,6 +129,8 @@ class _Lasso:
     def __post_init__(self) -> None:
         if not isinstance(self.init, tuple) or not all(isinstance(v, SymValue) for v in self.init):
             raise ValueError("init is a tuple of SymValue, r1 first")
+        if not isinstance(self.invariant, tuple):
+            raise ValueError("invariant is a tuple of Atom")
         if self.loop_head < 1:
             raise PcOutOfRange("loop head is indexed from 1")
         if self.step_bound < 1:
@@ -156,6 +159,8 @@ class TerminationCert(_Lasso):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not isinstance(self.split, tuple) or not isinstance(self.ranking, tuple):
+            raise ValueError("split and ranking are tuples")
         for index in (*self.split[:2], *self.ranking):
             if index < 1:
                 raise ValueError("registers are indexed from 1")
@@ -219,13 +224,10 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
 
 
 def _universe(p: Program, cert: _Lasso) -> set[int]:
-    """The registers the program or the certificate mentions; no other
-    register is ever read, so the symbolic state leaves them out."""
-    out = set(p.registers) | set(range(1, len(cert.init) + 1))
-    out |= {i for pair in cert._operands for i in pair if i}
-    if isinstance(cert, TerminationCert):
-        out |= {*cert.split[:2], *cert.ranking}
-    return out
+    """The registers the program or an invariant atom names.  No other
+    register is read, so the symbolic states leave them out: one that only
+    `init`, the split or the ranking names reads `_ZERO` at every step."""
+    return set(p.registers) | {i for pair in cert._operands for i in pair if i}
 
 
 class _Rejected(Exception):
@@ -263,28 +265,21 @@ def _walk(
     return None
 
 
-def _assume(cert: _Lasso, universe: set[int], *extra: Atom) -> tuple[SymState, ConstraintSet]:
-    """Fresh symbolic state at the loop head over the registers in
-    `universe`, constrained by the invariant and `extra`; register i holds
-    the variable named after it, so the atoms are assumed as written."""
-    start = SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in universe})
-    return start, ConstraintSet(frozenset((*cert.invariant, *extra)))
-
-
-def _require_entailed(code: str, cs: ConstraintSet, cert: _Lasso, regs: Mapping[int, SymValue]) -> None:
+def _require_entailed(code: str, cs: ConstraintSet, cert: _Lasso, s: SymState) -> None:
     """Reject with `code` at the first invariant atom that `cs` does not
-    entail once its registers read `regs`, their offsets folded into the
-    bound; `regs` holds every register of the `_universe`."""
+    entail once its registers read their values in `s`, the offsets
+    folded into the bound; index 0, an absent side, reads `_ZERO`."""
     for a, (i, j) in zip(cert.invariant, cert._operands):
-        x = regs[i] if i else _ZERO
-        y = regs[j] if j else _ZERO
+        x, y = s.value(i), s.value(j)
         if not entails(cs, Atom(x.var, y.var, a.rel, a.k - x.offset + y.offset)):
             raise _Rejected(code, atom=a)
 
 
-def _enter_loop(p: Program, cert: _Lasso) -> set[int]:
+def _enter_loop(p: Program, cert: _Lasso) -> SymState:
     """Prefix phase: reach the head and establish the invariant there;
-    returns the `_universe` that the loop phases start from too."""
+    returns the loop phases' start state, in which each register of the
+    `_universe` holds the variable named after it, so that the invariant's
+    atoms are assumed as written."""
     if not p.standard:
         raise NotStandardForm("certificates require a standard-form program")
     if cert.loop_head > len(p):
@@ -294,35 +289,34 @@ def _enter_loop(p: Program, cert: _Lasso) -> set[int]:
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     universe = _universe(p, cert)
     init = cert.init
-    s = SymState(1, {i: init[i - 1] if i <= len(init) else _ZERO for i in universe})
+    s = SymState(1, {i: init[i - 1] for i in universe if i <= len(init)})
     if s.pc != cert.loop_head:
         # the prefix trail is never printed, so none is kept
         res = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
         if not isinstance(res, SymNext):
             raise _Rejected(PREFIX_FAILED)
         s = res.state
-    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s.regs)
-    return universe
+    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s)
+    return SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in universe})
 
 
-def _close_loop(p: Program, cert: _Lasso, universe: set[int], *extra: Atom):
-    """Loop phase: from the head under the invariant and `extra` back to it,
-    re-establishing the invariant; returns (start, end, cs, trail)."""
-    start, cs = _assume(cert, universe, *extra)
+def _close_loop(p: Program, cert: _Lasso, start: SymState, cs: ConstraintSet):
+    """Loop phase: from `start` under `cs` back to the head, re-establishing
+    the invariant; returns (end, trail)."""
     trail: list[TrailEntry] = []
     res = _walk(p, start, cs, cert.step_bound, cert.loop_head, trail)
     if isinstance(res, SymHalt):
         raise _Rejected(HALTED_DURING_LOOP, pc=res.state.pc)
     if res is None:
         raise _Rejected(LOOP_NOT_CLOSED)
-    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, res.state.regs)
-    return start, res.state, cs, trail
+    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, res.state)
+    return res.state, trail
 
 
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     """Accept iff the certified lasso proves the program never halts."""
     try:
-        _, _, _, trail = _close_loop(p, cert, _enter_loop(p, cert))
+        _, trail = _close_loop(p, cert, _enter_loop(p, cert), ConstraintSet.of(*cert.invariant))
     except _Rejected as rejected:
         return rejected.report
     return CertReport(accepted=True, trail=tuple(trail))
@@ -352,16 +346,17 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
     try:
-        universe = _enter_loop(p, cert)
+        start = _enter_loop(p, cert)
         x, y, k = cert.split
         split = reg_var(x), reg_var(y)
-        start, end, cs, cont_trail = _close_loop(p, cert, universe, Atom(*split, ">=", k + 1))
+        cs = ConstraintSet.of(*cert.invariant, Atom(*split, ">=", k + 1))
+        end, cont_trail = _close_loop(p, cert, start, cs)
         x, y = cert.ranking
         if not entails(cs, Atom(reg_var(x), reg_var(y), ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
         if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
             raise _Rejected(RANKING_NOT_DECREASING)
-        start, cs = _assume(cert, universe, Atom(*split, "<=", k))
+        cs = ConstraintSet.of(*cert.invariant, Atom(*split, "<=", k))
         exit_trail: list[TrailEntry] = []
         res = _walk(p, start, cs, cert.step_bound, trail=exit_trail)
         if res is None:

@@ -312,6 +312,15 @@ def test_certificate_field_validation():
         _term_cert(ranking=(0, 2))
     with pytest.raises(ValueError):
         _term_cert(split=(1, 2, -1))
+    # a list would be checked but could not be hashed, so it is refused
+    with pytest.raises(ValueError, match="invariant is a tuple"):
+        _minus_cert(invariant=[Atom("r1", "r2", "<", 0)])
+    with pytest.raises(ValueError, match="invariant is a tuple"):
+        _term_cert(invariant=[Atom("r1", "r2", ">=", 0)])
+    for fields in ({"split": [1, 2, 0]}, {"ranking": [1, 2]}):
+        with pytest.raises(ValueError, match="split and ranking are tuples"):
+            _term_cert(**fields)
+    assert len({_minus_cert(), _term_cert()}) == 2
 
 
 def test_init_is_a_tuple_of_symbolic_values():
@@ -352,6 +361,32 @@ def test_the_two_kinds_are_apart(samples_dir):
     assert [f.name for f in dataclasses.fields(term)] == [
         "param_constraints", "init", "loop_head", "invariant", "step_bound", "split", "ranking"]
     assert [f.name for f in dataclasses.fields(div)] == [f.name for f in dataclasses.fields(term)][:5]
+
+
+LOOP, COUNT = Program((Jump(1, 1, 1),)), Program((Jump(1, 2, 0), Succ(2), Jump(1, 1, 1)))
+TERMINATES = "kind: terminates\nhead: 1\nbound: 8\n"
+COUNTING = TERMINATES + "params: m\ninit: m\ninvariant: r1 >= r2\n"
+
+
+@pytest.mark.parametrize("p, text, accepted, code, pc", [
+    (LOOP, TERMINATES + "split: r5 - r6 > 0\nranking: r5 - r6", False, RANKING_NOT_DECREASING, None),
+    (LOOP, TERMINATES + "split: r5 - r6 > 0\nranking: r6 - r5", False, RANKING_NOT_NONNEGATIVE, None),
+    (COUNT, COUNTING + "split: r1 - r2 > 0\nranking: r1 - r2", True, None, None),
+    (COUNT, COUNTING + "split: r1 - r2 > 0\nranking: r7 - r2", False, RANKING_NOT_NONNEGATIVE, None),
+    (COUNT, COUNTING + "split: r1 - r2 > 0\nranking: r1 - r7", False, RANKING_NOT_NONNEGATIVE, None),
+    (COUNT, COUNTING + "split: r8 - r9 > 3\nranking: r8 - r9", False, UNDECIDED_BRANCH, 1),
+])
+def test_split_and_ranking_registers_are_read_by_name(p, text, accepted, code, pc):
+    """The symbolic states hold no register that only the split or the
+    ranking names: the split is assumed by name, and such a ranking
+    register reads zero at both ends of the loop, as a fresh variable that
+    no step writes cancels."""
+    report = check_termination(p, parse_cert(text))
+    assert report.accepted is accepted
+    if accepted:
+        assert report.trail == ((1, "jf·r"), (2, "s·r"), (3, "jt·r"), (1, "jt·l"))
+    else:
+        assert (report.reason.code, report.reason.pc) == (code, pc)
 
 
 def test_invariant_atoms_must_name_registers():

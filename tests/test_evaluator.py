@@ -27,6 +27,7 @@ from urm import (
     PcOutOfRange,
     Program,
     Succ,
+    SymValue,
     Transfer,
     Zero,
     check_divergence,
@@ -284,18 +285,25 @@ def test_run_memory_follows_the_program_not_the_register_indices():
 
 
 def test_certificate_memory_follows_the_program_not_the_register_indices():
-    big = 10**6
-    p = Program((Zero(big), Jump(1, 1, 2)))
-    cert = DivergenceCert(ConstraintSet(), (), loop_head=2, invariant=(), step_bound=4)
-    tracemalloc.start()
-    try:
-        report = check_divergence(p, cert)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert report.accepted
-    assert report.trail == ((2, "jt·r"),)
+    # a register index of 10^6 in the program, and an `init` 10^5 wide
+    # whose registers past r1 nothing reads
+    cases = [
+        (Program((Zero(10**6), Jump(1, 1, 2))),
+         DivergenceCert(ConstraintSet(), (), loop_head=2, invariant=(), step_bound=4), ((2, "jt·r"),)),
+        (Program((Succ(1), Jump(1, 1, 1))),
+         DivergenceCert(ConstraintSet(), (SymValue(),) * 10**5, loop_head=1, invariant=(), step_bound=2),
+         ((1, "s·r"), (2, "jt·r"))),
+    ]
+    for p, cert, trail in cases:
+        tracemalloc.start()
+        try:
+            report = check_divergence(p, cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert report.accepted
+        assert report.trail == trail
 
 
 def test_run_finite_memory_follows_its_result(u_minus):

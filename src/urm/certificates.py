@@ -6,7 +6,8 @@ The prefix is executed symbolically from the certified initial contents
 under the parameter constraints.  The loop body is then re-executed from
 a fresh symbolic state constrained only by the loop invariant, so
 accepting it proves something about every state satisfying the
-invariant, not just the states the prefix happens to reach.
+invariant, not just the states the prefix happens to reach.  As in the
+concrete interpreters, a halted state is at position 0.
 
 For divergence the invariant must be re-established when the body comes
 back to the head; because the body takes at least one step, an accepted
@@ -81,19 +82,13 @@ class SymNext:
 
 
 @dataclass(frozen=True)
-class SymHalt:
-    state: SymState
-    rule: str
-
-
-@dataclass(frozen=True)
 class Undecided:
     pc: int
     i: int
     j: int
 
 
-SymStepResult = Union[SymNext, SymHalt, Undecided]
+SymStepResult = Union[SymNext, Undecided]
 
 
 @dataclass(frozen=True)
@@ -185,11 +180,12 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     """One symbolic step; mirrors the concrete step relation.
 
     Jumps are resolved by three-valued equality of the compared values
-    under `cs`; an unresolved comparison yields Undecided.  The rule
-    field names the applied evaluation rule: "jt"/"jf" for a taken or
-    failed jump, "z"/"s"/"t" for the others, then "·l" when the next
-    position is 0 and the step halts, "·r" otherwise.  So "s·r" is a
-    non-final increment and "jt·l" a taken jump to position 0.
+    under `cs`; an unresolved comparison yields Undecided.  As in `step`,
+    the next state is at position 0 when the step halts.  The rule field
+    names the applied evaluation rule: "jt"/"jf" for a taken or failed
+    jump, "z"/"s"/"t" for the others, then "·l" when the step halts,
+    "·r" otherwise.  So "s·r" is a non-final increment and "jt·l" a taken
+    jump to position 0.
     """
     if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
@@ -218,9 +214,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
         else:
             regs[instr.j] = s.value(instr.i)
             tag = "t"
-    if not nxt:
-        return SymHalt(SymState(s.pc, regs), _RULES[tag][1])
-    return SymNext(SymState(nxt, regs), _RULES[tag][0])
+    return SymNext(SymState(nxt, regs), _RULES[tag][not nxt])
 
 
 def _universe(p: Program, cert: _Lasso) -> set[int]:
@@ -245,11 +239,11 @@ def _walk(
     bound: int,
     head: int | None = None,
     trail: list[TrailEntry] | None = None,
-):
+) -> SymState | None:
     """Symbolic run from `s` of at most `bound` steps.
 
-    Stops on SymHalt, or on a SymNext that arrives at `head`, and returns
-    that result, or None when the bound runs out first; each step taken is
+    Stops on halting, at position 0, or on arriving at `head`, and returns
+    that state, or None when the bound runs out first; each step taken is
     appended to `trail` when one is given.  An undecided jump rejects the
     certificate.
     """
@@ -259,9 +253,9 @@ def _walk(
             raise _Rejected(UNDECIDED_BRANCH, pc=res.pc)
         if trail is not None:
             trail.append((s.pc, res.rule))
-        if isinstance(res, SymHalt) or res.state.pc == head:
-            return res
         s = res.state
+        if not s.pc or s.pc == head:
+            return s
     return None
 
 
@@ -292,10 +286,9 @@ def _enter_loop(p: Program, cert: _Lasso) -> SymState:
     s = SymState(1, {i: init[i - 1] for i in universe if i <= len(init)})
     if s.pc != cert.loop_head:
         # the prefix trail is never printed, so none is kept
-        res = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
-        if not isinstance(res, SymNext):
+        s = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
+        if s is None or not s.pc:
             raise _Rejected(PREFIX_FAILED)
-        s = res.state
     _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s)
     return SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in universe})
 
@@ -304,13 +297,13 @@ def _close_loop(p: Program, cert: _Lasso, start: SymState, cs: ConstraintSet):
     """Loop phase: from `start` under `cs` back to the head, re-establishing
     the invariant; returns (end, trail)."""
     trail: list[TrailEntry] = []
-    res = _walk(p, start, cs, cert.step_bound, cert.loop_head, trail)
-    if isinstance(res, SymHalt):
-        raise _Rejected(HALTED_DURING_LOOP, pc=res.state.pc)
-    if res is None:
+    end = _walk(p, start, cs, cert.step_bound, cert.loop_head, trail)
+    if end is None:
         raise _Rejected(LOOP_NOT_CLOSED)
-    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, res.state)
-    return res.state, trail
+    if not end.pc:
+        raise _Rejected(HALTED_DURING_LOOP, pc=trail[-1][0])
+    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, end)
+    return end, trail
 
 
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
@@ -358,8 +351,7 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
             raise _Rejected(RANKING_NOT_DECREASING)
         cs = ConstraintSet.of(*cert.invariant, Atom(*split, "<=", k))
         exit_trail: list[TrailEntry] = []
-        res = _walk(p, start, cs, cert.step_bound, trail=exit_trail)
-        if res is None:
+        if _walk(p, start, cs, cert.step_bound, trail=exit_trail) is None:
             raise _Rejected(EXIT_DOES_NOT_HALT)
     except _Rejected as rejected:
         return rejected.report

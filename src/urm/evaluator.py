@@ -1,15 +1,14 @@
 """Program execution: single steps, fuel-bounded runs, lazy traces.
 
-A step from a running state (program, pc, config) either produces the
-next running state or halts with the final configuration.  Every step
-has a next position: the taken jump's target, or else pc + 1, read as 0
-past the last instruction.  The step halts exactly when that position is
-0, which covers a taken jump to 0, a failed jump at the last
-instruction, and a non-jump at the last instruction (its register
-update still applies).  Divergence is never asserted by the runner;
-`run` merely reports that the fuel budget ran out.  Positive divergence
-verdicts come from `decide_abstract` (jump-only programs, where the
-question is decidable) and from certificate checking.
+A step from a running state (program, pc, config) produces the next
+state.  Its position is the taken jump's target, or else pc + 1, read as
+0 past the last instruction.  A halted state is one at position 0, its
+configuration the final one; a step halts on a taken jump to 0, a failed
+jump at the last instruction, and a non-jump at the last instruction
+(its register update still applies).  Divergence is never asserted by
+the runner; `run` merely reports that the fuel budget ran out.  Positive
+divergence verdicts come from `decide_abstract` (jump-only programs,
+where the question is decidable) and from certificate checking.
 
 There are two concrete interpreters.  `step` is the rule-level relation,
 and `trace` alone drives it; `decide_abstract` and the CLI's
@@ -63,19 +62,6 @@ class MachineState:
 
 
 @dataclass(frozen=True)
-class Next:
-    state: MachineState
-
-
-@dataclass(frozen=True)
-class Halt:
-    config: Config
-
-
-StepResult = Union[Next, Halt]
-
-
-@dataclass(frozen=True)
 class Halted:
     final: Config | FiniteConfig
     steps: int
@@ -109,8 +95,9 @@ def _require_standard(p: Program) -> None:
         raise NotStandardForm("program is not in standard form")
 
 
-def step(s: MachineState) -> StepResult:
-    """Apply one instruction; config changes only for Zero/Succ/Transfer."""
+def step(s: MachineState) -> MachineState:
+    """Apply one instruction; config changes only for Zero/Succ/Transfer.
+    The next state is at position 0 when the step halts."""
     p = s.program
     _require_standard(p)
     n = len(p)
@@ -129,9 +116,7 @@ def step(s: MachineState) -> StepResult:
         c = sc(c, instr.i)
     else:
         c = mv(c, instr.i, instr.j)
-    if not nxt:
-        return Halt(c)
-    return Next(MachineState(p, nxt, c))
+    return MachineState(p, nxt, c)
 
 
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
@@ -206,11 +191,11 @@ def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int
     return times * length
 
 
-def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int, bool]:
+def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int]:
     """Run the compiled `p` from position 1 over `regs`, one slot per
     register of `p.registers`, for at most `fuel` steps, updating `regs`
-    in place.  Returns (steps, pc, halted), pc being the position that
-    would run next when the fuel ran out."""
+    in place.  Returns (steps, pc), pc being 0 when the run halted and
+    else the position that would run next when the fuel ran out."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     code = _compile(p)
@@ -231,7 +216,7 @@ def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int, bool]:
                     # from the fall-through exit below, which measured faster
                     # than one shared test
                     if not k:
-                        break
+                        return steps, 0
                     leapt = _leap(code, regs, k, fuel - steps)
                     if leapt:
                         steps += leapt
@@ -248,11 +233,9 @@ def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int, bool]:
         else:
             regs[b] = regs[a]
         if not nxt:
-            break
+            return steps, 0
         pc = nxt
-    else:
-        return fuel, pc, False
-    return steps, pc, True
+    return fuel, pc
 
 
 def run(p: Program, c: Config, fuel: int) -> Outcome:
@@ -268,23 +251,21 @@ def run(p: Program, c: Config, fuel: int) -> Outcome:
     _require_standard(p)
     live = p.registers
     regs = [c._entries.get(reg, 0) for reg in live]
-    steps, pc, halted = _execute(p, regs, fuel)
+    steps, pc = _execute(p, regs, fuel)
     final = c._updated(zip(live, regs))
-    if halted:
+    if not pc:
         return Halted(final, steps)
     return OutOfFuel(MachineState(p, pc, final), steps)
 
 
 def trace(p: Program, c: Config) -> Iterator[MachineState]:
-    """Lazy state sequence from (p, 1, c); finite exactly when the run halts."""
+    """Lazy state sequence from (p, 1, c); finite exactly when the run
+    halts, and without the halted state at position 0."""
     _require_standard(p)
     state = MachineState(p, 1, c)
-    while True:
+    while state.pc:
         yield state
-        result = step(state)
-        if isinstance(result, Halt):
-            return
-        state = result.state
+        state = step(state)
 
 
 def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
@@ -301,11 +282,11 @@ def run_finite(p: Program, sigma: FiniteConfig, fuel: int) -> Outcome:
     live = p.registers
     values = list(sigma.values)
     regs = [values[reg - 1] for reg in live]
-    steps, pc, halted = _execute(p, regs, fuel)
+    steps, pc = _execute(p, regs, fuel)
     for reg, val in zip(live, regs):
         values[reg - 1] = val
     final = FiniteConfig._of(tuple(values))
-    if halted:
+    if not pc:
         return Halted(final, steps)
     return OutOfFuel(MachineState(p, pc, include(final)), steps)
 

@@ -6,18 +6,18 @@ import pathlib
 import re
 
 import urm
-from urm import certificates, constraints, machine
+from urm import certificates, constraints, evaluator, machine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "AbstractVerdict", "Atom", "CONSTRAINTS_UNSATISFIABLE", "CertReport", "Config",
     "ConstraintSet", "Converges", "DivergenceCert", "Diverges", "EXIT_DOES_NOT_HALT",
-    "FiniteConfig", "HALTED_DURING_LOOP", "Halt", "Halted", "INVARIANT_NOT_ESTABLISHED",
+    "FiniteConfig", "HALTED_DURING_LOOP", "Halted", "INVARIANT_NOT_ESTABLISHED",
     "INVARIANT_NOT_PRESERVED", "Incompatible", "Instruction", "Jump", "LOOP_NOT_CLOSED",
-    "MachineState", "Next", "NotAbstractProgram", "NotStandardForm", "OutOfFuel", "Outcome",
+    "MachineState", "NotAbstractProgram", "NotStandardForm", "OutOfFuel", "Outcome",
     "PREFIX_FAILED", "PcOutOfRange", "Program", "RANKING_NOT_DECREASING", "RANKING_NOT_NONNEGATIVE",
-    "Reason", "SourceError", "StepResult", "Succ", "SymState", "SymValue", "TerminationCert",
+    "Reason", "SourceError", "Succ", "SymState", "SymValue", "TerminationCert",
     "Transfer", "UNDECIDED_BRANCH", "URMError", "Undecided", "UnsupportedAtom", "Zero",
     "check_divergence", "check_termination", "compatible", "decide_abstract", "decide_eq",
     "entails", "format_atom", "format_config", "include", "mv", "parse_cert", "parse_config",
@@ -28,9 +28,10 @@ PUBLIC = [
 # Removed because nothing in the package called them, because they only
 # returned a cached `Program` property, because the one value type
 # `SymValue` took their place, because the checker substitutes through
-# the register indices a certificate keeps, or because both certificate
+# the register indices a certificate keeps, because both certificate
 # kinds share one lasso base and `check_termination` builds its split
-# atoms itself; (owner, attribute).
+# atoms itself, or because a halted state is the one at position 0;
+# (owner, attribute).
 REMOVED = [
     (machine, "rho"),
     (machine, "is_standard_form"),
@@ -48,6 +49,10 @@ REMOVED = [
     (certificates.TerminationCert, "exit_atom"),
     (certificates, "_check_common"),
     (certificates, "Cert"),
+    (evaluator, "Next"),
+    (evaluator, "Halt"),
+    (evaluator, "StepResult"),
+    (certificates, "SymHalt"),
 ]
 
 

@@ -17,7 +17,7 @@ from typing import Callable, NoReturn, TypeVar
 
 from .certificates import CertReport, Reason, TerminationCert, check_divergence, check_termination
 from .constraints import format_atom
-from .errors import NotAbstractProgram, NotStandardForm, PcOutOfRange, SourceError
+from .errors import NotAbstractProgram, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, Program, compatible, include, restrict
 from .textio import _Bad, _content_lines, format_config, parse_cert, parse_config, parse_program
@@ -75,14 +75,28 @@ def _parse(what: str, parse: Callable[[str], _T], text: str) -> _T:
         raise _Failure(f"{what}: {err}")
 
 
+def _refuse_above(path: str, text: str, tokens: slice, cap: int, message: str) -> None:
+    """Refuse the program `text` at the first operand above `cap` among
+    its lines' `tokens` (a slice of the line's whitespace split)."""
+    for ln, line in _content_lines(text):
+        for at, tok in enumerate(line.split()[tokens], start=tokens.start):
+            if int(tok) > cap:
+                raise _Failure(f"{path}: {_Bad(at, message).error(ln, line)}")
+
+
 def _load_program(path: str) -> tuple[Program, str]:
-    """The program in `path` and its text."""
+    """The program in `path` and its text, refused at its first jump
+    target past its end when it is not in standard form."""
     text = _read(path)
-    return _parse(path, parse_program, text), text
+    p = _parse(path, parse_program, text)
+    if not p.standard:
+        # a parsed line's fourth token is a jump's target
+        _refuse_above(path, text, slice(3, 4), len(p), "program is not in standard form")
+    return p, text
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    p, _ = _load_program(args.program)
+    p = _parse(args.program, parse_program, _read(args.program))
     parts = [f"n={len(p)}", f"rho={p.rho}", f"standard-form={'yes' if p.standard else 'no'}"]
     ok = p.standard
     if args.config is not None:
@@ -94,30 +108,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _require_standard(path: str, p: Program) -> None:
-    if not p.standard:
-        raise _Failure(f"{path}: program is not in standard form")
-
-
-def _require_printable(path: str, text: str, p: Program, what: str, cap: int) -> None:
-    """Refuse `p` at its first register operand above `cap`."""
-    if p.rho <= cap:
-        return
-    for ln, line in _content_lines(text):
-        # a parsed line's register operands are its tokens 1 and 2
-        for at, tok in enumerate(line.split()[1:3], start=1):
-            if int(tok) > cap:
-                err = _Bad(at, f"{what} takes register indices up to {cap}").error(ln, line)
-                raise _Failure(f"{path}: {err}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     p, text = _load_program(args.program)
-    _require_standard(args.program, p)
-    if args.show_steps:
-        _require_printable(args.program, text, p, "--show-steps", MAX_SHOW_STEPS_RHO)
-    else:
-        _require_printable(args.program, text, p, "run", MAX_RUN_RHO)
+    what, cap = ("--show-steps", MAX_SHOW_STEPS_RHO) if args.show_steps else ("run", MAX_RUN_RHO)
+    if p.rho > cap:
+        # a parsed line's register operands are its tokens 1 and 2
+        _refuse_above(args.program, text, slice(1, 3), cap, f"{what} takes register indices up to {cap}")
     if args.fuel < 0:
         raise _Failure("--fuel: must be nonnegative")
     sigma = _parse("--init", parse_config, args.init) if args.init is not None else None
@@ -143,7 +139,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
     p, _ = _load_program(args.program)
-    _require_standard(args.program, p)
     sigma = _parse("--init", parse_config, args.init) if args.init is not None else None
     start = include(sigma) if sigma is not None else Config()
     try:
@@ -168,15 +163,20 @@ def _format_reason(reason: Reason) -> str:
 
 def _cmd_cert(args: argparse.Namespace) -> int:
     p, _ = _load_program(args.program)
-    _require_standard(args.program, p)
-    cert = _parse(args.cert, parse_cert, _read(args.cert))
+    text = _read(args.cert)
+    cert = _parse(args.cert, parse_cert, text)
     try:
         if isinstance(cert, TerminationCert):
             report: CertReport = check_termination(p, cert)
         else:
             report = check_divergence(p, cert)
-    except (NotStandardForm, PcOutOfRange, ValueError) as err:
-        raise _Failure(f"{args.cert}: {err}")
+    except PcOutOfRange as err:
+        # the loop head is past the program's end: placed at the `head:`
+        # value, as `parse_cert` places `head: 0`
+        for ln, line in _content_lines(text):
+            key, _, value = line.partition(":")
+            if key.strip() == "head":
+                raise _Failure(f"{args.cert}: {_Bad(0, str(err)).error(ln, value, len(key) + 2)}")
     if report.accepted:
         print("Accepted")
         print("trail: " + " ".join(f"{pc}({rule})" for pc, rule in report.trail))

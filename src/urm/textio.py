@@ -219,7 +219,9 @@ def parse_cert(text: str):
     try:
         for ln, line in _content_lines(text):
             key, colon, value = line.partition(":")
-            key, toks = key.strip(), value.split()
+            key = key.strip()
+            # `init:` is a comma list, read by `_fields`; it may be wide
+            toks = value.split() if key != "init" else []
             if not colon:
                 raise _Bad(None, "expected 'key: value'")
             if key == "constraint" or key == "invariant":
@@ -255,7 +257,9 @@ def parse_cert(text: str):
                         raise _Bad(at, f"duplicate parameter {tok!r}")
                     names.add(tok)
             elif key == "init":
-                once[key] = tuple(SymValue(*term) for term in _fields(value, "a value", param_term))
+                terms = _fields(value, "a value", param_term)
+                shared = {term: SymValue(*term) for term in set(terms)}  # one value per distinct term
+                once[key] = tuple(map(shared.__getitem__, terms))
             elif key in ("head", "bound"):
                 if len(toks) != 1:
                     raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")

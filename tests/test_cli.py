@@ -281,6 +281,15 @@ def test_run_rejects_nonstandard_programs(capsys, tmp_path):
     assert "standard form" in err
 
 
+def test_nonstandard_programs_are_refused_at_the_first_target_past_the_end(capsys, samples_dir, tmp_path):
+    bad = tmp_path / "bad.urm"
+    bad.write_text("S 1\n# J 1 1 9\nJ 1 1 2\n  J 2 1   5\nJ 1 1 9\n")
+    want = f"{bad}: line 4, column 11: program is not in standard form\n"
+    for argv in (["run", str(bad)], ["abstract", str(bad)], ["cert", str(bad), str(samples_dir / "loop.cert")]):
+        assert _run(capsys, *argv) == (1, "", want), argv
+    assert _run(capsys, "validate", str(bad)) == (1, "n=4 rho=2 standard-form=no\n", "")
+
+
 def test_abstract_verdicts(capsys, samples_dir):
     code, out, _ = _run(capsys, "abstract", str(samples_dir / "b.urm"), "--init", "0,0")
     assert code == 0
@@ -417,10 +426,9 @@ def test_cert_register_names_take_ascii_digits_only(capsys, samples_dir, tmp_pat
 
 def test_cert_head_outside_program_exits_1(capsys, samples_dir, tmp_path):
     cert = tmp_path / "far.cert"
-    cert.write_text("kind: diverges\nhead: 9\nbound: 4\n")
+    cert.write_text("kind: diverges\n# head: 1\nhead:  9\nbound: 4\n")
     code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
-    assert code == 1
-    assert "head" in err.lower()
+    assert (code, err) == (1, f"{cert}: line 3, column 8: loop head 9 outside 1..5\n")
 
 
 def test_usage_errors_exit_1(capsys, samples_dir):
@@ -447,8 +455,7 @@ _FUZZ_TOKENS = (
 _FUZZ_BYTES = b"\x00\r\n #,:+-<=>!0123456789rJZSTmn\xc3\xa9\xff"
 # Exit-1 messages that point at no position in a file.
 _UNPOSITIONED = re.compile(
-    r"program is not in standard form|needs at least \d+ registers|not an abstract program"
-    r"|loop head \d+ outside|error: argument"
+    r"needs at least \d+ registers|not an abstract program|error: argument"
 )
 
 

@@ -262,6 +262,17 @@ def test_certificate_operands_allow_offsets_and_constants():
     assert cert.invariant == (Atom("r1", "r2", "<=", -1), Atom("r2", None, ">=", 1))
 
 
+def test_equal_init_terms_share_one_value():
+    """A wide `init:` keeps one `SymValue` per distinct term, however
+    often, and however spelled, the line repeats it."""
+    cert = parse_cert("kind: diverges\nparams: m\ninit: 0, m+1, 00, m+01, 0, m\nhead: 1\nbound: 5\n")
+    assert cert.init == (SymValue(offset=0), SymValue("m", 1), SymValue(offset=0), SymValue("m", 1),
+                         SymValue(offset=0), SymValue("m"))
+    zero, m1 = cert.init[0], cert.init[1]
+    assert cert.init[2] is zero and cert.init[4] is zero and cert.init[3] is m1
+    assert len({id(v) for v in cert.init}) == 3
+
+
 def test_certificate_repeatable_constraint_lines():
     cert = parse_cert(
         "kind: diverges\nparams: a b\nconstraint: a < b\nconstraint: a >= 1\nhead: 1\nbound: 2\n"

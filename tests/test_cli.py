@@ -273,16 +273,14 @@ def test_show_steps_caps_the_register_indices_it_prints(capsys, tmp_path):
     assert (code, out) == (0, f"1 {zeros}\nhalted: {zeros}\nsteps: 1\n")
 
 
-def test_run_rejects_nonstandard_programs(capsys, tmp_path):
+def test_run_rejects_nonstandard_programs(capsys, samples_dir, tmp_path):
+    """run, abstract and cert refuse the program at its first jump target
+    past its end; validate reports it."""
     bad = tmp_path / "bad.urm"
     bad.write_text("J 1 1 9\n")
     code, _, err = _run(capsys, "run", str(bad))
     assert code == 1
     assert "standard form" in err
-
-
-def test_nonstandard_programs_are_refused_at_the_first_target_past_the_end(capsys, samples_dir, tmp_path):
-    bad = tmp_path / "bad.urm"
     bad.write_text("S 1\n# J 1 1 9\nJ 1 1 2\n  J 2 1   5\nJ 1 1 9\n")
     want = f"{bad}: line 4, column 11: program is not in standard form\n"
     for argv in (["run", str(bad)], ["abstract", str(bad)], ["cert", str(bad), str(samples_dir / "loop.cert")]):

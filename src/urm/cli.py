@@ -125,9 +125,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.show_steps:
         # `trace` yields one state per step taken, so these are exactly the
         # states `run` steps from; printed first, so that they stream.
-        # `range`, unlike `islice`, takes a fuel above sys.maxsize.
+        # `range`, unlike `islice`, takes a fuel above sys.maxsize.  A jump
+        # hands its configuration on, so registers are formatted once for
+        # each run of states that share one `Config`.
+        config = registers = None
         for _, state in zip(range(args.fuel), trace(p, start)):
-            print(f"{state.pc} {format_config(restrict(state.config, p).values)}")
+            if state.config is not config:
+                config = state.config
+                registers = format_config(restrict(config, p).values)
+            print(f"{state.pc} {registers}")
     outcome = run(p, start, args.fuel)
     if isinstance(outcome, Halted):
         print(f"halted: {format_config(restrict(outcome.final, p).values)}")

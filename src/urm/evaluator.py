@@ -100,11 +100,12 @@ def step(s: MachineState) -> MachineState:
     The next state is at position 0 when the step halts."""
     p = s.program
     _require_standard(p)
-    n = len(p)
+    instructions = p.instructions
+    n = len(instructions)
     pc = s.pc
     if not 1 <= pc <= n:
         raise PcOutOfRange(f"pc {pc} not in [1..{n}]")
-    instr = p.instructions[pc - 1]
+    instr = instructions[pc - 1]
     c = s.config
     nxt = pc + 1 if pc < n else 0
     if isinstance(instr, Jump):

@@ -102,24 +102,48 @@ def _register(tok: str, at: int, refusal: str | None = None) -> int | None:
     return index
 
 
+def _instruction(line: str) -> Instruction:
+    """The instruction on a program line, read token by token."""
+    mnemonic, *args = line.split()
+    kind = _SYNTAX.get(mnemonic)
+    if kind is None:
+        raise _Bad(0, f"unknown mnemonic {mnemonic!r}")
+    arity = len(kind.__match_args__)
+    if len(args) != arity:
+        raise _Bad(0, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
+    values = [_nat(tok, at) for at, tok in enumerate(args, start=1)]
+    if 0 in values[:2]:
+        raise _Bad(values.index(0) + 1, "register indices start at 1")
+    return kind(*values)
+
+
 def parse_program(text: str) -> Program:
-    """Program from assembly text; positions follow file order."""
+    """Program from assembly text; positions follow file order, and equal
+    lines share one instruction object."""
     instructions: list[Instruction] = []
+    shared: dict[str, Instruction] = {}
     for ln, line in _content_lines(text):
-        mnemonic, *args = line.split()
-        try:
+        instr = shared.get(line)
+        if instr is None:
+            # ASCII-digit operands: one conversion, the constructor refusing
+            # register 0 (a ValueError, as is an int too long to convert)
+            # and a wrong arity (a TypeError).  Anything else, or an error,
+            # is read token by token, which alone builds the positioned error.
+            mnemonic, *args = line.split()
             kind = _SYNTAX.get(mnemonic)
-            if kind is None:
-                raise _Bad(0, f"unknown mnemonic {mnemonic!r}")
-            arity = len(kind.__match_args__)
-            if len(args) != arity:
-                raise _Bad(0, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
-            values = [_nat(tok, at) for at, tok in enumerate(args, start=1)]
-            if 0 in values[:2]:
-                raise _Bad(values.index(0) + 1, "register indices start at 1")
-        except _Bad as bad:
-            raise bad.error(ln, line) from None
-        instructions.append(kind(*values))
+            digits = "".join(args)
+            if kind is not None and digits.isascii() and digits.isdigit():
+                try:
+                    instr = kind(*map(int, args))
+                except (TypeError, ValueError):
+                    pass
+            if instr is None:
+                try:
+                    instr = _instruction(line)
+                except _Bad as bad:
+                    raise bad.error(ln, line) from None
+            shared[line] = instr
+        instructions.append(instr)
     if not instructions:
         raise SourceError(1, 1, "empty program")
     return Program(tuple(instructions))
@@ -190,6 +214,25 @@ def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
     return base, offset
 
 
+def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[SymValue, ...]:
+    """The `init:` list `value`, one `SymValue` per distinct term.  A list
+    of naturals (ASCII digits, commas and spaces) is converted in one pass;
+    any other, or a number too long for `int`, is read field by field with
+    `read`, which alone builds the positioned error."""
+    digits = value.replace(",", "").replace(" ", "")
+    if digits.isascii() and digits.strip().isdigit():
+        try:
+            naturals = list(map(int, value.split(",")))
+        except ValueError:  # an empty field, or a blank inside one
+            pass
+        else:
+            shared = {n: SymValue(offset=n) for n in set(naturals)}
+            return tuple(map(shared.__getitem__, naturals))
+    terms = _fields(value, "a value", read)
+    shared = {term: SymValue(*term) for term in set(terms)}
+    return tuple(map(shared.__getitem__, terms))
+
+
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A
 # constraint set's closure holds a bound per pair of its equality classes,
@@ -257,9 +300,7 @@ def parse_cert(text: str):
                         raise _Bad(at, f"duplicate parameter {tok!r}")
                     names.add(tok)
             elif key == "init":
-                terms = _fields(value, "a value", param_term)
-                shared = {term: SymValue(*term) for term in set(terms)}  # one value per distinct term
-                once[key] = tuple(map(shared.__getitem__, terms))
+                once[key] = _init_values(value, param_term)
             elif key in ("head", "bound"):
                 if len(toks) != 1:
                     raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from urm import print_program
+from urm import Jump, Program, Succ, Transfer, Zero, print_program
 from urm.cli import main
 from oracles import apply_instr, naive_run, random_program
 
@@ -161,6 +161,13 @@ def test_run_show_steps_agrees_with_the_naive_interpreter(capsys, tmp_path, prog
         init = tuple(rng.randint(0, 3) for _ in range(3))
         verdict, _, k = naive_run(p, dict(enumerate(init, start=1)), 200)
         cases.append((p, init, (0, k - 1, k, k + 1) if verdict == "halted" else (0, 1, 60)))
+    # after `T i i` or a `Z` of a zero register a new but equal `Config`
+    # follows; after a jump, back-to-back ones included, the same one
+    for p in (Program((Transfer(1, 1), Zero(3), Jump(1, 2, 5), Jump(3, 3, 1), Succ(2), Jump(1, 1, 1))),
+              Program((Jump(1, 1, 2), Jump(2, 3, 3), Zero(1), Transfer(2, 2), Jump(1, 3, 0), Succ(3)))):
+        for init in ((0, 0, 0), (2, 0, 0), (1, 1, 0), (0, 4, 4)):
+            verdict, _, k = naive_run(p, dict(enumerate(init, start=1)), 200)
+            cases.append((p, init, (0, k - 1, k, k + 1) if verdict == "halted" else (0, 1, 7, 60)))
     for p, init, fuels in cases:
         path.write_text(print_program(p))
         for fuel in fuels:

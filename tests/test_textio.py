@@ -30,7 +30,7 @@ from urm import (
     parse_program,
     print_program,
 )
-from urm.textio import MAX_STEP_BOUND, _Bad
+from urm.textio import MAX_STEP_BOUND, _Bad, _fields, _init_values, _term
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
@@ -106,6 +106,91 @@ def test_program_round_trip_on_random_programs():
     for _ in range(50):
         p = random_program(rng)
         assert parse_program(print_program(p)) == p
+
+
+def test_equal_program_lines_share_one_instruction():
+    """Lines equal once their comments are cut share one instruction."""
+    p = parse_program("S 1\nJ 1 2 0\n\nS 1\n# note\nJ 1 2 0\nS 2 # a\nS 2 # b\nS 01\n")
+    s1, j, s1_again, j_again, s2, s2_again, s01 = p.instructions
+    assert s1 is s1_again and j is j_again and s2 is s2_again
+    assert s01 == s1 and len({id(instr) for instr in p.instructions}) == 4
+
+
+def _per_token_program(text: str):
+    """`parse_program` reading every token on its own, placed by the regex
+    columns: the instructions, or the error's (line, column, message)."""
+    kinds = {"Z": Zero, "S": Succ, "T": Transfer, "J": Jump}
+    out = []
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not toks:
+            continue
+        (col, mnemonic), *args = toks
+        kind = kinds.get(mnemonic)
+        if kind is None:
+            return ln, col, f"unknown mnemonic {mnemonic!r}"
+        arity = len(kind.__match_args__)
+        if len(args) != arity:
+            return ln, col, f"{mnemonic} takes {arity} operand(s), got {len(args)}"
+        values = []
+        for col, tok in args:
+            if not re.fullmatch("[0-9]+", tok):
+                return ln, col, f"expected a natural number, got {tok!r}"
+            try:
+                values.append(int(tok))
+            except ValueError:
+                return ln, col, f"number too long ({len(tok)} digits)"
+        for (col, _), value in zip(args, values[:2]):
+            if value == 0:
+                return ln, col, "register indices start at 1"
+        out.append(kind(*values))
+    return tuple(out) if out else (1, 1, "empty program")
+
+
+# Operands that may replace a program's: register 0 (`0`, `00`), the
+# spellings that `int` takes but the grammar refuses (`٣`, `+1`, `1_0`,
+# `-1`) and both sides of the int conversion limit.
+OPERANDS = ["0", "00", "01", "\u0663", "+1", "1_0", "-1", LONG, "9" * 4300, "x"]
+
+
+def _random_program_text(rng: random.Random) -> str:
+    """A random program, some of its lines repeated and some mutated: an
+    operand replaced, dropped or added, or the mnemonic replaced."""
+    lines = []
+    for instr in random_program(rng, max_len=6, max_reg=9):
+        toks = print_program(Program((instr,))).split()
+        roll = rng.random()
+        if roll < 0.15:
+            toks[rng.randrange(1, len(toks))] = rng.choice(OPERANDS)
+        elif roll < 0.18:
+            del toks[rng.randrange(1, len(toks))]
+        elif roll < 0.21:
+            toks.append(rng.choice(["1", "0", "x"]))
+        elif roll < 0.23:
+            toks[0] = rng.choice(["Q", "s", "JJ", "Z1"])
+        lines.append(_spaced(rng, toks)[0] if rng.random() < 0.3 else " ".join(toks))
+        if rng.random() < 0.3:
+            lines.append(lines[-1])
+    return _lay_out(rng, lines)[0]
+
+
+def test_parse_program_agrees_with_the_per_token_reader():
+    rng = random.Random(37)
+    wrong = []
+    accepted = 0
+    for _ in range(3000):
+        text = _random_program_text(rng)
+        try:
+            got = parse_program(text).instructions
+        except SourceError as err:
+            got = (err.line, err.column, err.message)
+        else:
+            accepted += 1
+        if got != _per_token_program(text):
+            wrong.append(text[:80])
+    assert wrong == []
+    # both the accepted and the refused programs are well represented
+    assert 600 < accepted < 2400
 
 
 def test_parse_config_basics():
@@ -205,6 +290,37 @@ def test_parse_config_agrees_with_the_per_field_reader():
     assert wrong == []
     # both the accepted and the refused lines are well represented
     assert 4000 < fast < 16000
+
+
+def test_init_values_agree_with_the_per_field_reader():
+    """An `init:` list of naturals is converted in one pass; it reads as
+    `_fields` does, and any other list, or an error, is left to it."""
+    def read(tok, at):
+        return _term(tok, at, "parameter")
+
+    def outcome(reader, value):
+        try:
+            return reader(value)
+        except _Bad as bad:
+            return bad.args
+
+    def per_field(value):
+        return tuple(SymValue(*term) for term in _fields(value, "a value", read))
+
+    rng = random.Random(17)
+    wrong = []
+    accepted = 0
+    for _ in range(5000):
+        value = _random_config_text(rng).replace(",", rng.choice([",", ", ", " , ", ",  "]))
+        got = outcome(lambda v: _init_values(v, read), value)
+        accepted += isinstance(got[0], SymValue)
+        if got != outcome(per_field, value):
+            wrong.append(value[:80])
+    assert wrong == []
+    assert 600 < accepted < 4000
+    values = _init_values(" 0, 00 ,7,07 ", read)
+    assert values == (SymValue(offset=0), SymValue(offset=0), SymValue(offset=7), SymValue(offset=7))
+    assert values[0] is values[1] and values[2] is values[3]
 
 
 def test_parse_config_memory_follows_its_result():

@@ -44,13 +44,12 @@ from .constraints import (
     SymValue,
     decide_eq,
     entails,
-    parse_reg_var,
     reg_var,
     _satisfiable,
     _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Zero
+from .machine import Jump, Program, Succ, Zero, parse_reg_var
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"

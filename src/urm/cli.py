@@ -13,14 +13,16 @@ import io
 import os
 import sys
 
-from typing import Callable, NoReturn, TypeVar
+from functools import cache
+from typing import TYPE_CHECKING, Callable, NoReturn, TypeVar
 
-from .certificates import CertReport, Reason, TerminationCert, check_divergence, check_termination
-from .constraints import format_atom
 from .errors import NotAbstractProgram, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, Program, compatible, include, restrict
 from .textio import _Bad, _content_lines, format_config, parse_cert, parse_config, parse_program
+
+if TYPE_CHECKING:
+    from .certificates import Reason
 
 DEFAULT_FUEL = 100000
 # `run` prints registers r1..r_rho, so its time, memory and output grow
@@ -159,6 +161,8 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 
 
 def _format_reason(reason: Reason) -> str:
+    from .constraints import format_atom
+
     text = reason.code
     if reason.pc is not None:
         text += f" pc={reason.pc}"
@@ -168,6 +172,9 @@ def _format_reason(reason: Reason) -> str:
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
+    # the checker loads only here, so that the other subcommands run without it
+    from .certificates import CertReport, TerminationCert, check_divergence, check_termination
+
     p, _ = _load_program(args.program)
     text = _read(args.cert)
     cert = _parse(args.cert, parse_cert, text)
@@ -191,7 +198,9 @@ def _cmd_cert(args: argparse.Namespace) -> int:
     return 3
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process, on first use."""
     parser = _Parser(prog="urm", description="Unlimited register machine tools.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,8 +31,9 @@ analysis on a disequality have to be rewritten with strict bounds.
 
 All variables range over naturals; `x >= 0` is ambient and never stated.
 A certificate names register i by the variable `reg_var(i)`, `ri`;
-`parse_reg_var` reads such a name back, and the certificate checker
-substitutes symbolic values for its registers by index.
+`parse_reg_var` (from `machine`, where the parser finds it without this
+module) reads such a name back, and the certificate checker substitutes
+symbolic values for its registers by index.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnsupportedAtom
+from .machine import _decimal, parse_reg_var
 
 REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
 
@@ -280,36 +282,6 @@ def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
 def reg_var(i: int) -> str:
     """Variable name standing for register i in certificate atoms."""
     return f"r{i}"
-
-
-def parse_reg_var(name: str) -> int | None:
-    """Register index of a `rI` variable name, or None.  I is in ASCII
-    digits without a leading zero, so each register has one name."""
-    digits = name[1:]
-    if name[:1] == "r" and digits.isascii() and digits.isdigit() and digits[0] != "0":
-        return int(digits)
-    return None
-
-
-# `str` refuses an int of more digits than sys.get_int_max_str_digits(),
-# 4300 by default and never below 640; a chunk of 600 digits stays under it.
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """`str(n)` for an int of any length.  A parsed number has at most the
-    limit's digits, but a register value or a normalized bound may grow
-    past it."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    sign, rest = ("-", -n) if n < 0 else ("", n)
-    chunks = []
-    while rest >= _CHUNK:
-        rest, low = divmod(rest, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    chunks.append(str(rest))
-    return sign + "".join(reversed(chunks))
 
 
 def format_atom(a: Atom) -> str:

@@ -34,7 +34,6 @@ changes every iteration or runs a `Z` or `T`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import Incompatible, NotAbstractProgram, NotStandardForm, PcOutOfRange
@@ -46,6 +45,8 @@ from .machine import (
     Succ,
     Transfer,
     Zero,
+    _set,
+    _Value,
     compatible,
     include,
     mv,
@@ -54,37 +55,57 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(_Value):
+    __slots__ = __match_args__ = ("program", "pc", "config")
     program: Program
     pc: int
     config: Config
 
+    def __init__(self, program: Program, pc: int, config: Config) -> None:
+        _set(self, "program", program)
+        _set(self, "pc", pc)
+        _set(self, "config", config)
 
-@dataclass(frozen=True)
-class Halted:
+
+class Halted(_Value):
+    __slots__ = __match_args__ = ("final", "steps")
     final: Config | FiniteConfig
     steps: int
 
+    def __init__(self, final: Config | FiniteConfig, steps: int) -> None:
+        _set(self, "final", final)
+        _set(self, "steps", steps)
 
-@dataclass(frozen=True)
-class OutOfFuel:
+
+class OutOfFuel(_Value):
+    __slots__ = __match_args__ = ("last", "steps")
     last: MachineState
     steps: int
+
+    def __init__(self, last: MachineState, steps: int) -> None:
+        _set(self, "last", last)
+        _set(self, "steps", steps)
 
 
 Outcome = Union[Halted, OutOfFuel]
 
 
-@dataclass(frozen=True)
-class Converges:
+class Converges(_Value):
+    __slots__ = __match_args__ = ("steps",)
     steps: int
 
+    def __init__(self, steps: int) -> None:
+        _set(self, "steps", steps)
 
-@dataclass(frozen=True)
-class Diverges:
+
+class Diverges(_Value):
+    __slots__ = __match_args__ = ("cycle_entry_pc", "cycle_length")
     cycle_entry_pc: int
     cycle_length: int
+
+    def __init__(self, cycle_entry_pc: int, cycle_length: int) -> None:
+        _set(self, "cycle_entry_pc", cycle_entry_pc)
+        _set(self, "cycle_length", cycle_length)
 
 
 AbstractVerdict = Union[Converges, Diverges]

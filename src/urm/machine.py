@@ -13,12 +13,17 @@ never stored, map equality coincides with valuation equality.
 `FiniteConfig` is the plain list view covering registers 1..m; it only
 couples soundly with a program whose register operands all fall inside
 1..m, which is what `compatible` checks.
+
+The instructions, `Program` and `FiniteConfig`, like the evaluator's
+states and results, are immutable slotted classes on the private base
+`_Value`, which gives them a frozen dataclass's equality, hashing and
+`repr` without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -34,59 +39,151 @@ def _check_natural(value: int, what: str, *args: object) -> None:
         raise ValueError(f"{what.format(*args)} must be a natural number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Zero:
+def parse_reg_var(name: str) -> int | None:
+    """Register index of a `rI` variable name, as `constraints.reg_var`
+    writes one, or None.  I is in ASCII digits without a leading zero, so
+    each register has one name."""
+    digits = name[1:]
+    if name[:1] == "r" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits)
+    return None
+
+
+# `str` refuses an int of more digits than sys.get_int_max_str_digits(),
+# 4300 by default and never below 640; a chunk of 600 digits stays under it.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """`str(n)` for an int of any length.  A parsed number has at most the
+    limit's digits, but a register value or a normalized bound may grow
+    past it."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, rest = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(rest))
+    return sign + "".join(reversed(chunks))
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes: equality, hashing, `repr` and
+    pickling from the fields that `__match_args__` names, as a frozen
+    dataclass has them.  Only an instance of the same class compares
+    equal.  Each subclass declares its fields as its `__slots__` and sets
+    them in its own `__init__` through `_set`."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _astuple: tuple  # the field values, in `__match_args__` order
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__match_args__)
+        cls._astuple = property(get if len(cls.__match_args__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple == other._astuple
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self.__match_args__, self._astuple)])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple
+
+
+# The constructors test the common case, an int in range, inline, and leave
+# anything else to the full check, which refuses it or, for an int subclass
+# other than bool, admits it.
+
+
+class Zero(_Value):
+    __slots__ = __match_args__ = ("i",)
     i: int
 
-    def __post_init__(self) -> None:
-        _check_register(self.i)
+    def __init__(self, i: int) -> None:
+        if i.__class__ is not int or i < 1:
+            _check_register(i)
+        _set(self, "i", i)
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(_Value):
+    __slots__ = __match_args__ = ("i",)
     i: int
 
-    def __post_init__(self) -> None:
-        _check_register(self.i)
+    def __init__(self, i: int) -> None:
+        if i.__class__ is not int or i < 1:
+            _check_register(i)
+        _set(self, "i", i)
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(_Value):
+    __slots__ = __match_args__ = ("i", "j")
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        _check_register(self.i)
-        _check_register(self.j)
+    def __init__(self, i: int, j: int) -> None:
+        if i.__class__ is not int or i < 1:
+            _check_register(i)
+        if j.__class__ is not int or j < 1:
+            _check_register(j)
+        _set(self, "i", i)
+        _set(self, "j", j)
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(_Value):
+    __slots__ = __match_args__ = ("i", "j", "k")
     i: int
     j: int
     k: int
 
-    def __post_init__(self) -> None:
-        _check_register(self.i)
-        _check_register(self.j)
-        _check_natural(self.k, "jump target")
+    def __init__(self, i: int, j: int, k: int) -> None:
+        if i.__class__ is not int or i < 1:
+            _check_register(i)
+        if j.__class__ is not int or j < 1:
+            _check_register(j)
+        if k.__class__ is not int or k < 0:
+            _check_natural(k, "jump target")
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "k", k)
 
 
 Instruction = Union[Zero, Succ, Transfer, Jump]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Value):
     """A finite, non-empty instruction sequence; positions are 1-based."""
 
+    __slots__ = ("instructions", "__dict__")
+    __match_args__ = ("instructions",)
     instructions: tuple[Instruction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.instructions:
+    def __init__(self, instructions: tuple[Instruction, ...]) -> None:
+        if not instructions:
             raise ValueError("a program must contain at least one instruction")
-        for instr in self.instructions:
+        for instr in instructions:
             if not isinstance(instr, (Zero, Succ, Transfer, Jump)):
                 raise ValueError(f"not an instruction: {instr!r}")
+        _set(self, "instructions", instructions)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -94,8 +191,8 @@ class Program:
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
-    # Computed on first use and kept in the instance dict; dataclass
-    # equality and hashing look only at `instructions`.
+    # Computed on first use and kept in the instance dict; equality,
+    # hashing and pickling look only at `instructions`.
     @cached_property
     def standard(self) -> bool:
         """True iff every jump target k satisfies k <= len(self)."""
@@ -173,24 +270,25 @@ class Config:
 EMPTY_CONFIG = Config()
 
 
-@dataclass(frozen=True)
-class FiniteConfig:
+class FiniteConfig(_Value):
     """Register values for positions 1..m, m >= 1."""
 
+    __slots__ = __match_args__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise ValueError("a finite configuration must be non-empty")
-        for pos, val in enumerate(self.values, start=1):
+        for pos, val in enumerate(values, start=1):
             _check_natural(val, "value at position {}", pos)
+        _set(self, "values", values)
 
     @classmethod
     def _of(cls, values: tuple[int, ...]) -> FiniteConfig:
-        """From a non-empty tuple of naturals; `__post_init__`'s checks are
+        """From a non-empty tuple of naturals; `__init__`'s checks are
         skipped."""
         new = object.__new__(cls)
-        object.__setattr__(new, "values", values)
+        _set(new, "values", values)
         return new
 
     def __len__(self) -> int:

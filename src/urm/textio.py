@@ -36,10 +36,8 @@ import re
 
 from typing import Callable, Iterator
 
-from .certificates import DivergenceCert, TerminationCert
-from .constraints import REL_SYMBOLS, Atom, ConstraintSet, SymValue, _decimal, parse_reg_var
 from .errors import SourceError
-from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero
+from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero, _decimal, parse_reg_var
 
 _TOKEN = re.compile(r"\S+")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -219,6 +217,8 @@ def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]])
     of naturals (ASCII digits, commas and spaces) is converted in one pass;
     any other, or a number too long for `int`, is read field by field with
     `read`, which alone builds the positioned error."""
+    from .constraints import SymValue
+
     digits = value.replace(",", "").replace(" ", "")
     if digits.isascii() and digits.strip().isdigit():
         try:
@@ -247,6 +247,11 @@ MAX_STEP_BOUND = 100000
 
 def parse_cert(text: str):
     """Divergence or termination certificate from key-value text."""
+    # the checker's modules load here, so that programs and configurations
+    # are read without them
+    from .certificates import DivergenceCert, TerminationCert
+    from .constraints import REL_SYMBOLS, Atom, ConstraintSet
+
     seen: dict[str, int] = {}  # a once-only key's line
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []

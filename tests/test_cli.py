@@ -518,3 +518,89 @@ def test_mutated_inputs_end_in_a_documented_exit_code(capsys, tmp_path, samples_
         if code == 1:
             rejected = command == "validate" and not err and "=no" in out
             assert rejected or re.search(r"line \d+, column \d+", err) or _UNPOSITIONED.search(err), (argv, err)
+
+
+def _fresh(code, *argv, env=None):
+    """`code` run with `argv` by a fresh interpreter at the repository root."""
+    env = dict(env or os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, cwd=ROOT, env=env, timeout=60)
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch, samples_dir):
+    """`main` builds its parser once per process; calls made one after
+    another in one process, a usage error among them, print the same bytes
+    and exit with the same codes as each call in a fresh process."""
+    from urm.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    minus = str(samples_dir / "minus.urm")
+    calls = [
+        ["run", minus, "--init", "5,3,0"],
+        ["run", minus, "--fuel", "lots"],
+        ["run", minus, "--init", "5,3,0", "--show-steps"],
+        ["bogus"],
+        ["validate", minus],
+        ["run"],
+        ["cert", minus, str(samples_dir / "minus-term.cert")],
+        ["abstract", str(samples_dir / "b.urm"), "--init", "0,0"],
+        ["run", minus, "--init", "5,3,0"],
+    ]
+    in_process = [_run(capsys, *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    for argv, (code, out, err) in zip(calls, in_process):
+        child = _fresh("import sys; from urm.cli import main; sys.exit(main())", *argv)
+        assert (code, out.encode(), err.encode()) == (child.returncode, child.stdout, child.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 1, 0, 1, 0, 0, 0]
+    assert in_process[0] == in_process[-1]
+
+
+_LOADED = """
+import sys
+CHECKER = ("dataclasses", "urm.certificates", "urm.constraints")
+def loaded():
+    return [name for name in CHECKER if name in sys.modules]
+"""
+
+
+def test_only_the_certificate_path_loads_the_checker():
+    """A fresh `urm` imports neither `dataclasses` nor the checker's modules
+    to run, decide or validate a program; `cert`, or reading one of the
+    checker's names from the package, loads them, and they work."""
+    child = _fresh(_LOADED + """
+import contextlib, io, urm
+from urm.cli import main
+assert loaded() == [], loaded()
+assert main(["run", "samples/minus.urm", "--init", "5,3,0"]) == 0
+assert main(["abstract", "samples/b.urm", "--init", "0,0"]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["validate", "samples/minus.urm"]) == 0
+    assert main(["run", "samples/minus.urm", "--init", "5,3,0", "--finite", "--show-steps"]) == 0
+assert {"check_divergence", "SymValue", "certificates"} <= set(dir(urm))
+print(loaded())
+assert main(["cert", "samples/minus.urm", "samples/minus-div.cert"]) == 0
+print(loaded())
+""")
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode().splitlines() == [
+        "halted: 2,5,2", "steps: 10", "diverges: cycle at pc 2, length 1", "[]",
+        "Accepted", "trail: 1(jf·r) 2(s·r) 3(s·r) 4(jt·r)",
+        "['dataclasses', 'urm.certificates', 'urm.constraints']",
+    ]
+    child = _fresh(_LOADED + """
+import urm
+p = urm.parse_program(open("samples/minus.urm").read())
+assert loaded() == [], loaded()
+check = urm.check_divergence
+assert loaded() == list(CHECKER), loaded()
+assert check is urm.certificates.check_divergence is urm.check_divergence
+report = check(p, urm.parse_cert(open("samples/minus-div.cert").read()))
+assert report.accepted, report
+assert urm.entails(urm.ConstraintSet.of(urm.Atom("m", "n", "<", 0)), urm.Atom("n", "m", ">", 0))
+try:
+    urm.no_such_name
+except AttributeError as err:
+    print(err)
+""")
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode() == "module 'urm' has no attribute 'no_such_name'\n"

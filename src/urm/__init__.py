@@ -56,25 +56,10 @@ from .textio import format_config, parse_cert, parse_config, parse_program, prin
 # running a program never imports the checker (PEP 562).
 _LAZY = {
     "certificates": (
-        "CONSTRAINTS_UNSATISFIABLE",
-        "EXIT_DOES_NOT_HALT",
-        "HALTED_DURING_LOOP",
-        "INVARIANT_NOT_ESTABLISHED",
-        "INVARIANT_NOT_PRESERVED",
-        "LOOP_NOT_CLOSED",
-        "PREFIX_FAILED",
-        "RANKING_NOT_DECREASING",
-        "RANKING_NOT_NONNEGATIVE",
-        "UNDECIDED_BRANCH",
-        "CertReport",
-        "DivergenceCert",
-        "Reason",
-        "SymState",
-        "TerminationCert",
-        "Undecided",
-        "check_divergence",
-        "check_termination",
-        "sym_step",
+        "CONSTRAINTS_UNSATISFIABLE", "EXIT_DOES_NOT_HALT", "HALTED_DURING_LOOP", "INVARIANT_NOT_ESTABLISHED",
+        "INVARIANT_NOT_PRESERVED", "LOOP_NOT_CLOSED", "PREFIX_FAILED", "RANKING_NOT_DECREASING",
+        "RANKING_NOT_NONNEGATIVE", "UNDECIDED_BRANCH", "CertReport", "DivergenceCert", "Reason", "SymState",
+        "TerminationCert", "Undecided", "check_divergence", "check_termination", "sym_step",
     ),
     "constraints": ("Atom", "ConstraintSet", "SymValue", "decide_eq", "entails", "format_atom", "reg_var"),
 }

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import re
 
+from functools import cache
+from types import ModuleType
 from typing import Callable, Iterator
 
 from .errors import SourceError
@@ -212,13 +214,22 @@ def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
     return base, offset
 
 
+@cache
+def _checker() -> tuple[ModuleType, ModuleType]:
+    """The certificate checker's modules, `certificates` and `constraints`,
+    imported on the first certificate read, so that programs and
+    configurations are read without them."""
+    from . import certificates, constraints
+
+    return certificates, constraints
+
+
 def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[SymValue, ...]:
     """The `init:` list `value`, one `SymValue` per distinct term.  A list
     of naturals (ASCII digits, commas and spaces) is converted in one pass;
     any other, or a number too long for `int`, is read field by field with
     `read`, which alone builds the positioned error."""
-    from .constraints import SymValue
-
+    SymValue = _checker()[1].SymValue
     digits = value.replace(",", "").replace(" ", "")
     if digits.isascii() and digits.strip().isdigit():
         try:
@@ -247,11 +258,8 @@ MAX_STEP_BOUND = 100000
 
 def parse_cert(text: str):
     """Divergence or termination certificate from key-value text."""
-    # the checker's modules load here, so that programs and configurations
-    # are read without them
-    from .certificates import DivergenceCert, TerminationCert
-    from .constraints import REL_SYMBOLS, Atom, ConstraintSet
-
+    certs, cons = _checker()
+    REL_SYMBOLS, Atom = cons.REL_SYMBOLS, cons.Atom
     seen: dict[str, int] = {}  # a once-only key's line
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []
@@ -344,7 +352,7 @@ def parse_cert(text: str):
             raise SourceError(seen[key], 1, f"{key!r} is only for kind terminates")
         if key not in once and terminates:
             raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
-    cert = TerminationCert if terminates else DivergenceCert
-    return cert(param_constraints=ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
+    cert = certs.TerminationCert if terminates else certs.DivergenceCert
+    return cert(param_constraints=cons.ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
                 loop_head=once["head"], invariant=tuple(invariant), step_bound=once["bound"],
                 **{key: once[key] for key in ("split", "ranking") if terminates})

@@ -520,9 +520,9 @@ def test_mutated_inputs_end_in_a_documented_exit_code(capsys, tmp_path, samples_
             assert rejected or re.search(r"line \d+, column \d+", err) or _UNPOSITIONED.search(err), (argv, err)
 
 
-def _fresh(code, *argv, env=None):
+def _fresh(code, *argv):
     """`code` run with `argv` by a fresh interpreter at the repository root."""
-    env = dict(env or os.environ)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, cwd=ROOT, env=env, timeout=60)
 

@@ -10,46 +10,12 @@ the command-line front end.
 
 from importlib import import_module
 
-from .errors import (
-    Incompatible,
-    NotAbstractProgram,
-    NotStandardForm,
-    PcOutOfRange,
-    SourceError,
-    UnsupportedAtom,
-    URMError,
-)
-from .evaluator import (
-    AbstractVerdict,
-    Converges,
-    Diverges,
-    Halted,
-    MachineState,
-    Outcome,
-    OutOfFuel,
-    decide_abstract,
-    run,
-    run_finite,
-    step,
-    trace,
-)
-from .machine import (
-    Config,
-    FiniteConfig,
-    Instruction,
-    Jump,
-    Program,
-    Succ,
-    Transfer,
-    Zero,
-    compatible,
-    include,
-    mv,
-    restrict,
-    sc,
-    zr,
-)
-from .textio import format_config, parse_cert, parse_config, parse_program, print_program
+# The eager modules' public names, each declared once in its module's `__all__`.
+from . import errors, evaluator, machine, textio
+from .errors import *
+from .evaluator import *
+from .machine import *
+from .textio import *
 
 # The certificate checker's modules, and the names this package takes from
 # them; each module loads when one of its names is first read, so that
@@ -80,69 +46,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY, *_HOME})
 
 
-__all__ = [
-    "AbstractVerdict",
-    "Atom",
-    "CONSTRAINTS_UNSATISFIABLE",
-    "CertReport",
-    "Config",
-    "ConstraintSet",
-    "Converges",
-    "DivergenceCert",
-    "Diverges",
-    "EXIT_DOES_NOT_HALT",
-    "FiniteConfig",
-    "HALTED_DURING_LOOP",
-    "Halted",
-    "INVARIANT_NOT_ESTABLISHED",
-    "INVARIANT_NOT_PRESERVED",
-    "Incompatible",
-    "Instruction",
-    "Jump",
-    "LOOP_NOT_CLOSED",
-    "MachineState",
-    "NotAbstractProgram",
-    "NotStandardForm",
-    "OutOfFuel",
-    "Outcome",
-    "PREFIX_FAILED",
-    "PcOutOfRange",
-    "Program",
-    "RANKING_NOT_DECREASING",
-    "RANKING_NOT_NONNEGATIVE",
-    "Reason",
-    "SourceError",
-    "Succ",
-    "SymState",
-    "SymValue",
-    "TerminationCert",
-    "Transfer",
-    "UNDECIDED_BRANCH",
-    "URMError",
-    "Undecided",
-    "UnsupportedAtom",
-    "Zero",
-    "check_divergence",
-    "check_termination",
-    "compatible",
-    "decide_abstract",
-    "decide_eq",
-    "entails",
-    "format_atom",
-    "format_config",
-    "include",
-    "mv",
-    "parse_cert",
-    "parse_config",
-    "parse_program",
-    "print_program",
-    "reg_var",
-    "restrict",
-    "run",
-    "run_finite",
-    "sc",
-    "step",
-    "sym_step",
-    "trace",
-    "zr",
-]
+__all__ = sorted([*errors.__all__, *evaluator.__all__, *machine.__all__, *textio.__all__, *_HOME])

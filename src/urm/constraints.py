@@ -108,9 +108,6 @@ class Atom:
             return None
         return _holds(0, 0, self.rel, self.k)
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(v for v in (self.x, self.y) if v is not None)
-
 
 def _holds(lo: float, hi: float, rel: str, k: int) -> bool:
     """True iff every difference d in [lo, hi] satisfies `d rel k`, where

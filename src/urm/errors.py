@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+__all__ = (
+    "URMError", "SourceError", "NotStandardForm", "PcOutOfRange", "Incompatible", "NotAbstractProgram", "UnsupportedAtom",
+)
+
 
 class URMError(Exception):
     """Base class for all errors raised by this package."""

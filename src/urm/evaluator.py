@@ -54,6 +54,11 @@ from .machine import (
     zr,
 )
 
+__all__ = (
+    "step", "MachineState", "trace", "run", "run_finite", "Halted", "OutOfFuel", "Outcome", "decide_abstract",
+    "Converges", "Diverges", "AbstractVerdict",
+)
+
 
 class MachineState(_Value):
     __slots__ = __match_args__ = ("program", "pc", "config")

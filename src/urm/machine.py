@@ -26,6 +26,11 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
+__all__ = (
+    "Zero", "Succ", "Transfer", "Jump", "Instruction", "Program", "Config", "FiniteConfig", "zr", "sc", "mv",
+    "compatible", "include", "restrict",
+)
+
 
 def _check_register(value: int, what: str = "register index") -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:

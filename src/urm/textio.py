@@ -41,6 +41,8 @@ from typing import Callable, Iterator
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero, _decimal, parse_reg_var
 
+__all__ = ("parse_program", "print_program", "parse_config", "format_config", "parse_cert")
+
 _TOKEN = re.compile(r"\S+")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 

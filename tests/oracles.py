@@ -118,6 +118,11 @@ def renumbered(p: Program, to: dict[int, int]) -> Program:
 _HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
 
 
+def atom_variables(atom) -> frozenset[str]:
+    """The variables an atom names, one or two."""
+    return frozenset(v for v in (atom.x, atom.y) if v is not None)
+
+
 def atom_holds(atom, values: dict[str, int]) -> bool:
     """Truth of `x - y rel k` under `values`, an absent side reading 0."""
     diff = sum(sign * values[var] for var, sign in ((atom.x, 1), (atom.y, -1)) if var is not None)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, random_program, renumbered
+from oracles import atom_holds, atom_variables, constraints_hold, head_visits, naive_pcs, random_program, renumbered
 from urm.certificates import (
     DivergenceCert,
     HALTED_DURING_LOOP,
@@ -75,7 +75,7 @@ def _sym_eval(sv, assignment):
 
 
 def _parameters(cert):
-    names = {v for atom in cert.param_constraints.atoms for v in atom.variables()}
+    names = {v for atom in cert.param_constraints.atoms for v in atom_variables(atom)}
     for sv in cert.init:
         if sv.var is not None:
             names.add(sv.var)
@@ -94,7 +94,7 @@ def _sample_registers(cert, rng, high=10):
 
 def _invariant_holds(invariant, regs):
     for atom in invariant:
-        values = {v: regs.get(parse_reg_var(v), 0) for v in atom.variables()}
+        values = {v: regs.get(parse_reg_var(v), 0) for v in atom_variables(atom)}
         if not atom_holds(atom, values):
             return False
     return True

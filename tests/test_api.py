@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import urm
-from urm import certificates, constraints, evaluator, machine
+from urm import certificates, constraints, errors, evaluator, machine, textio
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -40,6 +45,7 @@ REMOVED = [
     (constraints, "eval_atom"),
     (constraints, "satisfies"),
     (constraints.ConstraintSet, "variables"),
+    (constraints.Atom, "variables"),
     (constraints, "Const"),
     (constraints, "VarPlus"),
     (constraints, "_parts"),
@@ -55,6 +61,10 @@ REMOVED = [
     (certificates, "SymHalt"),
 ]
 
+# The modules that `import urm` loads, each declaring its public names in
+# its `__all__`.
+EAGER = (errors, evaluator, machine, textio)
+
 
 def test_the_public_names_are_exactly_these():
     assert urm.__all__ == PUBLIC
@@ -68,11 +78,45 @@ def test_removed_names_stay_removed():
         assert name not in urm.__all__
 
 
-def test_the_readme_library_table_lists_the_public_names():
+def _readme_rows() -> dict[str, list[str]]:
+    """Module name -> the names its row of README's Library table lists."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[3] for line in section.splitlines() if line.startswith("| `urm.")]
-    assert sorted(name for row in rows for name in re.findall(r"`(\w+)`", row)) == PUBLIC
+    cells = [line.split("|") for line in section.splitlines() if line.startswith("| `urm.")]
+    return {cell[1].strip().strip("`")[len("urm."):]: re.findall(r"`(\w+)`", cell[3]) for cell in cells}
+
+
+def test_the_readme_library_table_lists_the_public_names():
+    assert sorted(name for names in _readme_rows().values() for name in names) == PUBLIC
+
+
+def test_each_readme_row_lists_its_module_public_names():
+    """An eager module's `__all__` is its row, in order; the checker's
+    modules, which `urm` must not import, are listed in `urm._LAZY`."""
+    rows = _readme_rows()
+    for module in EAGER:
+        assert rows[module.__name__[len("urm."):]] == list(module.__all__), module.__name__
+    for name, names in urm._LAZY.items():
+        assert sorted(rows[name]) == sorted(names), name
+    assert rows["cli"] == []
+
+
+@pytest.mark.parametrize("module", EAGER, ids=lambda module: module.__name__)
+def test_a_star_import_binds_exactly_the_module_public_names(module):
+    """And so no private, `typing` or `__future__` name."""
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(module.__all__)
+
+
+def test_a_star_import_of_the_package_binds_the_public_names():
+    """In a fresh interpreter, so that no earlier import has bound a name."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "namespace = {}; exec('from urm import *', namespace); print(*sorted(set(namespace) - {'__builtins__'}))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert child.stdout.split() == PUBLIC
 
 
 def test_readme_python_blocks_run(monkeypatch):

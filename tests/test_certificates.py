@@ -39,7 +39,7 @@ from urm import certificates, constraints
 from urm.constraints import parse_reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
-from oracles import atom_holds, constraints_hold, head_visits, naive_pcs, naive_run, random_program
+from oracles import atom_holds, atom_variables, constraints_hold, head_visits, naive_pcs, naive_run, random_program
 
 FRESH = {i: SymValue(f"v{i}") for i in (1, 2, 3)}
 
@@ -415,7 +415,7 @@ def test_the_checks_read_no_register_name(u_minus, samples_dir, monkeypatch):
     for cert in [parse_cert(text) for text in texts] + [built]:
         calls.clear()
         cert = dataclasses.replace(cert)
-        assert len(calls) == sum(len(a.variables()) for a in cert.invariant)
+        assert len(calls) == sum(len(atom_variables(a)) for a in cert.invariant)
         calls.clear()
         check = check_termination if isinstance(cert, TerminationCert) else check_divergence
         check(u_minus, cert)
@@ -488,7 +488,7 @@ def _instantiate(cert, assignment):
 
 def _sample_params(cert, rng, high=10):
     names = sorted(
-        {v for atom in cert.param_constraints.atoms for v in atom.variables()}
+        {v for atom in cert.param_constraints.atoms for v in atom_variables(atom)}
         | {v.var for v in cert.init if v.var is not None}
     )
     while True:

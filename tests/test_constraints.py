@@ -20,7 +20,7 @@ from urm import (
 )
 from urm import constraints
 from urm.constraints import _closure, _range, _satisfiable, parse_reg_var, reg_var
-from oracles import atom_holds, closure_oracle, constraints_hold
+from oracles import atom_holds, atom_variables, closure_oracle, constraints_hold
 
 
 def test_symbolic_values_are_naturals():
@@ -193,7 +193,7 @@ def test_format_atom_shapes():
 
 
 def _semantic_entails(cs: ConstraintSet, goal: Atom, space: int) -> bool:
-    names = sorted({v for a in (*cs.atoms, goal) for v in a.variables()})
+    names = sorted({v for a in (*cs.atoms, goal) for v in atom_variables(a)})
     for values in itertools.product(range(space), repeat=len(names)):
         assignment = dict(zip(names, values))
         if constraints_hold(cs, assignment) and not atom_holds(goal, assignment):

@@ -36,7 +36,6 @@ it covers nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .constraints import (
     Atom,
@@ -87,7 +86,7 @@ class Undecided:
     j: int
 
 
-SymStepResult = Union[SymNext, Undecided]
+SymStepResult = SymNext | Undecided
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ changes every iteration or runs a `Z` or `T`.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import Incompatible, NotAbstractProgram, NotStandardForm, PcOutOfRange
 from .machine import (
@@ -92,7 +92,7 @@ class OutOfFuel(_Value):
         _set(self, "steps", steps)
 
 
-Outcome = Union[Halted, OutOfFuel]
+Outcome = Halted | OutOfFuel
 
 
 class Converges(_Value):
@@ -113,7 +113,7 @@ class Diverges(_Value):
         _set(self, "cycle_length", cycle_length)
 
 
-AbstractVerdict = Union[Converges, Diverges]
+AbstractVerdict = Converges | Diverges
 
 
 def _require_standard(p: Program) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 __all__ = (
     "Zero", "Succ", "Transfer", "Jump", "Instruction", "Program", "Config", "FiniteConfig", "zr", "sc", "mv",
@@ -32,9 +32,9 @@ __all__ = (
 )
 
 
-def _check_register(value: int, what: str = "register index") -> None:
+def _check_register(value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+        raise ValueError(f"register index must be a positive integer, got {value!r}")
 
 
 def _check_natural(value: int, what: str, *args: object) -> None:
@@ -172,7 +172,7 @@ class Jump(_Value):
         _set(self, "k", k)
 
 
-Instruction = Union[Zero, Succ, Transfer, Jump]
+Instruction = Zero | Succ | Transfer | Jump
 
 
 class Program(_Value):

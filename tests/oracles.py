@@ -134,6 +134,35 @@ def constraints_hold(cs, values: dict[str, int]) -> bool:
     return all(atom_holds(atom, values) for atom in cs.atoms)
 
 
+def sym_value(sv, assignment: dict[str, int]) -> int:
+    """A `SymValue` (`var + offset`, or the constant `offset`) under `assignment`."""
+    return sv.offset if sv.var is None else assignment[sv.var] + sv.offset
+
+
+def sample_parameters(cert, rng: random.Random, high: int = 10) -> dict[str, int]:
+    """Rejection-sample a value in [0, high] for each parameter of `cert`,
+    drawn in sorted name order, until its parameter constraints hold."""
+    names = sorted(
+        {v for atom in cert.param_constraints.atoms for v in atom_variables(atom)}
+        | {sv.var for sv in cert.init if sv.var is not None}
+    )
+    while True:
+        assignment = {name: rng.randint(0, high) for name in names}
+        if constraints_hold(cert.param_constraints, assignment):
+            return assignment
+
+
+def instantiate(cert, assignment: dict[str, int]) -> dict[int, int]:
+    """The initial registers of `cert` under `assignment`, r1 first."""
+    return {i: sym_value(sv, assignment) for i, sv in enumerate(cert.init, 1)}
+
+
+def register_values(atom, regs: dict[int, int]) -> dict[str, int]:
+    """The values in `regs` of an atom's register operands `rI`, an absent
+    register reading 0."""
+    return {v: regs.get(int(v[1:]), 0) for v in atom_variables(atom)}
+
+
 def closure_oracle(cs):
     """(bound, feasible) for the constraint set `cs` by a plain all-pairs
     Floyd-Warshall over every variable and the zero node, each `=` atom

@@ -14,7 +14,18 @@ import time
 
 import pytest
 
-from oracles import atom_holds, atom_variables, constraints_hold, head_visits, naive_pcs, random_program, renumbered
+from oracles import (
+    atom_holds,
+    constraints_hold,
+    head_visits,
+    instantiate,
+    naive_pcs,
+    random_program,
+    register_values,
+    renumbered,
+    sample_parameters,
+    sym_value,
+)
 from urm.certificates import (
     DivergenceCert,
     HALTED_DURING_LOOP,
@@ -33,7 +44,6 @@ from urm.constraints import (
     SymValue,
     decide_eq,
     entails,
-    parse_reg_var,
 )
 from urm.evaluator import (
     Converges,
@@ -66,38 +76,6 @@ def _load(samples_dir, prog_name, cert_name):
     p = parse_program((samples_dir / prog_name).read_text())
     cert = parse_cert((samples_dir / cert_name).read_text())
     return p, cert
-
-
-def _sym_eval(sv, assignment):
-    if sv.var is None:
-        return sv.offset
-    return assignment[sv.var] + sv.offset
-
-
-def _parameters(cert):
-    names = {v for atom in cert.param_constraints.atoms for v in atom_variables(atom)}
-    for sv in cert.init:
-        if sv.var is not None:
-            names.add(sv.var)
-    return sorted(names)
-
-
-def _sample_registers(cert, rng, high=10):
-    """Rejection-sample parameter values, return the initial registers."""
-    names = _parameters(cert)
-    while True:
-        assignment = {v: rng.randint(0, high) for v in names}
-        if constraints_hold(cert.param_constraints, assignment):
-            break
-    return {i: _sym_eval(sv, assignment) for i, sv in enumerate(cert.init, 1)}
-
-
-def _invariant_holds(invariant, regs):
-    for atom in invariant:
-        values = {v: regs.get(parse_reg_var(v), 0) for v in atom_variables(atom)}
-        if not atom_holds(atom, values):
-            return False
-    return True
 
 
 def test_criterion_01_subtraction_grid_is_exact(u_minus):
@@ -234,7 +212,7 @@ def test_criterion_07_certificates_match_sampled_behavior(samples_dir):
         p, cert = _load(samples_dir, prog_name, cert_name)
         assert _check(p, cert).accepted
         for _ in range(20):
-            regs = _sample_registers(cert, rng)
+            regs = instantiate(cert, sample_parameters(cert, rng))
             outcome = run(p, Config(regs), 10000)
             status, visits = head_visits(p, dict(regs), cert.loop_head, 10000)
             if isinstance(cert, TerminationCert):
@@ -244,7 +222,7 @@ def test_criterion_07_certificates_match_sampled_behavior(samples_dir):
                     violations += 1
             else:
                 ok = isinstance(outcome, OutOfFuel) and status == "fuel"
-                ok = ok and all(_invariant_holds(cert.invariant, snap) for snap in visits)
+                ok = ok and all(atom_holds(atom, register_values(atom, snap)) for snap in visits for atom in cert.invariant)
                 if not ok:
                     violations += 1
     assert violations == 0
@@ -305,9 +283,9 @@ def test_criterion_09_constraint_decisions_are_sound():
             unsound += 1
         left, right = _random_value(rng, names), _random_value(rng, names)
         verdict = decide_eq(left, right, cs)
-        if verdict is True and any(_sym_eval(left, point) != _sym_eval(right, point) for point in models):
+        if verdict is True and any(sym_value(left, point) != sym_value(right, point) for point in models):
             unsound += 1
-        if verdict is False and any(_sym_eval(left, point) == _sym_eval(right, point) for point in models):
+        if verdict is False and any(sym_value(left, point) == sym_value(right, point) for point in models):
             unsound += 1
     assert unsound == 0
     print("criterion 9 PASS: 300 random constraint sets checked against [0..5]^3, 0 unsound answers")

@@ -39,7 +39,18 @@ from urm import certificates, constraints
 from urm.constraints import parse_reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
 from urm.machine import Jump, Program, Succ, Zero
-from oracles import atom_holds, atom_variables, constraints_hold, head_visits, naive_pcs, naive_run, random_program
+from oracles import (
+    atom_holds,
+    atom_variables,
+    constraints_hold,
+    head_visits,
+    instantiate,
+    naive_pcs,
+    naive_run,
+    random_program,
+    register_values,
+    sample_parameters,
+)
 
 FRESH = {i: SymValue(f"v{i}") for i in (1, 2, 3)}
 
@@ -476,42 +487,12 @@ def test_unsatisfiable_constraints_are_rejected():
         check_divergence(p, dataclasses.replace(cert, loop_head=3))
 
 
-def _instantiate(cert, assignment):
-    regs = {}
-    for i, value in enumerate(cert.init, 1):
-        if value.var is None:
-            regs[i] = value.offset
-        else:
-            regs[i] = assignment[value.var] + value.offset
-    return regs
-
-
-def _sample_params(cert, rng, high=10):
-    names = sorted(
-        {v for atom in cert.param_constraints.atoms for v in atom_variables(atom)}
-        | {v.var for v in cert.init if v.var is not None}
-    )
-    while True:
-        assignment = {name: rng.randint(0, high) for name in names}
-        if constraints_hold(cert.param_constraints, assignment):
-            return assignment
-
-
-def _atom_values(atom, regs):
-    values = {}
-    for var in (atom.x, atom.y):
-        if var is not None:
-            values[var] = regs.get(int(var[1:]), 0)
-    return values
-
-
 def test_accepted_divergence_trail_matches_concrete_traces(u_minus, samples_dir):
     cert = _load(samples_dir, "minus-div.cert")
     report = check_divergence(u_minus, cert)
     rng = random.Random(11)
     for _ in range(5):
-        assignment = _sample_params(cert, rng)
-        regs = _instantiate(cert, assignment)
+        regs = instantiate(cert, sample_parameters(cert, rng))
         pcs = naive_pcs(u_minus, regs, 3 * len(report.trail))
         expected = [pc for pc, _ in report.trail]
         # the loop segment repeats from the head onwards
@@ -524,12 +505,12 @@ def test_accepted_divergence_samples_run_forever(prog_v, samples_dir):
     assert check_divergence(prog_v, cert).accepted
     rng = random.Random(13)
     for _ in range(5):
-        regs = _instantiate(cert, _sample_params(cert, rng))
+        regs = instantiate(cert, sample_parameters(cert, rng))
         verdict, visits = head_visits(prog_v, regs, cert.loop_head, 2000)
         assert verdict == "fuel"
         for snapshot in visits:
             for atom in cert.invariant:
-                assert atom_holds(atom, _atom_values(atom, snapshot))
+                assert atom_holds(atom, register_values(atom, snapshot))
 
 
 def test_accepted_termination_bounds_head_visits(u_minus, samples_dir):
@@ -539,7 +520,7 @@ def test_accepted_termination_bounds_head_visits(u_minus, samples_dir):
     for m, n, z in itertools.product(range(16), range(16), range(3)):
         if not constraints_hold(cert.param_constraints, {"m": m, "n": n, "z": z}):
             continue
-        regs = _instantiate(cert, {"m": m, "n": n, "z": z})
+        regs = instantiate(cert, {"m": m, "n": n, "z": z})
         rank = max(regs.get(x, 0) - regs.get(y, 0), 0)
         verdict, visits = head_visits(u_minus, regs, cert.loop_head, 10000)
         assert verdict == "halted", (m, n, z)
@@ -569,7 +550,7 @@ def _accepted_claim_holds(p, cert, params):
         assignment = dict(zip(params, values))
         if constraints_hold(cert.param_constraints, assignment):
             # 400 steps cover a ranking value up to 15 at bound 8
-            verdict, _, _ = naive_run(p, _instantiate(cert, assignment), 400)
+            verdict, _, _ = naive_run(p, instantiate(cert, assignment), 400)
             assert verdict == ("fuel" if diverges else "halted"), (p, cert, assignment)
     return True
 

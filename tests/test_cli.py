@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import pathlib
 import random
@@ -206,6 +207,18 @@ def test_closed_stdout_exits_1_without_a_traceback(samples_dir):
     child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert b"Traceback" not in err, err.decode()
+
+
+def test_closed_stdout_without_a_descriptor_returns_1(monkeypatch, samples_dir):
+    """An in-process caller's stdout that has no file descriptor and whose
+    reader has gone: `main` returns 1 and raises nothing."""
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["run", str(samples_dir / "minus.urm"), "--init", "5,3,0"]) == 1
 
 
 def test_run_finite_matches_the_infinite_view(capsys, samples_dir):
@@ -604,3 +617,15 @@ except AttributeError as err:
 """)
     assert child.returncode == 0, child.stderr.decode()
     assert child.stdout.decode() == "module 'urm' has no attribute 'no_such_name'\n"
+
+
+def test_reading_a_checker_module_from_the_package_loads_it_alone():
+    """In a fresh `urm`, `urm.constraints` is the module itself, and reading
+    it leaves `urm.certificates` unloaded."""
+    child = _fresh(_LOADED + """
+import urm
+assert urm.constraints is sys.modules["urm.constraints"]
+print(loaded())
+""")
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode() == "['dataclasses', 'urm.constraints']\n"

@@ -20,7 +20,7 @@ from urm import (
 )
 from urm import constraints
 from urm.constraints import _closure, _range, _satisfiable, parse_reg_var, reg_var
-from oracles import atom_holds, atom_variables, closure_oracle, constraints_hold
+from oracles import atom_holds, atom_variables, closure_oracle, constraints_hold, sym_value
 
 
 def test_symbolic_values_are_naturals():
@@ -332,9 +332,6 @@ def test_entails_and_decide_eq_are_complete_on_random_bound_sets():
     bound_rels = ("<", "<=", "=", ">=", ">")
     rels = (*bound_rels, "!=")
 
-    def value(sv, point):
-        return sv.offset if sv.var is None else point[sv.var] + sv.offset
-
     def sym(rng):
         var = rng.choice((*names, None))
         return SymValue(offset=rng.randint(0, 3)) if var is None else SymValue(var, rng.randint(0, 3))
@@ -357,6 +354,6 @@ def test_entails_and_decide_eq_are_complete_on_random_bound_sets():
                 checked += 1
             left, right = sym(rng), sym(rng)
             if decide_eq(left, right, cs) is None:
-                equal = {value(left, point) == value(right, point) for point in models}
+                equal = {sym_value(left, point) == sym_value(right, point) for point in models}
                 assert equal == {True, False}, (cs, left, right)
                 checked += 1

@@ -48,7 +48,7 @@ from .constraints import (
     _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Zero, parse_reg_var
+from .machine import Jump, Program, Succ, Zero, _set, parse_reg_var
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"
@@ -62,21 +62,33 @@ EXIT_DOES_NOT_HALT = "ExitDoesNotHalt"
 CONSTRAINTS_UNSATISFIABLE = "ConstraintsUnsatisfiable"
 
 
-@dataclass(frozen=True)
+# Built once per symbolic step, so, like `SymValue`, each sets its fields
+# once in its own `__init__`.
+
+
+@dataclass(frozen=True, init=False)
 class SymState:
     """Symbolic configuration: position plus per-register symbolic values."""
 
     pc: int
     regs: dict[int, SymValue]
 
+    def __init__(self, pc: int, regs: dict[int, SymValue]) -> None:
+        _set(self, "pc", pc)
+        _set(self, "regs", regs)
+
     def value(self, i: int) -> SymValue:
         return self.regs.get(i, _ZERO)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymNext:
     state: SymState
     rule: str
+
+    def __init__(self, state: SymState, rule: str) -> None:
+        _set(self, "state", state)
+        _set(self, "rule", rule)
 
 
 @dataclass(frozen=True)
@@ -187,30 +199,32 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     """
     if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
-    n = len(p)
-    if not 1 <= s.pc <= n:
-        raise PcOutOfRange(f"position {s.pc} outside 1..{n}")
-    instr = p.instructions[s.pc - 1]
-    nxt = s.pc + 1 if s.pc < n else 0
+    instructions = p.instructions
+    n = len(instructions)
+    pc = s.pc
+    if not 1 <= pc <= n:
+        raise PcOutOfRange(f"position {pc} outside 1..{n}")
+    instr = instructions[pc - 1]
+    nxt = pc + 1 if pc < n else 0
     regs = s.regs
     if isinstance(instr, Jump):
-        eq = decide_eq(s.value(instr.i), s.value(instr.j), cs)
+        eq = decide_eq(regs.get(instr.i, _ZERO), regs.get(instr.j, _ZERO), cs)
         if eq is None:
-            return Undecided(s.pc, instr.i, instr.j)
+            return Undecided(pc, instr.i, instr.j)
         tag = "jt" if eq else "jf"
         if eq:
             nxt = instr.k
     else:
-        regs = dict(s.regs)
+        regs = dict(regs)
         if isinstance(instr, Zero):
             regs[instr.i] = _ZERO
             tag = "z"
         elif isinstance(instr, Succ):
-            value = s.value(instr.i)
+            value = regs.get(instr.i, _ZERO)
             regs[instr.i] = SymValue(value.var, value.offset + 1)
             tag = "s"
         else:
-            regs[instr.j] = s.value(instr.i)
+            regs[instr.j] = regs.get(instr.i, _ZERO)
             tag = "t"
     return SymNext(SymState(nxt, regs), _RULES[tag][not nxt])
 

@@ -43,14 +43,20 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnsupportedAtom
-from .machine import _decimal, parse_reg_var
+from .machine import _decimal, _set, parse_reg_var
 
 REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
 
 _INF = math.inf
 
 
-@dataclass(frozen=True)
+# The checker's values are built many times per check, so each has its own
+# `__init__`: it checks and normalizes the arguments, then sets each field
+# once, past the frozen `__setattr__`.  They stay dataclasses, so
+# `dataclasses.replace` goes through the same checks.
+
+
+@dataclass(frozen=True, init=False)
 class SymValue:
     """Register contents `var + offset`; the constant `offset` when `var`
     is None."""
@@ -58,11 +64,13 @@ class SymValue:
     var: str | None = None
     offset: int = 0
 
-    def __post_init__(self) -> None:
-        if self.var == "":
+    def __init__(self, var: str | None = None, offset: int = 0) -> None:
+        if var == "":
             raise ValueError("variable name must be non-empty")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("offsets are naturals")
+        _set(self, "var", var)
+        _set(self, "offset", offset)
 
 
 _ZERO = SymValue()
@@ -82,8 +90,7 @@ class Atom:
     rel: str
     k: int
 
-    def __post_init__(self) -> None:
-        x, y, rel, k = self.x, self.y, self.rel, self.k
+    def __init__(self, x: str | None, y: str | None, rel: str, k: int) -> None:
         if rel not in REL_SYMBOLS:
             raise UnsupportedAtom(f"unknown relation {rel!r}")
         if rel == "<":
@@ -97,10 +104,10 @@ class Atom:
                 x, y, k = y, None, -k
             elif x is not None and y is not None and x > y:
                 x, y, k = y, x, -k
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "k", k)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "rel", rel)
+        _set(self, "k", k)
 
     def trivial_value(self) -> bool | None:
         """Truth value if the atom mentions no variables, else None."""
@@ -128,6 +135,10 @@ class ConstraintSet:
     facts; equality and hashing look only at `atoms`."""
 
     atoms: frozenset[Atom] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.atoms, frozenset):
+            raise ValueError("atoms is a frozenset of Atom")
 
     @classmethod
     def of(cls, *atoms: Atom) -> "ConstraintSet":

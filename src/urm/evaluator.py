@@ -49,9 +49,6 @@ from .machine import (
     _Value,
     compatible,
     include,
-    mv,
-    sc,
-    zr,
 )
 
 __all__ = (
@@ -125,7 +122,8 @@ def step(s: MachineState) -> MachineState:
     """Apply one instruction; config changes only for Zero/Succ/Transfer.
     The next state is at position 0 when the step halts."""
     p = s.program
-    _require_standard(p)
+    if not p.standard:
+        raise NotStandardForm("program is not in standard form")
     instructions = p.instructions
     n = len(instructions)
     pc = s.pc
@@ -133,16 +131,19 @@ def step(s: MachineState) -> MachineState:
         raise PcOutOfRange(f"pc {pc} not in [1..{n}]")
     instr = instructions[pc - 1]
     c = s.config
+    entries = c._entries
     nxt = pc + 1 if pc < n else 0
+    # the instruction's constructor has checked its operands, so the update
+    # skips `zr`/`sc`/`mv`'s checks
     if isinstance(instr, Jump):
-        if c._entries.get(instr.i, 0) == c._entries.get(instr.j, 0):
+        if entries.get(instr.i, 0) == entries.get(instr.j, 0):
             nxt = instr.k
     elif isinstance(instr, Zero):
-        c = zr(c, instr.i)
+        c = c._with(instr.i, 0)
     elif isinstance(instr, Succ):
-        c = sc(c, instr.i)
+        c = c._with(instr.i, entries.get(instr.i, 0) + 1)
     else:
-        c = mv(c, instr.i, instr.j)
+        c = c._with(instr.j, entries.get(instr.i, 0))
     return MachineState(p, nxt, c)
 
 

@@ -361,6 +361,40 @@ def test_certificates_are_hashable_values(samples_dir):
     assert {_minus_cert(): "claim"}[_load(samples_dir, "minus-div.cert")] == "claim"
 
 
+def test_checker_values_are_frozen_dataclasses():
+    """`Atom`, `SymValue`, `SymState` and `SymNext` build through their own
+    `__init__` but keep a frozen dataclass's interface, and
+    `dataclasses.replace` runs their checks again."""
+    state = SymState(0, {})
+    cases = [
+        (Atom, {"x": "a", "y": "b", "rel": "<=", "k": 0}, "Atom(x='a', y='b', rel='<=', k=0)"),
+        (SymValue, {"var": "v", "offset": 2}, "SymValue(var='v', offset=2)"),
+        (SymState, {"pc": 1, "regs": {2: SymValue("v")}}, "SymState(pc=1, regs={2: SymValue(var='v', offset=0)})"),
+        (SymNext, {"state": state, "rule": "s·l"}, "SymNext(state=SymState(pc=0, regs={}), rule='s·l')"),
+    ]
+    for cls, kwargs, text in cases:
+        assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+        value = cls(**kwargs)
+        assert value == cls(*kwargs.values()) == dataclasses.replace(value)
+        assert repr(value) == text
+        for name in kwargs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+        if cls is SymState or cls is SymNext:
+            with pytest.raises(TypeError):  # a state's `regs` is a dict
+                hash(value)
+        else:
+            assert hash(value) == hash(cls(*kwargs.values()))
+    assert [f.default for f in dataclasses.fields(SymValue)] == [None, 0]
+    assert SymValue() == SymValue(None, 0) and repr(SymValue(offset=3)) == "SymValue(var=None, offset=3)"
+    assert dataclasses.replace(Atom("a", "b", "<=", 0), rel="<") == Atom("a", "b", "<=", -1)
+    assert dataclasses.replace(Atom("a", "b", "<=", 0), y="a") == Atom(None, None, "<=", 0)
+    with pytest.raises(ValueError, match="offsets are naturals"):
+        dataclasses.replace(SymValue("v"), offset=-1)
+    with pytest.raises(TypeError):
+        Atom("a", "b", "<=")
+
+
 def test_the_two_kinds_are_apart(samples_dir):
     """The CLI and the checks dispatch on the kind, so neither kind is the other."""
     div, term = _load(samples_dir, "minus-div.cert"), _load(samples_dir, "minus-term.cert")

@@ -34,6 +34,16 @@ def test_symbolic_values_are_naturals():
         SymValue("v").offset = 1
 
 
+def test_constraint_sets_hold_a_frozenset():
+    """A set of atoms is a frozen value, so it hashes; a list or a set of
+    atoms is refused, as `_Lasso` refuses a list invariant."""
+    a = Atom("a", None, "<=", 1)
+    for atoms in ([a], {a}, (a,)):
+        with pytest.raises(ValueError, match="atoms is a frozenset of Atom"):
+            ConstraintSet(atoms)
+    assert hash(ConstraintSet(frozenset([a]))) == hash(ConstraintSet.of(a))
+
+
 def test_strict_relations_normalize_to_weak_ones():
     assert Atom("a", "b", "<", 0) == Atom("a", "b", "<=", -1)
     assert Atom("a", "b", ">", 0) == Atom("a", "b", ">=", 1)

@@ -31,12 +31,15 @@ from urm import (
     check_divergence,
     decide_abstract,
     include,
+    mv,
     parse_program,
     restrict,
     run,
     run_finite,
+    sc,
     step,
     trace,
+    zr,
 )
 from oracles import apply_instr, naive_pcs, naive_run, random_program, renumbered
 
@@ -65,6 +68,27 @@ def test_step_jump_to_zero_halts():
     p = Program((Jump(1, 1, 0), Zero(1)))
     r = step(MachineState(p, 1, Config()))
     assert r.pc == 0
+
+
+def test_step_updates_as_zr_sc_and_mv():
+    """`step` writes the next configuration itself, not through `zr`/`sc`/
+    `mv`: one Z, S or T step from a random configuration gives their result
+    and the reference update's, and a zero result stores no entry."""
+    rng = random.Random(24)
+    zeros = 0
+    for _ in range(3000):
+        regs = {r: rng.randrange(3) for r in rng.sample(range(1, 9), rng.randrange(7))}
+        c = Config(regs)
+        i, j = rng.randrange(1, 9), rng.randrange(1, 9)
+        instr, public = rng.choice([(Zero(i), zr(c, i)), (Succ(i), sc(c, i)), (Transfer(i, j), mv(c, i, j))])
+        nxt = step(MachineState(Program((instr, Jump(1, 1, 1))), 1, c))
+        expected = {r: v for r, v in regs.items() if v}
+        apply_instr(instr, 1, expected)
+        assert nxt.pc == 2
+        assert nxt.config == public and nxt.config._entries == public._entries == expected
+        assert 0 not in nxt.config._entries.values()
+        zeros += nxt.config.get(j if isinstance(instr, Transfer) else i) == 0
+    assert zeros > 500
 
 
 def test_step_rejects_bad_positions_and_forms(u_minus):

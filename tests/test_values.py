@@ -161,9 +161,12 @@ def test_program_copy_keeps_its_facts():
     (lambda: Jump(i=1, j=2, k=None), "jump target must be a natural number, got None"),
     (lambda: Program(()), "a program must contain at least one instruction"),
     (lambda: Program((Zero(1), 3)), "not an instruction: 3"),
+    (lambda: Program([Zero(1)]), "instructions is a tuple of instructions"),
+    (lambda: Program(instructions=[]), "instructions is a tuple of instructions"),
     (lambda: FiniteConfig(()), "a finite configuration must be non-empty"),
     (lambda: FiniteConfig((1, -1)), "value at position 2 must be a natural number, got -1"),
     (lambda: FiniteConfig(values=(True,)), "value at position 1 must be a natural number, got True"),
+    (lambda: FiniteConfig([1, 2]), "values is a tuple of naturals"),
 ])
 def test_constructor_checks(make, message):
     with pytest.raises(ValueError) as err:

@@ -48,7 +48,7 @@ from .constraints import (
     _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Zero, _set, parse_reg_var
+from .machine import Jump, Program, Succ, Zero, parse_reg_var
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"
@@ -62,33 +62,21 @@ EXIT_DOES_NOT_HALT = "ExitDoesNotHalt"
 CONSTRAINTS_UNSATISFIABLE = "ConstraintsUnsatisfiable"
 
 
-# Built once per symbolic step, so, like `SymValue`, each sets its fields
-# once in its own `__init__`.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SymState:
     """Symbolic configuration: position plus per-register symbolic values."""
 
     pc: int
     regs: dict[int, SymValue]
 
-    def __init__(self, pc: int, regs: dict[int, SymValue]) -> None:
-        _set(self, "pc", pc)
-        _set(self, "regs", regs)
-
     def value(self, i: int) -> SymValue:
         return self.regs.get(i, _ZERO)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SymNext:
     state: SymState
     rule: str
-
-    def __init__(self, state: SymState, rule: str) -> None:
-        _set(self, "state", state)
-        _set(self, "rule", rule)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
 _INF = math.inf
 
 
-# The checker's values are built many times per check, so each has its own
+# `SymValue` and `Atom` are built many times per check, so each has its own
 # `__init__`: it checks and normalizes the arguments, then sets each field
 # once, past the frozen `__setattr__`.  They stay dataclasses, so
 # `dataclasses.replace` goes through the same checks.
@@ -76,7 +76,7 @@ class SymValue:
 _ZERO = SymValue()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """Normalized fact `value(x) - value(y) rel k`, absent sides reading 0.
 

@@ -122,8 +122,7 @@ def step(s: MachineState) -> MachineState:
     """Apply one instruction; config changes only for Zero/Succ/Transfer.
     The next state is at position 0 when the step halts."""
     p = s.program
-    if not p.standard:
-        raise NotStandardForm("program is not in standard form")
+    _require_standard(p)
     instructions = p.instructions
     n = len(instructions)
     pc = s.pc
@@ -139,11 +138,11 @@ def step(s: MachineState) -> MachineState:
         if entries.get(instr.i, 0) == entries.get(instr.j, 0):
             nxt = instr.k
     elif isinstance(instr, Zero):
-        c = c._with(instr.i, 0)
+        c = c._updated(((instr.i, 0),))
     elif isinstance(instr, Succ):
-        c = c._with(instr.i, entries.get(instr.i, 0) + 1)
+        c = c._updated(((instr.i, entries.get(instr.i, 0) + 1),))
     else:
-        c = c._with(instr.j, entries.get(instr.i, 0))
+        c = c._updated(((instr.j, entries.get(instr.i, 0)),))
     return MachineState(p, nxt, c)
 
 

@@ -254,18 +254,6 @@ class Config:
         object.__setattr__(new, "_entries", entries)
         return new
 
-    def _with(self, reg: int, val: int) -> Config:
-        """Copy with register `reg` holding `val`; both must be valid, as
-        `__init__`'s checks are skipped."""
-        entries = self._entries.copy()
-        if val:
-            entries[reg] = val
-        else:
-            entries.pop(reg, None)
-        new = object.__new__(Config)
-        object.__setattr__(new, "_entries", entries)
-        return new
-
     def get(self, i: int) -> int:
         _check_register(i)
         return self._entries.get(i, 0)
@@ -324,20 +312,20 @@ def compatible(sigma: FiniteConfig, p: Program) -> bool:
 def zr(c: Config, i: int) -> Config:
     """Config equal to `c` except register i holds 0."""
     _check_register(i)
-    return c._with(i, 0)
+    return c._updated(((i, 0),))
 
 
 def sc(c: Config, i: int) -> Config:
     """Config equal to `c` except register i is incremented."""
     _check_register(i)
-    return c._with(i, c._entries.get(i, 0) + 1)
+    return c._updated(((i, c._entries.get(i, 0) + 1),))
 
 
 def mv(c: Config, i: int, j: int) -> Config:
     """Config equal to `c` except register j holds the value of register i."""
     _check_register(i)
     _check_register(j)
-    return c._with(j, c._entries.get(i, 0))
+    return c._updated(((j, c._entries.get(i, 0)),))
 
 
 def include(sigma: FiniteConfig) -> Config:

@@ -362,9 +362,9 @@ def test_certificates_are_hashable_values(samples_dir):
 
 
 def test_checker_values_are_frozen_dataclasses():
-    """`Atom`, `SymValue`, `SymState` and `SymNext` build through their own
-    `__init__` but keep a frozen dataclass's interface, and
-    `dataclasses.replace` runs their checks again."""
+    """`Atom`, `SymValue`, `SymState` and `SymNext` keep a frozen
+    dataclass's interface, although `Atom` and `SymValue` build through their
+    own `__init__`, and `dataclasses.replace` runs their checks again."""
     state = SymState(0, {})
     cases = [
         (Atom, {"x": "a", "y": "b", "rel": "<=", "k": 0}, "Atom(x='a', y='b', rel='<=', k=0)"),

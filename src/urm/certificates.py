@@ -72,21 +72,15 @@ class SymState:
     def value(self, i: int) -> SymValue:
         return self.regs.get(i, _ZERO)
 
+    def __hash__(self) -> int:
+        # as `Config` hashes its dict; computed only when asked for
+        return hash((self.pc, frozenset(self.regs.items())))
+
 
 @dataclass(frozen=True)
 class SymNext:
     state: SymState
     rule: str
-
-
-@dataclass(frozen=True)
-class Undecided:
-    pc: int
-    i: int
-    j: int
-
-
-SymStepResult = SymNext | Undecided
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,14 @@ TrailEntry = tuple[int, str]
 
 @dataclass(frozen=True)
 class CertReport:
-    accepted: bool
+    """A check's verdict, accepted exactly when it has no `reason`."""
+
     trail: tuple[TrailEntry, ...] = ()
     reason: Reason | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,14 @@ class _Lasso:
     step_bound: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.param_constraints, ConstraintSet):
+            raise ValueError("param_constraints is a ConstraintSet")
         if not isinstance(self.init, tuple) or not all(isinstance(v, SymValue) for v in self.init):
             raise ValueError("init is a tuple of SymValue, r1 first")
-        if not isinstance(self.invariant, tuple):
+        if not isinstance(self.invariant, tuple) or not all(isinstance(a, Atom) for a in self.invariant):
             raise ValueError("invariant is a tuple of Atom")
+        if not (_is_int(self.loop_head) and _is_int(self.step_bound)):
+            raise ValueError("loop head and step bound are ints")
         if self.loop_head < 1:
             raise PcOutOfRange("loop head is indexed from 1")
         if self.step_bound < 1:
@@ -154,11 +157,17 @@ class TerminationCert(_Lasso):
         super().__post_init__()
         if not isinstance(self.split, tuple) or not isinstance(self.ranking, tuple):
             raise ValueError("split and ranking are tuples")
+        if len(self.split) != 3 or len(self.ranking) != 2 or not all(map(_is_int, (*self.split, *self.ranking))):
+            raise ValueError("split is three ints and ranking two")
         for index in (*self.split[:2], *self.ranking):
             if index < 1:
                 raise ValueError("registers are indexed from 1")
         if self.split[2] < 0:
             raise ValueError("split threshold is a natural")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reg_index(var: str | None) -> int:
@@ -174,16 +183,16 @@ def _reg_index(var: str | None) -> int:
 _RULES = {tag: (f"{tag}·r", f"{tag}·l") for tag in ("jt", "jf", "z", "s", "t")}
 
 
-def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
+def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymNext | None:
     """One symbolic step; mirrors the concrete step relation.
 
     Jumps are resolved by three-valued equality of the compared values
-    under `cs`; an unresolved comparison yields Undecided.  As in `step`,
-    the next state is at position 0 when the step halts.  The rule field
-    names the applied evaluation rule: "jt"/"jf" for a taken or failed
-    jump, "z"/"s"/"t" for the others, then "·l" when the step halts,
-    "·r" otherwise.  So "s·r" is a non-final increment and "jt·l" a taken
-    jump to position 0.
+    under `cs`; an unresolved comparison yields None, as in `decide_eq`.
+    As in `step`, the next state is at position 0 when the step halts.
+    The rule field names the applied evaluation rule: "jt"/"jf" for a
+    taken or failed jump, "z"/"s"/"t" for the others, then "·l" when the
+    step halts, "·r" otherwise.  So "s·r" is a non-final increment and
+    "jt·l" a taken jump to position 0.
     """
     if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
@@ -198,7 +207,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymStepResult:
     if isinstance(instr, Jump):
         eq = decide_eq(regs.get(instr.i, _ZERO), regs.get(instr.j, _ZERO), cs)
         if eq is None:
-            return Undecided(pc, instr.i, instr.j)
+            return None
         tag = "jt" if eq else "jf"
         if eq:
             nxt = instr.k
@@ -229,7 +238,7 @@ class _Rejected(Exception):
 
     def __init__(self, code: str, pc: int | None = None, atom: Atom | None = None) -> None:
         super().__init__(code)
-        self.report = CertReport(accepted=False, reason=Reason(code, pc=pc, atom=atom))
+        self.report = CertReport(reason=Reason(code, pc=pc, atom=atom))
 
 
 def _walk(
@@ -249,8 +258,8 @@ def _walk(
     """
     for _ in range(bound):
         res = sym_step(p, s, cs)
-        if isinstance(res, Undecided):
-            raise _Rejected(UNDECIDED_BRANCH, pc=res.pc)
+        if res is None:
+            raise _Rejected(UNDECIDED_BRANCH, pc=s.pc)
         if trail is not None:
             trail.append((s.pc, res.rule))
         s = res.state
@@ -312,7 +321,7 @@ def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
         _, trail = _close_loop(p, cert, _enter_loop(p, cert), ConstraintSet.of(*cert.invariant))
     except _Rejected as rejected:
         return rejected.report
-    return CertReport(accepted=True, trail=tuple(trail))
+    return CertReport(tuple(trail))
 
 
 def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after: tuple[SymValue, SymValue]) -> bool:
@@ -355,4 +364,4 @@ def check_termination(p: Program, cert: TerminationCert) -> CertReport:
             raise _Rejected(EXIT_DOES_NOT_HALT)
     except _Rejected as rejected:
         return rejected.report
-    return CertReport(accepted=True, trail=tuple(cont_trail + exit_trail))
+    return CertReport(tuple(cont_trail + exit_trail))

@@ -45,6 +45,7 @@ from .machine import (
     Succ,
     Transfer,
     Zero,
+    _check_natural,
     _set,
     _Value,
     compatible,
@@ -223,8 +224,8 @@ def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int]:
     register of `p.registers`, for at most `fuel` steps, updating `regs`
     in place.  Returns (steps, pc), pc being 0 when the run halted and
     else the position that would run next when the fuel ran out."""
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
+    if fuel.__class__ is not int or fuel < 0:
+        _check_natural(fuel, "fuel")
     code = _compile(p)
     pc = 1
     steps = 0

@@ -104,19 +104,22 @@ def _register(tok: str, at: int, refusal: str | None = None) -> int | None:
     return index
 
 
-def _instruction(line: str) -> Instruction:
-    """The instruction on a program line, read token by token."""
+def _refusal(line: str) -> _Bad:
+    """Why `parse_program`'s one-pass conversion refused a program line,
+    placed at the token at fault; it builds no instruction."""
     mnemonic, *args = line.split()
     kind = _SYNTAX.get(mnemonic)
     if kind is None:
-        raise _Bad(0, f"unknown mnemonic {mnemonic!r}")
+        return _Bad(0, f"unknown mnemonic {mnemonic!r}")
     arity = len(kind.__match_args__)
     if len(args) != arity:
-        raise _Bad(0, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
-    values = [_nat(tok, at) for at, tok in enumerate(args, start=1)]
-    if 0 in values[:2]:
-        raise _Bad(values.index(0) + 1, "register indices start at 1")
-    return kind(*values)
+        return _Bad(0, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
+    try:
+        values = [_nat(tok, at) for at, tok in enumerate(args, start=1)]
+    except _Bad as bad:
+        return bad
+    # the conversion refuses no other line of naturals
+    return _Bad(values.index(0) + 1, "register indices start at 1")
 
 
 def parse_program(text: str) -> Program:
@@ -129,8 +132,8 @@ def parse_program(text: str) -> Program:
         if instr is None:
             # ASCII-digit operands: one conversion, the constructor refusing
             # register 0 (a ValueError, as is an int too long to convert)
-            # and a wrong arity (a TypeError).  Anything else, or an error,
-            # is read token by token, which alone builds the positioned error.
+            # and a wrong arity (a TypeError).  A line it does not build is
+            # refused, and `_refusal` only places that error at its token.
             mnemonic, *args = line.split()
             kind = _SYNTAX.get(mnemonic)
             digits = "".join(args)
@@ -140,10 +143,7 @@ def parse_program(text: str) -> Program:
                 except (TypeError, ValueError):
                     pass
             if instr is None:
-                try:
-                    instr = _instruction(line)
-                except _Bad as bad:
-                    raise bad.error(ln, line) from None
+                raise _refusal(line).error(ln, line)
             shared[line] = instr
         instructions.append(instr)
     if not instructions:

@@ -23,7 +23,7 @@ PUBLIC = [
     "MachineState", "NotAbstractProgram", "NotStandardForm", "OutOfFuel", "Outcome",
     "PREFIX_FAILED", "PcOutOfRange", "Program", "RANKING_NOT_DECREASING", "RANKING_NOT_NONNEGATIVE",
     "Reason", "SourceError", "Succ", "SymState", "SymValue", "TerminationCert",
-    "Transfer", "UNDECIDED_BRANCH", "URMError", "Undecided", "UnsupportedAtom", "Zero",
+    "Transfer", "UNDECIDED_BRANCH", "URMError", "UnsupportedAtom", "Zero",
     "check_divergence", "check_termination", "compatible", "decide_abstract", "decide_eq",
     "entails", "format_atom", "format_config", "include", "mv", "parse_cert", "parse_config",
     "parse_program", "print_program", "reg_var", "restrict", "run", "run_finite", "sc", "step",
@@ -35,8 +35,9 @@ PUBLIC = [
 # `SymValue` took their place, because the checker substitutes through
 # the register indices a certificate keeps, because both certificate
 # kinds share one lasso base and `check_termination` builds its split
-# atoms itself, or because a halted state is the one at position 0;
-# (owner, attribute).
+# atoms itself, because a halted state is the one at position 0, or
+# because `sym_step` returns None for an undecided jump, as `decide_eq`
+# does; (owner, attribute).
 REMOVED = [
     (machine, "rho"),
     (machine, "is_standard_form"),
@@ -59,6 +60,8 @@ REMOVED = [
     (evaluator, "Halt"),
     (evaluator, "StepResult"),
     (certificates, "SymHalt"),
+    (certificates, "Undecided"),
+    (certificates, "SymStepResult"),
 ]
 
 # The modules that `import urm` loads, each declaring its public names in

@@ -16,9 +16,9 @@ from urm import (
     SymState,
     SymValue,
     TerminationCert,
-    Undecided,
     check_divergence,
     check_termination,
+    decide_eq,
     parse_cert,
     sym_step,
 )
@@ -33,6 +33,8 @@ from urm.certificates import (
     RANKING_NOT_DECREASING,
     RANKING_NOT_NONNEGATIVE,
     UNDECIDED_BRANCH,
+    CertReport,
+    Reason,
     SymNext,
 )
 from urm import certificates, constraints
@@ -78,7 +80,43 @@ def test_sym_step_compares_a_register_with_itself(u_minus):
 
 def test_sym_step_reports_an_unresolved_jump(u_minus):
     r = sym_step(u_minus, SymState(1, dict(FRESH)), ConstraintSet())
-    assert r == Undecided(1, 1, 2)
+    assert r is None
+
+
+def test_sym_step_leaves_a_jump_undecided_exactly_when_decide_eq_does():
+    """On a jump, `sym_step` returns None when `decide_eq` of the two
+    compared values does, and otherwise the step that verdict takes."""
+    rng = random.Random(41)
+    names = ("a", "b", "c")
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(2000):
+        i, j = rng.randint(1, 3), rng.randint(1, 3)
+        p = Program((Jump(i, j, 3), Succ(1), Succ(2)))
+        regs = {r: SymValue(rng.choice((None, *names)), rng.randint(0, 2)) for r in (1, 2, 3) if rng.random() < 0.8}
+        s = SymState(1, regs)
+        cs = ConstraintSet.of(*(
+            Atom(rng.choice(names), rng.choice((None, *names)), rng.choice(("<", "<=", "=", ">=", ">", "!=")), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 3))
+        ))
+        eq = decide_eq(s.value(i), s.value(j), cs)
+        seen[eq] += 1
+        r = sym_step(p, s, cs)
+        if eq is None:
+            assert r is None, (p, s, cs)
+        else:
+            assert r == SymNext(SymState(3 if eq else 2, regs), "jt·r" if eq else "jf·r"), (p, s, cs)
+    assert min(seen.values()) > 200, seen
+
+
+def test_a_report_is_accepted_when_it_has_no_reason():
+    """`accepted` is read off `reason`, so no report can claim both."""
+    assert [f.name for f in dataclasses.fields(CertReport)] == ["trail", "reason"]
+    assert CertReport().accepted and CertReport(((1, "s·r"),)).accepted
+    assert not CertReport(reason=Reason(LOOP_NOT_CLOSED)).accepted
+    with pytest.raises(TypeError):
+        CertReport(accepted=True)
+    with pytest.raises(AttributeError):
+        CertReport().accepted = False
 
 
 def test_sym_step_updates_values_like_the_rules():
@@ -328,6 +366,25 @@ def test_certificate_field_validation():
     for fields in ({"split": [1, 2, 0]}, {"ranking": [1, 2]}):
         with pytest.raises(ValueError, match="split and ranking are tuples"):
             _term_cert(**fields)
+    # each of these failed later, and not with a ValueError, or not at all
+    with pytest.raises(ValueError, match="split is three ints and ranking two"):
+        _term_cert(split=(1, 2))
+    with pytest.raises(ValueError, match="split is three ints and ranking two"):
+        _term_cert(ranking=(1,))
+    with pytest.raises(ValueError, match="split is three ints and ranking two"):
+        _term_cert(split=("a", 2, 0))
+    with pytest.raises(ValueError, match="loop head and step bound are ints"):
+        _minus_cert(loop_head="1")
+    with pytest.raises(ValueError, match="loop head and step bound are ints"):
+        _term_cert(step_bound=2.5)
+    with pytest.raises(ValueError, match="loop head and step bound are ints"):
+        _minus_cert(loop_head=True)
+    with pytest.raises(ValueError, match="invariant is a tuple of Atom"):
+        _minus_cert(invariant=("r1",))
+    with pytest.raises(ValueError, match="param_constraints is a ConstraintSet"):
+        _term_cert(param_constraints=frozenset())
+    with pytest.raises(PcOutOfRange):
+        _term_cert(loop_head=-1)
     assert len({_minus_cert(), _term_cert()}) == 2
 
 
@@ -380,8 +437,7 @@ def test_checker_values_are_frozen_dataclasses():
         for name in kwargs:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, None)
-        if cls is not SymState and cls is not SymNext:  # a state's `regs` is a dict
-            assert hash(value) == hash(cls(*kwargs.values()))
+        assert hash(value) == hash(cls(*kwargs.values()))
     assert [f.default for f in dataclasses.fields(SymValue)] == [None, 0]
     assert SymValue() == SymValue(None, 0) and repr(SymValue(offset=3)) == "SymValue(var=None, offset=3)"
     assert dataclasses.replace(Atom("a", "b", "<=", 0), rel="<") == Atom("a", "b", "<=", -1)

@@ -134,6 +134,18 @@ def test_run_with_zero_fuel_never_steps(u_minus):
         run(u_minus, Config(), -1)
 
 
+@pytest.mark.parametrize("driver", [
+    lambda p, fuel: run(p, Config(), fuel),
+    lambda p, fuel: run_finite(p, FiniteConfig((0,)), fuel),
+], ids=["run", "run_finite"])
+@pytest.mark.parametrize("fuel", [2.5, True, -1], ids=repr)
+def test_fuel_must_be_a_natural(driver, fuel):
+    """A float or bool fuel would run and be reported back as the step
+    count, so it is refused as a negative one is."""
+    with pytest.raises(ValueError, match="fuel must be a natural number"):
+        driver(Program((Succ(1), Jump(1, 1, 1))), fuel)
+
+
 def test_run_agrees_with_the_naive_interpreter():
     rng = random.Random(20260825)
     for case in range(300):

@@ -44,11 +44,12 @@ from .constraints import (
     decide_eq,
     entails,
     reg_var,
+    _is_int,
     _satisfiable,
     _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
-from .machine import Jump, Program, Succ, Zero, parse_reg_var
+from .machine import Program, parse_reg_var, _JUMP, _SUCC, _TRANSFER
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"
@@ -64,17 +65,11 @@ CONSTRAINTS_UNSATISFIABLE = "ConstraintsUnsatisfiable"
 
 @dataclass(frozen=True)
 class SymState:
-    """Symbolic configuration: position plus per-register symbolic values."""
+    """Symbolic configuration: position plus one symbolic value per slot,
+    slot s holding register `p.registers[s]` as in `Program._code`."""
 
     pc: int
-    regs: dict[int, SymValue]
-
-    def value(self, i: int) -> SymValue:
-        return self.regs.get(i, _ZERO)
-
-    def __hash__(self) -> int:
-        # as `Config` hashes its dict; computed only when asked for
-        return hash((self.pc, frozenset(self.regs.items())))
+    regs: tuple[SymValue, ...]
 
 
 @dataclass(frozen=True)
@@ -166,10 +161,6 @@ class TerminationCert(_Lasso):
             raise ValueError("split threshold is a natural")
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _reg_index(var: str | None) -> int:
     """Register index of an invariant operand; 0 for an absent side."""
     index = 0 if var is None else parse_reg_var(var)
@@ -178,13 +169,15 @@ def _reg_index(var: str | None) -> int:
     return index
 
 
-# The ten rule strings, (non-final, final) per tag, built once: a trail
-# keeps one per step, so each entry shares them instead of a copy.
-_RULES = {tag: (f"{tag}·r", f"{tag}·l") for tag in ("jt", "jf", "z", "s", "t")}
+# The ten rule strings, (non-final, final) per `Program._code` tag, a taken
+# jump's one past the tag; built once, so that the trail's entries share them.
+_RULES = tuple((f"{rule}·r", f"{rule}·l") for rule in ("z", "s", "t", "jf", "jt"))
 
 
 def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymNext | None:
-    """One symbolic step; mirrors the concrete step relation.
+    """One symbolic step of `p._code` over the slots of `s.regs`, slot s
+    holding register `p.registers[s]`; it mirrors the concrete step
+    relation, and the slots past the program's pass through unchanged.
 
     Jumps are resolved by three-valued equality of the compared values
     under `cs`; an unresolved comparison yields None, as in `decide_eq`.
@@ -196,41 +189,39 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymNext | None:
     """
     if not p.standard:
         raise NotStandardForm("symbolic execution requires standard form")
-    instructions = p.instructions
-    n = len(instructions)
+    code = p._code
+    n = len(code)
     pc = s.pc
     if not 1 <= pc <= n:
         raise PcOutOfRange(f"position {pc} outside 1..{n}")
-    instr = instructions[pc - 1]
-    nxt = pc + 1 if pc < n else 0
     regs = s.regs
-    if isinstance(instr, Jump):
-        eq = decide_eq(regs.get(instr.i, _ZERO), regs.get(instr.j, _ZERO), cs)
+    if regs.__class__ is not tuple or len(regs) < len(p.registers):
+        raise ValueError("regs is a tuple with a slot per register of the program")
+    tag, a, b, k, nxt = code[pc - 1]
+    if tag == _JUMP:
+        eq = decide_eq(regs[a], regs[b], cs)
         if eq is None:
             return None
-        tag = "jt" if eq else "jf"
         if eq:
-            nxt = instr.k
+            nxt = k
+            tag += 1
     else:
-        regs = dict(regs)
-        if isinstance(instr, Zero):
-            regs[instr.i] = _ZERO
-            tag = "z"
-        elif isinstance(instr, Succ):
-            value = regs.get(instr.i, _ZERO)
-            regs[instr.i] = SymValue(value.var, value.offset + 1)
-            tag = "s"
+        regs = list(regs)
+        if tag == _SUCC:
+            regs[a] = SymValue(regs[a].var, regs[a].offset + 1)
+        elif tag == _TRANSFER:
+            regs[b] = regs[a]
         else:
-            regs[instr.j] = regs.get(instr.i, _ZERO)
-            tag = "t"
+            regs[a] = _ZERO
+        regs = tuple(regs)
     return SymNext(SymState(nxt, regs), _RULES[tag][not nxt])
 
 
-def _universe(p: Program, cert: _Lasso) -> set[int]:
-    """The registers the program or an invariant atom names.  No other
-    register is read, so the symbolic states leave them out: one that only
-    `init`, the split or the ranking names reads `_ZERO` at every step."""
-    return set(p.registers) | {i for pair in cert._operands for i in pair if i}
+def _universe(p: Program, cert: _Lasso) -> tuple[int, ...]:
+    """The registers the program, then an invariant atom, names, in order.
+    No other register is read, so the symbolic states leave them out: one
+    that only `init`, the split or the ranking names reads `_ZERO`."""
+    return tuple(dict.fromkeys((*p.registers, *(i for pair in cert._operands for i in pair if i))))
 
 
 class _Rejected(Exception):
@@ -268,21 +259,22 @@ def _walk(
     return None
 
 
-def _require_entailed(code: str, cs: ConstraintSet, cert: _Lasso, s: SymState) -> None:
+def _require_entailed(code: str, cs: ConstraintSet, cert: _Lasso, s: SymState, slot: dict[int, int]) -> None:
     """Reject with `code` at the first invariant atom that `cs` does not
-    entail once its registers read their values in `s`, the offsets
-    folded into the bound; index 0, an absent side, reads `_ZERO`."""
+    entail once its registers read their values in `s` through `slot`, the
+    offsets folded into the bound; an absent side reads the `_ZERO` slot."""
     for a, (i, j) in zip(cert.invariant, cert._operands):
-        x, y = s.value(i), s.value(j)
+        x, y = s.regs[slot.get(i, -1)], s.regs[slot.get(j, -1)]
         if not entails(cs, Atom(x.var, y.var, a.rel, a.k - x.offset + y.offset)):
             raise _Rejected(code, atom=a)
 
 
-def _enter_loop(p: Program, cert: _Lasso) -> SymState:
-    """Prefix phase: reach the head and establish the invariant there;
-    returns the loop phases' start state, in which each register of the
+def _enter_loop(p: Program, cert: _Lasso) -> tuple[SymState, dict[int, int]]:
+    """Prefix phase: reach the head and establish the invariant there.
+    Returns the loop phases' start state, in which each register of the
     `_universe` holds the variable named after it, so that the invariant's
-    atoms are assumed as written."""
+    atoms are assumed as written, and the register -> slot map: a state has
+    a slot per universe register, then a `_ZERO` slot that all others read."""
     if not p.standard:
         raise NotStandardForm("certificates require a standard-form program")
     if cert.loop_head > len(p):
@@ -291,18 +283,18 @@ def _enter_loop(p: Program, cert: _Lasso) -> SymState:
     if not _satisfiable(cert.param_constraints):
         raise _Rejected(CONSTRAINTS_UNSATISFIABLE)
     universe = _universe(p, cert)
-    init = cert.init
-    s = SymState(1, {i: init[i - 1] for i in universe if i <= len(init)})
+    slot = {i: s for s, i in enumerate(universe)}
+    s = SymState(1, (*(cert.init[i - 1] if i <= len(cert.init) else _ZERO for i in universe), _ZERO))
     if s.pc != cert.loop_head:
         # the prefix trail is never printed, so none is kept
         s = _walk(p, s, cert.param_constraints, cert.step_bound, cert.loop_head)
         if s is None or not s.pc:
             raise _Rejected(PREFIX_FAILED)
-    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s)
-    return SymState(cert.loop_head, {i: SymValue(reg_var(i)) for i in universe})
+    _require_entailed(INVARIANT_NOT_ESTABLISHED, cert.param_constraints, cert, s, slot)
+    return SymState(cert.loop_head, (*(SymValue(reg_var(i)) for i in universe), _ZERO)), slot
 
 
-def _close_loop(p: Program, cert: _Lasso, start: SymState, cs: ConstraintSet):
+def _close_loop(p: Program, cert: _Lasso, start: SymState, slot: dict[int, int], cs: ConstraintSet):
     """Loop phase: from `start` under `cs` back to the head, re-establishing
     the invariant; returns (end, trail)."""
     trail: list[TrailEntry] = []
@@ -311,14 +303,14 @@ def _close_loop(p: Program, cert: _Lasso, start: SymState, cs: ConstraintSet):
         raise _Rejected(LOOP_NOT_CLOSED)
     if not end.pc:
         raise _Rejected(HALTED_DURING_LOOP, pc=trail[-1][0])
-    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, end)
+    _require_entailed(INVARIANT_NOT_PRESERVED, cs, cert, end, slot)
     return end, trail
 
 
 def check_divergence(p: Program, cert: DivergenceCert) -> CertReport:
     """Accept iff the certified lasso proves the program never halts."""
     try:
-        _, trail = _close_loop(p, cert, _enter_loop(p, cert), ConstraintSet.of(*cert.invariant))
+        _, trail = _close_loop(p, cert, *_enter_loop(p, cert), ConstraintSet.of(*cert.invariant))
     except _Rejected as rejected:
         return rejected.report
     return CertReport(tuple(trail))
@@ -348,15 +340,16 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
 def check_termination(p: Program, cert: TerminationCert) -> CertReport:
     """Accept iff the certified lasso proves the program halts."""
     try:
-        start = _enter_loop(p, cert)
+        start, slot = _enter_loop(p, cert)
         x, y, k = cert.split
         split = reg_var(x), reg_var(y)
         cs = ConstraintSet.of(*cert.invariant, Atom(*split, ">=", k + 1))
-        end, cont_trail = _close_loop(p, cert, start, cs)
+        end, cont_trail = _close_loop(p, cert, start, slot, cs)
         x, y = cert.ranking
         if not entails(cs, Atom(reg_var(x), reg_var(y), ">=", 0)):
             raise _Rejected(RANKING_NOT_NONNEGATIVE)
-        if not _rank_decreases(cs, (start.value(x), start.value(y)), (end.value(x), end.value(y))):
+        x, y = slot.get(x, -1), slot.get(y, -1)
+        if not _rank_decreases(cs, (start.regs[x], start.regs[y]), (end.regs[x], end.regs[y])):
             raise _Rejected(RANKING_NOT_DECREASING)
         cs = ConstraintSet.of(*cert.invariant, Atom(*split, "<=", k))
         exit_trail: list[TrailEntry] = []

@@ -53,7 +53,12 @@ _INF = math.inf
 # `SymValue` and `Atom` are built many times per check, so each has its own
 # `__init__`: it checks and normalizes the arguments, then sets each field
 # once, past the frozen `__setattr__`.  They stay dataclasses, so
-# `dataclasses.replace` goes through the same checks.
+# `dataclasses.replace` goes through the same checks; as in `machine`, a
+# plain int is tested inline, and `_is_int` then refuses a bool.
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, init=False)
@@ -67,8 +72,8 @@ class SymValue:
     def __init__(self, var: str | None = None, offset: int = 0) -> None:
         if var == "":
             raise ValueError("variable name must be non-empty")
-        if offset < 0:
-            raise ValueError("offsets are naturals")
+        if offset.__class__ is not int and not _is_int(offset) or offset < 0:
+            raise ValueError(f"offsets are naturals, got {offset!r}")
         _set(self, "var", var)
         _set(self, "offset", offset)
 
@@ -93,6 +98,8 @@ class Atom:
     def __init__(self, x: str | None, y: str | None, rel: str, k: int) -> None:
         if rel not in REL_SYMBOLS:
             raise UnsupportedAtom(f"unknown relation {rel!r}")
+        if k.__class__ is not int and not _is_int(k):
+            raise ValueError(f"bound must be an int, got {k!r}")
         if rel == "<":
             rel, k = "<=", k - 1
         elif rel == ">":

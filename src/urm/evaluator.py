@@ -12,10 +12,11 @@ where the question is decidable) and from certificate checking.
 
 There are two concrete interpreters.  `step` is the rule-level relation,
 and `trace` alone drives it; `decide_abstract` and the CLI's
-`--show-steps` consume `trace`'s states.  `_execute` compiles the program
-to a list loop over the registers it mentions, for speed, and runs it for
-both `run` (over a `Config`) and `run_finite` (over the list view); the
-test suite checks that the two interpreters agree.
+`--show-steps` consume `trace`'s states.  `_execute` runs the program's
+compiled code, `Program._code`, computed once per program, as a list
+loop over the registers it mentions, for speed, for both `run` (over a
+`Config`) and `run_finite` (over the list view); the test suite checks
+that the two interpreters agree.
 
 `run` also leaps over counting loops.  Whenever it takes a backward
 jump (one whose target is at or before itself), `_leap` walks one
@@ -43,8 +44,10 @@ from .machine import (
     Jump,
     Program,
     Succ,
-    Transfer,
     Zero,
+    _JUMP,
+    _SUCC,
+    _ZERO,
     _check_natural,
     _set,
     _Value,
@@ -147,31 +150,7 @@ def step(s: MachineState) -> MachineState:
     return MachineState(p, nxt, c)
 
 
-_ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
-
-
-def _compile(p: Program) -> list[tuple[int, int, int, int, int]]:
-    """Code over register slots, slot s standing for `p.registers[s]`.
-
-    Each entry is (tag, a, b, jump target, next position), the next
-    position being 0 after the last instruction."""
-    slot = {reg: s for s, reg in enumerate(p.registers)}
-    n = len(p)
-    code = []
-    for pos, instr in enumerate(p, start=1):
-        nxt = pos + 1 if pos < n else 0
-        if isinstance(instr, Zero):
-            code.append((_ZERO, slot[instr.i], 0, 0, nxt))
-        elif isinstance(instr, Succ):
-            code.append((_SUCC, slot[instr.i], 0, 0, nxt))
-        elif isinstance(instr, Transfer):
-            code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
-        else:
-            code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
-    return code
-
-
-def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int, budget: int) -> int:
+def _leap(code: tuple[tuple[int, int, int, int, int], ...], regs: list[int], head: int, budget: int) -> int:
     """Apply at once the iterations from `head` sure to repeat one path.
 
     Walks one iteration over `code` without writing, then adds to `regs`
@@ -220,13 +199,13 @@ def _leap(code: list[tuple[int, int, int, int, int]], regs: list[int], head: int
 
 
 def _execute(p: Program, regs: list[int], fuel: int) -> tuple[int, int]:
-    """Run the compiled `p` from position 1 over `regs`, one slot per
-    register of `p.registers`, for at most `fuel` steps, updating `regs`
-    in place.  Returns (steps, pc), pc being 0 when the run halted and
-    else the position that would run next when the fuel ran out."""
+    """Run the program's compiled code, `p._code`, from position 1 over
+    `regs`, one slot per register of `p.registers`, for at most `fuel`
+    steps, updating `regs` in place.  Returns (steps, pc), pc being 0 when
+    the run halted and else the position that would run next."""
     if fuel.__class__ is not int or fuel < 0:
         _check_natural(fuel, "fuel")
-    code = _compile(p)
+    code = p._code
     pc = 1
     steps = 0
     # back-off per loop head, by position (0, the halt target, is never

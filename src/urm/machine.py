@@ -174,6 +174,9 @@ class Jump(_Value):
 
 Instruction = Zero | Succ | Transfer | Jump
 
+# The tags of `Program._code`, one per instruction class; the jump's is last.
+_ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
+
 
 class Program(_Value):
     """A finite, non-empty instruction sequence; positions are 1-based."""
@@ -221,6 +224,24 @@ class Program(_Value):
     def rho(self) -> int:
         """Maximal register index mentioned."""
         return max(self.registers)
+
+    @cached_property
+    def _code(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The compiled program, over register slots, slot s standing for
+        `registers[s]`.  Each entry is (tag, a, b, jump target, next
+        position), the next position being 0 after the last instruction."""
+        slot = {reg: s for s, reg in enumerate(self.registers)}
+        n = len(self.instructions)
+        code = []
+        for pos, instr in enumerate(self.instructions, start=1):
+            nxt = pos + 1 if pos < n else 0
+            if isinstance(instr, Jump):
+                code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
+            elif isinstance(instr, Transfer):
+                code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
+            else:
+                code.append((_SUCC if isinstance(instr, Succ) else _ZERO, slot[instr.i], 0, 0, nxt))
+        return tuple(code)
 
 
 class Config:

@@ -40,7 +40,7 @@ from urm.certificates import (
 from urm import certificates, constraints
 from urm.constraints import parse_reg_var
 from urm.errors import NotStandardForm, PcOutOfRange
-from urm.machine import Jump, Program, Succ, Zero
+from urm.machine import Jump, Program, Succ, Transfer, Zero
 from oracles import (
     atom_holds,
     atom_variables,
@@ -54,7 +54,8 @@ from oracles import (
     sample_parameters,
 )
 
-FRESH = {i: SymValue(f"v{i}") for i in (1, 2, 3)}
+# registers 1, 2 and 3, in `u_minus`'s slot order
+FRESH = (SymValue("v1"), SymValue("v2"), SymValue("v3"))
 
 
 def _load(samples_dir, name):
@@ -62,7 +63,7 @@ def _load(samples_dir, name):
 
 
 def test_sym_step_resolves_a_jump_from_a_strict_bound(u_minus):
-    s = SymState(1, dict(FRESH))
+    s = SymState(1, FRESH)
     r = sym_step(u_minus, s, ConstraintSet.of(Atom("v1", "v2", "<=", -1)))
     assert isinstance(r, SymNext)
     assert r.state.pc == 2
@@ -71,7 +72,7 @@ def test_sym_step_resolves_a_jump_from_a_strict_bound(u_minus):
 
 
 def test_sym_step_compares_a_register_with_itself(u_minus):
-    s = SymState(4, {1: SymValue("v1"), 2: SymValue("v2", 1), 3: SymValue("v3", 1)})
+    s = SymState(4, (SymValue("v1"), SymValue("v2", 1), SymValue("v3", 1)))
     r = sym_step(u_minus, s, ConstraintSet())
     assert isinstance(r, SymNext)
     assert r.state.pc == 1
@@ -79,7 +80,7 @@ def test_sym_step_compares_a_register_with_itself(u_minus):
 
 
 def test_sym_step_reports_an_unresolved_jump(u_minus):
-    r = sym_step(u_minus, SymState(1, dict(FRESH)), ConstraintSet())
+    r = sym_step(u_minus, SymState(1, FRESH), ConstraintSet())
     assert r is None
 
 
@@ -93,18 +94,18 @@ def test_sym_step_leaves_a_jump_undecided_exactly_when_decide_eq_does():
         i, j = rng.randint(1, 3), rng.randint(1, 3)
         p = Program((Jump(i, j, 3), Succ(1), Succ(2)))
         regs = {r: SymValue(rng.choice((None, *names)), rng.randint(0, 2)) for r in (1, 2, 3) if rng.random() < 0.8}
-        s = SymState(1, regs)
+        s = SymState(1, tuple(regs.get(r, SymValue()) for r in p.registers))
         cs = ConstraintSet.of(*(
             Atom(rng.choice(names), rng.choice((None, *names)), rng.choice(("<", "<=", "=", ">=", ">", "!=")), rng.randint(-2, 2))
             for _ in range(rng.randint(0, 3))
         ))
-        eq = decide_eq(s.value(i), s.value(j), cs)
+        eq = decide_eq(regs.get(i, SymValue()), regs.get(j, SymValue()), cs)
         seen[eq] += 1
         r = sym_step(p, s, cs)
         if eq is None:
             assert r is None, (p, s, cs)
         else:
-            assert r == SymNext(SymState(3 if eq else 2, regs), "jt·r" if eq else "jf·r"), (p, s, cs)
+            assert r == SymNext(SymState(3 if eq else 2, s.regs), "jt·r" if eq else "jf·r"), (p, s, cs)
     assert min(seen.values()) > 200, seen
 
 
@@ -121,22 +122,23 @@ def test_a_report_is_accepted_when_it_has_no_reason():
 
 def test_sym_step_updates_values_like_the_rules():
     p = Program((Zero(2), Succ(1), Succ(3)))
-    s = SymState(1, dict(FRESH))
+    # slots in first-mention order: registers 2, 1, 3
+    s = SymState(1, (SymValue("v2"), SymValue("v1"), SymValue("v3")))
     r = sym_step(p, s, ConstraintSet())
-    assert r.state.regs[2] == SymValue(offset=0) and r.rule == "z·r"
+    assert r.state.regs == (SymValue(offset=0), SymValue("v1"), SymValue("v3")) and r.rule == "z·r"
     r = sym_step(p, r.state, ConstraintSet())
-    assert r.state.regs[1] == SymValue("v1", 1) and r.rule == "s·r"
+    assert r.state.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3")) and r.rule == "s·r"
     r = sym_step(p, r.state, ConstraintSet())
     assert r.state.pc == 0 and r.rule == "s·l"
-    assert r.state.regs[3] == SymValue("v3", 1)
+    assert r.state.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3", 1))
 
 
 def test_sym_step_shares_one_rule_string_per_rule():
     """A trail keeps a rule per step, so steps by the same rule hand out
     the same string rather than a copy each."""
     p = Program((Succ(1), Succ(1)))
-    first = sym_step(p, SymState(1, dict(FRESH)), ConstraintSet())
-    second = sym_step(p, SymState(1, dict(FRESH)), ConstraintSet())
+    first = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
+    second = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
     assert first.rule == "s·r" and first.rule is second.rule
     last = sym_step(p, first.state, ConstraintSet())
     assert last.rule == "s·l" and last.rule is sym_step(p, first.state, ConstraintSet()).rule
@@ -144,37 +146,75 @@ def test_sym_step_shares_one_rule_string_per_rule():
 
 def test_sym_step_requires_standard_form():
     with pytest.raises(NotStandardForm):
-        sym_step(Program((Jump(1, 1, 9),)), SymState(1, {1: SymValue(offset=0)}), ConstraintSet())
+        sym_step(Program((Jump(1, 1, 9),)), SymState(1, (SymValue(offset=0),)), ConstraintSet())
 
 
 def test_sym_step_requires_a_position_in_the_program(u_minus):
     for pc in (0, len(u_minus) + 1):
         with pytest.raises(PcOutOfRange):
-            sym_step(u_minus, SymState(pc, {1: SymValue(offset=0)}), ConstraintSet())
+            sym_step(u_minus, SymState(pc, FRESH), ConstraintSet())
 
 
 def test_sym_step_on_constants_mirrors_concrete_execution():
+    """From constants, `sym_step` over `Program._code` takes the steps that
+    `step` takes over the instructions, with the same registers after each."""
     from urm import Config, MachineState, step
 
     rng = random.Random(31)
     empty = ConstraintSet()
+    halted = 0
     for _ in range(200):
         p = random_program(rng)
         regs = {i: rng.randint(0, 3) for i in range(1, 4)}
-        pc = 1
-        concrete = MachineState(p, pc, Config(regs))
-        symbolic = SymState(pc, {i: SymValue(offset=v) for i, v in regs.items()})
+        concrete = MachineState(p, 1, Config(regs))
+        symbolic = SymState(1, tuple(SymValue(offset=regs[i]) for i in p.registers))
         for _ in range(20):
             concrete = step(concrete)
             got_s = sym_step(p, symbolic, empty)
             assert isinstance(got_s, SymNext)
             symbolic = got_s.state
             assert symbolic.pc == concrete.pc
+            assert all(v.var is None for v in symbolic.regs)
+            # a register the program does not mention keeps its value
+            expected = {**regs, **{i: v.offset for i, v in zip(p.registers, symbolic.regs)}}
+            assert {i: concrete.config.get(i) for i in range(1, 4)} == expected, (p, regs)
             if not concrete.pc:
-                assert all(v.var is None for v in symbolic.regs.values())
-                final = {i: v.offset for i, v in symbolic.regs.items() if v.offset}
-                assert final == dict(concrete.config.items())
+                halted += 1
                 break
+    assert halted > 50
+
+
+def test_a_symbolic_state_cannot_change_after_it_hashes():
+    """`regs` is a tuple, so a state used as a dict key keeps its entry."""
+    s = SymState(1, (SymValue("v"),))
+    memo = {s: "seen"}
+    with pytest.raises(TypeError):
+        s.regs[0] = SymValue("w")
+    assert s in memo and memo[SymState(1, (SymValue("v"),))] == "seen"
+    assert hash(s) == hash(SymState(1, (SymValue("v"),)))
+    assert SymState(1, (SymValue("v"), SymValue("w"))) not in memo
+
+
+def test_sym_step_reads_the_registers_in_slot_order():
+    """Slot s is register `p.registers[s]`, in order of first mention, and
+    the slots past those are passed on unchanged; a state without a slot
+    for every register of the program is refused."""
+    p = Program((Succ(3), Transfer(3, 1), Jump(1, 3, 0)))
+    assert p.registers == (3, 1)
+    extra = (SymValue("x"), SymValue("y", 2))
+    s = SymState(1, (SymValue("a"), SymValue("b"), *extra))
+    rules = []
+    while s.pc:
+        r = sym_step(p, s, ConstraintSet())
+        rules.append(r.rule)
+        s = r.state
+        assert s.regs[2] is extra[0] and s.regs[3] is extra[1]
+    assert rules == ["s·r", "t·r", "jt·l"]
+    assert s.regs == (SymValue("a", 1), SymValue("a", 1), *extra)
+    for pc in (1, 2, 3):
+        for regs in ((), (SymValue("a"),), {3: SymValue("a"), 1: SymValue("b")}, [SymValue("a"), SymValue("b")]):
+            with pytest.raises(ValueError, match="a slot per register"):
+                sym_step(p, SymState(pc, regs), ConstraintSet())
 
 
 def test_divergence_certificate_for_subtraction(u_minus, samples_dir):
@@ -422,12 +462,12 @@ def test_checker_values_are_frozen_dataclasses():
     """`Atom`, `SymValue`, `SymState` and `SymNext` keep a frozen
     dataclass's interface, although `Atom` and `SymValue` build through their
     own `__init__`, and `dataclasses.replace` runs their checks again."""
-    state = SymState(0, {})
+    state = SymState(0, ())
     cases = [
         (Atom, {"x": "a", "y": "b", "rel": "<=", "k": 0}, "Atom(x='a', y='b', rel='<=', k=0)"),
         (SymValue, {"var": "v", "offset": 2}, "SymValue(var='v', offset=2)"),
-        (SymState, {"pc": 1, "regs": {2: SymValue("v")}}, "SymState(pc=1, regs={2: SymValue(var='v', offset=0)})"),
-        (SymNext, {"state": state, "rule": "s·l"}, "SymNext(state=SymState(pc=0, regs={}), rule='s·l')"),
+        (SymState, {"pc": 1, "regs": (SymValue("v"),)}, "SymState(pc=1, regs=(SymValue(var='v', offset=0),))"),
+        (SymNext, {"state": state, "rule": "s·l"}, "SymNext(state=SymState(pc=0, regs=()), rule='s·l')"),
     ]
     for cls, kwargs, text in cases:
         assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)

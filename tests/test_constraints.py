@@ -32,6 +32,13 @@ def test_symbolic_values_are_naturals():
         SymValue("")
     with pytest.raises(dataclasses.FrozenInstanceError):
         SymValue("v").offset = 1
+    # a register holding 0.5 used to be accepted, and reasoned about
+    for offset in (0.5, True, "1", None):
+        with pytest.raises(ValueError, match="offsets are naturals"):
+            SymValue(None, offset)
+        with pytest.raises(ValueError, match="offsets are naturals"):
+            SymValue("v", offset)
+    assert SymValue("v", _Natural(2)).offset == 2
 
 
 def test_constraint_sets_hold_a_frozenset():
@@ -64,6 +71,15 @@ def test_disequalities_are_canonically_oriented():
 def test_unknown_relations_are_rejected():
     with pytest.raises(UnsupportedAtom):
         Atom("a", "b", "<>", 0)
+    # these used to be accepted and to fail later with a TypeError, or not at all
+    for rel, k in (("<=", "1"), ("<", 0.5), ("=", True), (">=", None), ("!=", 2.0)):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            Atom("a", "b", rel, k)
+    assert Atom("a", None, "<", _Natural(2)) == Atom("a", None, "<=", 1)
+
+
+class _Natural(int):
+    """An int subclass other than bool, which the checks admit."""
 
 
 def test_entailment_of_weakenings():

@@ -143,8 +143,10 @@ def test_copy_and_pickle(cls, args, other, text):
 def test_program_copy_keeps_its_facts():
     p = Program((Jump(1, 4, 1), Succ(2)))
     assert p.rho == 4
+    # the compiled code is a fact too: computed once, over slots in `registers` order
+    assert p._code is p._code == ((3, 0, 1, 1, 2), (1, 2, 0, 0, 0))
     for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
-        assert (twin.standard, twin.registers, twin.rho) == (True, (1, 4, 2), 4)
+        assert (twin.standard, twin.registers, twin.rho, twin._code) == (True, (1, 4, 2), 4, p._code)
 
 
 @pytest.mark.parametrize("make, message", [

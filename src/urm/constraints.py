@@ -43,18 +43,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnsupportedAtom
-from .machine import _decimal, _set, parse_reg_var
+from .machine import _decimal, parse_reg_var
 
 REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
 
 _INF = math.inf
+
+_set = object.__setattr__
 
 
 # `SymValue` and `Atom` are built many times per check, so each has its own
 # `__init__`: it checks and normalizes the arguments, then sets each field
 # once, past the frozen `__setattr__`.  They stay dataclasses, so
 # `dataclasses.replace` goes through the same checks; as in `machine`, a
-# plain int is tested inline, and `_is_int` then refuses a bool.
+# plain int is tested inline, and `_is_int` then refuses a bool; a plain str
+# name is tested inline too.
 
 
 def _is_int(value: object) -> bool:
@@ -70,6 +73,8 @@ class SymValue:
     offset: int = 0
 
     def __init__(self, var: str | None = None, offset: int = 0) -> None:
+        if var.__class__ is not str and var is not None and not isinstance(var, str):
+            raise ValueError(f"variable names are str or None, got {var!r}")
         if var == "":
             raise ValueError("variable name must be non-empty")
         if offset.__class__ is not int and not _is_int(offset) or offset < 0:
@@ -100,6 +105,9 @@ class Atom:
             raise UnsupportedAtom(f"unknown relation {rel!r}")
         if k.__class__ is not int and not _is_int(k):
             raise ValueError(f"bound must be an int, got {k!r}")
+        if (x.__class__ is not str and x is not None and not isinstance(x, str)
+                or y.__class__ is not str and y is not None and not isinstance(y, str)):
+            raise ValueError(f"atom sides are variable names or None, got {x!r} and {y!r}")
         if rel == "<":
             rel, k = "<=", k - 1
         elif rel == ">":

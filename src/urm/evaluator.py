@@ -49,7 +49,6 @@ from .machine import (
     _SUCC,
     _ZERO,
     _check_natural,
-    _set,
     _Value,
     compatible,
     include,
@@ -68,9 +67,9 @@ class MachineState(_Value):
     config: Config
 
     def __init__(self, program: Program, pc: int, config: Config) -> None:
-        _set(self, "program", program)
-        _set(self, "pc", pc)
-        _set(self, "config", config)
+        _state_program(self, program)
+        _state_pc(self, pc)
+        _state_config(self, config)
 
 
 class Halted(_Value):
@@ -79,8 +78,8 @@ class Halted(_Value):
     steps: int
 
     def __init__(self, final: Config | FiniteConfig, steps: int) -> None:
-        _set(self, "final", final)
-        _set(self, "steps", steps)
+        _halted_final(self, final)
+        _halted_steps(self, steps)
 
 
 class OutOfFuel(_Value):
@@ -89,10 +88,13 @@ class OutOfFuel(_Value):
     steps: int
 
     def __init__(self, last: MachineState, steps: int) -> None:
-        _set(self, "last", last)
-        _set(self, "steps", steps)
+        _out_of_fuel_last(self, last)
+        _out_of_fuel_steps(self, steps)
 
 
+_state_program, _state_pc, _state_config = MachineState._setters
+_halted_final, _halted_steps = Halted._setters
+_out_of_fuel_last, _out_of_fuel_steps = OutOfFuel._setters
 Outcome = Halted | OutOfFuel
 
 
@@ -101,7 +103,7 @@ class Converges(_Value):
     steps: int
 
     def __init__(self, steps: int) -> None:
-        _set(self, "steps", steps)
+        _converges_steps(self, steps)
 
 
 class Diverges(_Value):
@@ -110,10 +112,11 @@ class Diverges(_Value):
     cycle_length: int
 
     def __init__(self, cycle_entry_pc: int, cycle_length: int) -> None:
-        _set(self, "cycle_entry_pc", cycle_entry_pc)
-        _set(self, "cycle_length", cycle_length)
+        _diverges_entry(self, cycle_entry_pc)
+        _diverges_length(self, cycle_length)
 
 
+(_converges_steps,), (_diverges_entry, _diverges_length) = Converges._setters, Diverges._setters
 AbstractVerdict = Converges | Diverges
 
 

@@ -75,21 +75,21 @@ def _decimal(n: int) -> str:
     return sign + "".join(reversed(chunks))
 
 
-_set = object.__setattr__
-
-
 class _Value:
     """Base of the immutable value classes: equality, hashing, `repr` and
     pickling from the fields that `__match_args__` names, as a frozen
     dataclass has them.  Only an instance of the same class compares
     equal.  Each subclass declares its fields as its `__slots__` and sets
-    them in its own `__init__` through `_set`."""
+    them in its own `__init__` through their slot descriptors' `__set__`
+    (`_setters`), which skips `object.__setattr__`'s lookup by name."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
     _astuple: tuple  # the field values, in `__match_args__` order
+    _setters: tuple  # the fields' slot descriptor `__set__`s, in that order
 
     def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
         get = attrgetter(*cls.__match_args__)
         cls._astuple = property(get if len(cls.__match_args__) > 1 else lambda self: (get(self),))
 
@@ -127,7 +127,7 @@ class Zero(_Value):
     def __init__(self, i: int) -> None:
         if i.__class__ is not int or i < 1:
             _check_register(i)
-        _set(self, "i", i)
+        _zero_i(self, i)
 
 
 class Succ(_Value):
@@ -137,7 +137,7 @@ class Succ(_Value):
     def __init__(self, i: int) -> None:
         if i.__class__ is not int or i < 1:
             _check_register(i)
-        _set(self, "i", i)
+        _succ_i(self, i)
 
 
 class Transfer(_Value):
@@ -150,8 +150,8 @@ class Transfer(_Value):
             _check_register(i)
         if j.__class__ is not int or j < 1:
             _check_register(j)
-        _set(self, "i", i)
-        _set(self, "j", j)
+        _transfer_i(self, i)
+        _transfer_j(self, j)
 
 
 class Jump(_Value):
@@ -167,11 +167,14 @@ class Jump(_Value):
             _check_register(j)
         if k.__class__ is not int or k < 0:
             _check_natural(k, "jump target")
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "k", k)
+        _jump_i(self, i)
+        _jump_j(self, j)
+        _jump_k(self, k)
 
 
+(_zero_i,), (_succ_i,) = Zero._setters, Succ._setters
+_transfer_i, _transfer_j = Transfer._setters
+_jump_i, _jump_j, _jump_k = Jump._setters
 Instruction = Zero | Succ | Transfer | Jump
 
 # The tags of `Program._code`, one per instruction class; the jump's is last.
@@ -193,7 +196,7 @@ class Program(_Value):
         for instr in instructions:
             if not isinstance(instr, (Zero, Succ, Transfer, Jump)):
                 raise ValueError(f"not an instruction: {instr!r}")
-        _set(self, "instructions", instructions)
+        _program_instructions(self, instructions)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -260,7 +263,7 @@ class Config:
             _check_natural(val, "value of register {}", reg)
             if val != 0:
                 canon[reg] = val
-        object.__setattr__(self, "_entries", canon)
+        self._entries = canon
 
     def _updated(self, changes: Iterable[tuple[int, int]]) -> Config:
         """Copy with the (register, value) pairs assigned; the pairs must be
@@ -272,7 +275,7 @@ class Config:
             else:
                 entries.pop(reg, None)
         new = object.__new__(Config)
-        object.__setattr__(new, "_entries", entries)
+        new._entries = entries
         return new
 
     def get(self, i: int) -> int:
@@ -311,18 +314,21 @@ class FiniteConfig(_Value):
             raise ValueError("a finite configuration must be non-empty")
         for pos, val in enumerate(values, start=1):
             _check_natural(val, "value at position {}", pos)
-        _set(self, "values", values)
+        _finite_values(self, values)
 
     @classmethod
     def _of(cls, values: tuple[int, ...]) -> FiniteConfig:
         """From a non-empty tuple of naturals; `__init__`'s checks are
         skipped."""
         new = object.__new__(cls)
-        _set(new, "values", values)
+        _finite_values(new, values)
         return new
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+(_program_instructions,), (_finite_values,) = Program._setters, FiniteConfig._setters
 
 
 def compatible(sigma: FiniteConfig, p: Program) -> bool:

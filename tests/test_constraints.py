@@ -82,6 +82,26 @@ class _Natural(int):
     """An int subclass other than bool, which the checks admit."""
 
 
+class _Name(str):
+    """A str subclass, which the checks admit as a variable name."""
+
+
+def test_variable_names_are_str_or_none():
+    # these used to be accepted and reasoned about, or to fail with a
+    # TypeError from the `!=` orientation
+    for name in (5, 1.0, True, b"v", ("v",)):
+        with pytest.raises(ValueError, match="variable names are str or None"):
+            SymValue(name, 1)
+        for x, y, rel in ((name, None, "<="), (None, name, "="), (name, "b", "!="), ("b", name, "<")):
+            with pytest.raises(ValueError, match="atom sides are variable names or None"):
+                Atom(x, y, rel, 0)
+    with pytest.raises(ValueError, match="variable names are str or None"):
+        decide_eq(SymValue(5), SymValue("5"), ConstraintSet())
+    assert SymValue(_Name("v"), 1) == SymValue("v", 1)
+    assert Atom(_Name("b"), "a", "!=", 1) == Atom("a", "b", "!=", -1)
+    assert entails(ConstraintSet.of(Atom(_Name("a"), None, "<=", 1)), Atom("a", None, "<=", 2))
+
+
 def test_entailment_of_weakenings():
     cs = ConstraintSet.of(Atom("v1", "v2", "<=", -1))
     assert entails(cs, Atom("v1", "v2", "<=", 0))

@@ -305,6 +305,30 @@ def test_trace_yields_every_state(u_minus):
                 break
 
 
+@pytest.mark.parametrize("live", [64, 256, 1024])
+def test_trace_copies_wide_configs_state_by_state(live):
+    """Each `Z`/`S`/`T` step copies a config of up to `live` nonzero
+    registers with one pair changed; every state, the earlier ones too once
+    the trace has ended, matches the oracle."""
+    rng = random.Random(live)
+    regs = rng.sample(range(1, 10**6), live)
+    init = {reg: rng.randint(1, 3) for reg in regs}
+    instrs = []
+    for _ in range(300):
+        kind, i, j = rng.randrange(3), rng.choice(regs), rng.choice(regs)
+        instrs.append((Zero(i), Succ(i), Transfer(i, j))[kind])
+    p = Program(tuple(instrs))
+    want = dict(init)
+    seen = []
+    for pc, s in enumerate(trace(p, Config(init)), start=1):
+        assert s.pc == pc and _sparse(s.config) == want, (live, pc)
+        seen.append((s, dict(want)))
+        assert apply_instr(p.instructions[pc - 1], pc, want) == pc + 1
+    assert len(seen) == len(p)
+    for s, regs_then in seen:
+        assert _sparse(s.config) == regs_then
+
+
 def test_run_memory_follows_the_program_not_the_register_indices():
     big = 10**7
     tracemalloc.start()

@@ -73,12 +73,6 @@ class SymState:
 
 
 @dataclass(frozen=True)
-class SymNext:
-    state: SymState
-    rule: str
-
-
-@dataclass(frozen=True)
 class Reason:
     code: str
     pc: int | None = None
@@ -174,15 +168,16 @@ def _reg_index(var: str | None) -> int:
 _RULES = tuple((f"{rule}·r", f"{rule}·l") for rule in ("z", "s", "t", "jf", "jt"))
 
 
-def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymNext | None:
+def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> tuple[SymState, str] | None:
     """One symbolic step of `p._code` over the slots of `s.regs`, slot s
-    holding register `p.registers[s]`; it mirrors the concrete step
-    relation, and the slots past the program's pass through unchanged.
+    holding register `p.registers[s]`, as the pair (next state, rule); it
+    mirrors the concrete step relation, and the slots past the program's
+    pass through unchanged.
 
     Jumps are resolved by three-valued equality of the compared values
     under `cs`; an unresolved comparison yields None, as in `decide_eq`.
     As in `step`, the next state is at position 0 when the step halts.
-    The rule field names the applied evaluation rule: "jt"/"jf" for a
+    The rule names the applied evaluation rule: "jt"/"jf" for a
     taken or failed jump, "z"/"s"/"t" for the others, then "·l" when the
     step halts, "·r" otherwise.  So "s·r" is a non-final increment and
     "jt·l" a taken jump to position 0.
@@ -214,7 +209,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> SymNext | None:
         else:
             regs[a] = _ZERO
         regs = tuple(regs)
-    return SymNext(SymState(nxt, regs), _RULES[tag][not nxt])
+    return SymState(nxt, regs), _RULES[tag][not nxt]
 
 
 def _universe(p: Program, cert: _Lasso) -> tuple[int, ...]:
@@ -252,8 +247,8 @@ def _walk(
         if res is None:
             raise _Rejected(UNDECIDED_BRANCH, pc=s.pc)
         if trail is not None:
-            trail.append((s.pc, res.rule))
-        s = res.state
+            trail.append((s.pc, res[1]))
+        s = res[0]
         if not s.pc or s.pc == head:
             return s
     return None

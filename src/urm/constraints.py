@@ -108,6 +108,8 @@ class Atom:
         if (x.__class__ is not str and x is not None and not isinstance(x, str)
                 or y.__class__ is not str and y is not None and not isinstance(y, str)):
             raise ValueError(f"atom sides are variable names or None, got {x!r} and {y!r}")
+        if x == "" or y == "":
+            raise ValueError("variable name must be non-empty")
         if rel == "<":
             rel, k = "<=", k - 1
         elif rel == ">":
@@ -254,27 +256,23 @@ def _satisfiable(cs: ConstraintSet) -> bool:
     return feasible and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
 
 
-def _bound(dist: tuple[dict, dict], frm: str | None, to: str | None) -> float:
-    """Tightest derivable k with value(to) - value(frm) <= k, read off the
-    closed row between the two classes and shifted by their offsets.
+def _range(dist: tuple[dict, dict], x: str | None, y: str | None) -> tuple[float, float]:
+    """Tightest (lo, hi) with lo <= value(x) - value(y) <= hi, read off the
+    closed rows between the two sides' classes and shifted by their
+    offsets; (0, 0) when x and y are the same side.
 
     A variable the closure lacks is unconstrained, so only the zero
     node's class, its nonnegativity, bounds the difference from it."""
-    if frm == to:
-        return 0
+    if x == y:
+        return 0, 0
     cls, rows = dist
-    if to not in cls:
-        return _INF
-    (rf, of), (rt, ot) = cls.get(frm, cls[None]), cls[to]
-    d = rows[rf][rt]
+    cx, cy = cls.get(x), cls.get(y)
+    (rx, ox), (ry, oy) = cx or cls[None], cy or cls[None]
+    # rows[u][v] bounds value(v) - value(u) between two roots
+    yx = _INF if cy is None else rows[rx][ry]
+    xy = _INF if cx is None else rows[ry][rx]
     # inf plus an int beyond float range overflows
-    return d if d == _INF else d + ot - of
-
-
-def _range(dist: tuple[dict, dict], x: str | None, y: str | None) -> tuple[float, float]:
-    """Tightest (lo, hi) with lo <= value(x) - value(y) <= hi; (0, 0) when
-    x and y are the same side."""
-    return -_bound(dist, x, y), _bound(dist, y, x)
+    return (-_INF if yx == _INF else ox - oy - yx), (_INF if xy == _INF else xy + ox - oy)
 
 
 def entails(cs: ConstraintSet, a: Atom) -> bool:

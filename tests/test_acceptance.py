@@ -292,7 +292,7 @@ def test_criterion_09_constraint_decisions_are_sound():
 
 
 def test_criterion_10_round_trips_and_stable_cli(capsys, samples_dir):
-    bundled = sorted(samples_dir.glob("*.urm"))
+    bundled = sorted(samples_dir.rglob("*.urm"))
     assert bundled
     for path in bundled:
         p = parse_program(path.read_text())

@@ -35,9 +35,10 @@ PUBLIC = [
 # `SymValue` took their place, because the checker substitutes through
 # the register indices a certificate keeps, because both certificate
 # kinds share one lasso base and `check_termination` builds its split
-# atoms itself, because a halted state is the one at position 0, or
+# atoms itself, because a halted state is the one at position 0,
 # because `sym_step` returns None for an undecided jump, as `decide_eq`
-# does; (owner, attribute).
+# does, and otherwise the pair (state, rule), or because `_range` reads
+# both bounds of a difference itself; (owner, attribute).
 REMOVED = [
     (machine, "rho"),
     (machine, "is_standard_form"),
@@ -62,6 +63,8 @@ REMOVED = [
     (certificates, "SymHalt"),
     (certificates, "Undecided"),
     (certificates, "SymStepResult"),
+    (certificates, "SymNext"),
+    (constraints, "_bound"),
 ]
 
 # The modules that `import urm` loads, each declaring its public names in

@@ -35,7 +35,6 @@ from urm.certificates import (
     UNDECIDED_BRANCH,
     CertReport,
     Reason,
-    SymNext,
 )
 from urm import certificates, constraints
 from urm.constraints import parse_reg_var
@@ -64,19 +63,19 @@ def _load(samples_dir, name):
 
 def test_sym_step_resolves_a_jump_from_a_strict_bound(u_minus):
     s = SymState(1, FRESH)
-    r = sym_step(u_minus, s, ConstraintSet.of(Atom("v1", "v2", "<=", -1)))
-    assert isinstance(r, SymNext)
-    assert r.state.pc == 2
-    assert r.state.regs == s.regs
-    assert r.rule == "jf·r"
+    nxt, rule = sym_step(u_minus, s, ConstraintSet.of(Atom("v1", "v2", "<=", -1)))
+    assert isinstance(nxt, SymState)
+    assert nxt.pc == 2
+    assert nxt.regs == s.regs
+    assert rule == "jf·r"
 
 
 def test_sym_step_compares_a_register_with_itself(u_minus):
     s = SymState(4, (SymValue("v1"), SymValue("v2", 1), SymValue("v3", 1)))
-    r = sym_step(u_minus, s, ConstraintSet())
-    assert isinstance(r, SymNext)
-    assert r.state.pc == 1
-    assert r.rule == "jt·r"
+    nxt, rule = sym_step(u_minus, s, ConstraintSet())
+    assert isinstance(nxt, SymState)
+    assert nxt.pc == 1
+    assert rule == "jt·r"
 
 
 def test_sym_step_reports_an_unresolved_jump(u_minus):
@@ -105,7 +104,7 @@ def test_sym_step_leaves_a_jump_undecided_exactly_when_decide_eq_does():
         if eq is None:
             assert r is None, (p, s, cs)
         else:
-            assert r == SymNext(SymState(3 if eq else 2, s.regs), "jt·r" if eq else "jf·r"), (p, s, cs)
+            assert r == (SymState(3 if eq else 2, s.regs), "jt·r" if eq else "jf·r"), (p, s, cs)
     assert min(seen.values()) > 200, seen
 
 
@@ -124,24 +123,24 @@ def test_sym_step_updates_values_like_the_rules():
     p = Program((Zero(2), Succ(1), Succ(3)))
     # slots in first-mention order: registers 2, 1, 3
     s = SymState(1, (SymValue("v2"), SymValue("v1"), SymValue("v3")))
-    r = sym_step(p, s, ConstraintSet())
-    assert r.state.regs == (SymValue(offset=0), SymValue("v1"), SymValue("v3")) and r.rule == "z·r"
-    r = sym_step(p, r.state, ConstraintSet())
-    assert r.state.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3")) and r.rule == "s·r"
-    r = sym_step(p, r.state, ConstraintSet())
-    assert r.state.pc == 0 and r.rule == "s·l"
-    assert r.state.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3", 1))
+    s, rule = sym_step(p, s, ConstraintSet())
+    assert s.regs == (SymValue(offset=0), SymValue("v1"), SymValue("v3")) and rule == "z·r"
+    s, rule = sym_step(p, s, ConstraintSet())
+    assert s.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3")) and rule == "s·r"
+    s, rule = sym_step(p, s, ConstraintSet())
+    assert s.pc == 0 and rule == "s·l"
+    assert s.regs == (SymValue(offset=0), SymValue("v1", 1), SymValue("v3", 1))
 
 
 def test_sym_step_shares_one_rule_string_per_rule():
     """A trail keeps a rule per step, so steps by the same rule hand out
     the same string rather than a copy each."""
     p = Program((Succ(1), Succ(1)))
-    first = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
-    second = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
-    assert first.rule == "s·r" and first.rule is second.rule
-    last = sym_step(p, first.state, ConstraintSet())
-    assert last.rule == "s·l" and last.rule is sym_step(p, first.state, ConstraintSet()).rule
+    state, first = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
+    _, second = sym_step(p, SymState(1, FRESH[:1]), ConstraintSet())
+    assert first == "s·r" and first is second
+    _, last = sym_step(p, state, ConstraintSet())
+    assert last == "s·l" and last is sym_step(p, state, ConstraintSet())[1]
 
 
 def test_sym_step_requires_standard_form():
@@ -171,8 +170,8 @@ def test_sym_step_on_constants_mirrors_concrete_execution():
         for _ in range(20):
             concrete = step(concrete)
             got_s = sym_step(p, symbolic, empty)
-            assert isinstance(got_s, SymNext)
-            symbolic = got_s.state
+            assert got_s is not None
+            symbolic, _ = got_s
             assert symbolic.pc == concrete.pc
             assert all(v.var is None for v in symbolic.regs)
             # a register the program does not mention keeps its value
@@ -205,9 +204,8 @@ def test_sym_step_reads_the_registers_in_slot_order():
     s = SymState(1, (SymValue("a"), SymValue("b"), *extra))
     rules = []
     while s.pc:
-        r = sym_step(p, s, ConstraintSet())
-        rules.append(r.rule)
-        s = r.state
+        s, rule = sym_step(p, s, ConstraintSet())
+        rules.append(rule)
         assert s.regs[2] is extra[0] and s.regs[3] is extra[1]
     assert rules == ["s·r", "t·r", "jt·l"]
     assert s.regs == (SymValue("a", 1), SymValue("a", 1), *extra)
@@ -449,7 +447,7 @@ def test_certificates_are_hashable_values(samples_dir):
     """A certificate is a frozen value: it hashes, equal texts give one set
     member whatever their key order, and a copy hashes as the original."""
     texts = [path.read_text() for path in sorted(samples_dir.rglob("*.cert"))]
-    assert len(texts) == 11
+    assert len(texts) == 13
     certs = [parse_cert(text) for text in texts]
     assert len(set(certs)) == len(certs)
     for text, cert in zip(texts, certs):
@@ -459,15 +457,13 @@ def test_certificates_are_hashable_values(samples_dir):
 
 
 def test_checker_values_are_frozen_dataclasses():
-    """`Atom`, `SymValue`, `SymState` and `SymNext` keep a frozen
+    """`Atom`, `SymValue` and `SymState` keep a frozen
     dataclass's interface, although `Atom` and `SymValue` build through their
     own `__init__`, and `dataclasses.replace` runs their checks again."""
-    state = SymState(0, ())
     cases = [
         (Atom, {"x": "a", "y": "b", "rel": "<=", "k": 0}, "Atom(x='a', y='b', rel='<=', k=0)"),
         (SymValue, {"var": "v", "offset": 2}, "SymValue(var='v', offset=2)"),
         (SymState, {"pc": 1, "regs": (SymValue("v"),)}, "SymState(pc=1, regs=(SymValue(var='v', offset=0),))"),
-        (SymNext, {"state": state, "rule": "s·l"}, "SymNext(state=SymState(pc=0, regs=()), rule='s·l')"),
     ]
     for cls, kwargs, text in cases:
         assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)

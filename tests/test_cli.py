@@ -496,7 +496,7 @@ def test_mutated_inputs_end_in_a_documented_exit_code(capsys, tmp_path, samples_
     and an exit-1 message names a line and column unless it is about no
     position in a file."""
     rng = random.Random(20261022)
-    programs = {path.stem: path.read_bytes() for path in samples_dir.glob("*.urm")}
+    programs = {path.stem: path.read_bytes() for path in samples_dir.rglob("*.urm")}
     certs = [(path.stem.split("-")[0], path.read_bytes()) for path in sorted(samples_dir.rglob("*.cert"))]
     inits = [b"5,3,0", b"0,1", b"2,5,0", b"1,1,1"]
     prog, cert, config = tmp_path / "p.urm", tmp_path / "c.cert", tmp_path / "c.cfg"

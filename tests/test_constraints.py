@@ -97,6 +97,13 @@ def test_variable_names_are_str_or_none():
                 Atom(x, y, rel, 0)
     with pytest.raises(ValueError, match="variable names are str or None"):
         decide_eq(SymValue(5), SymValue("5"), ConstraintSet())
+    # as `SymValue("")` is, so no atom reasons about a variable no
+    # certificate can name
+    for x, y, rel in (("", None, "<="), (None, "", "="), ("", "b", "!="), ("b", "", "<"), ("", "", ">=")):
+        with pytest.raises(ValueError, match="variable name must be non-empty"):
+            Atom(x, y, rel, 0)
+    with pytest.raises(ValueError, match="variable name must be non-empty"):
+        Atom(_Name(""), None, "<=", 0)
     assert SymValue(_Name("v"), 1) == SymValue("v", 1)
     assert Atom(_Name("b"), "a", "!=", 1) == Atom("a", "b", "!=", -1)
     assert entails(ConstraintSet.of(Atom(_Name("a"), None, "<=", 1)), Atom("a", None, "<=", 2))

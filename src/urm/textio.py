@@ -4,9 +4,10 @@ Programs are one instruction per line (`Z i`, `S i`, `T i j`, `J i j k`),
 configurations are comma-separated naturals, and certificates are a
 line-oriented `key: value` format.  All formats treat `#` as a comment
 to end of line and ignore blank lines.  Every reader splits the lines of
-`_content_lines` with `str.split` (a comma list with `_fields`), and a
-SourceError gives the 1-based line and column of the offending token,
-computed only for the line that fails.
+`_content_lines` with `str.split` (a comma list of naturals with
+`_naturals`, any other with `_fields`), and a SourceError gives the
+1-based line and column of the offending token, computed only for the
+line that fails.
 
 Certificate grammar, by key, in any order:
 
@@ -170,23 +171,36 @@ def _fields(text: str, what: str, read: Callable[[str, int], object]) -> list:
     return out
 
 
+def _naturals(text: str) -> tuple[int, ...] | None:
+    """The values of a comma list of naturals, or None for any other text.
+    One `bytes.translate` pass, which builds nothing for such a text, tests
+    that it holds only ASCII digits, commas and spaces; `int` then converts
+    each `bytes` field, stripping its spaces as `_fields` does, and refuses
+    an empty or blank field, a blank inside one and a number past the int
+    digit limit."""
+    if text.isascii():
+        raw = text.encode()
+        if not raw.translate(None, b"0123456789, "):
+            try:
+                return tuple(map(int, raw.split(b",")))
+            except ValueError:
+                pass
+    return None
+
+
 def parse_config(text: str) -> FiniteConfig:
-    """Finite configuration from comma-separated naturals."""
+    """Finite configuration from comma-separated naturals.  A line that
+    `_naturals` converts costs one C-level pass; any other is read field by
+    field with `_fields`, which alone builds the positioned error."""
     lines = list(_content_lines(text))
     if not lines:
         raise SourceError(1, 1, "empty input")
     if len(lines) > 1:
         raise SourceError(lines[1][0], 1, "expected a single line")
     ln, line = lines[0]
-    body = line.strip()
-    # ASCII digits and commas only: one C-level conversion of the whole
-    # line.  Anything else, or an empty field or a number too long for
-    # `int`, is read field by field, which alone builds the positioned error.
-    if body.isascii() and body.replace(",", "").isdigit():
-        try:
-            return FiniteConfig._of(tuple(map(int, body.split(","))))
-        except ValueError:
-            pass
+    values = _naturals(line.strip())
+    if values is not None:
+        return FiniteConfig._of(values)
     try:
         return FiniteConfig._of(tuple(_fields(line, "a natural number", _nat)))
     except _Bad as bad:
@@ -228,19 +242,13 @@ def _checker() -> tuple[ModuleType, ModuleType]:
 
 def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[SymValue, ...]:
     """The `init:` list `value`, one `SymValue` per distinct term.  A list
-    of naturals (ASCII digits, commas and spaces) is converted in one pass;
-    any other, or a number too long for `int`, is read field by field with
-    `read`, which alone builds the positioned error."""
+    that `_naturals` converts costs one C-level pass; any other is read
+    field by field with `read`, which alone builds the positioned error."""
     SymValue = _checker()[1].SymValue
-    digits = value.replace(",", "").replace(" ", "")
-    if digits.isascii() and digits.strip().isdigit():
-        try:
-            naturals = list(map(int, value.split(",")))
-        except ValueError:  # an empty field, or a blank inside one
-            pass
-        else:
-            shared = {n: SymValue(offset=n) for n in set(naturals)}
-            return tuple(map(shared.__getitem__, naturals))
+    naturals = _naturals(value.strip())
+    if naturals is not None:
+        shared = {n: SymValue(offset=n) for n in set(naturals)}
+        return tuple(map(shared.__getitem__, naturals))
     terms = _fields(value, "a value", read)
     shared = {term: SymValue(*term) for term in set(terms)}
     return tuple(map(shared.__getitem__, terms))

@@ -18,6 +18,10 @@ TEXTBOOK = pathlib.Path(__file__).resolve().parent.parent / "samples" / "textboo
 CORPUS = {
     "add.urm": (2, lambda x, y: x + y, 3, ("add-term.cert",)),
     "pred.urm": (1, lambda x: max(x - 1, 0), 4, ("pred-term.cert",)),
+    "monus.urm": (2, lambda x, y: max(x - y, 0), 5, ("monus-term.cert", "monus-below-term.cert")),
+    # no loop, so no lasso: its certificate is a `kind: terminates` without
+    # `head:` (ROADMAP item 5)
+    "sg.urm": (1, lambda x: min(x, 1), 2, ()),
 }
 
 

@@ -30,7 +30,8 @@ from urm import (
     parse_program,
     print_program,
 )
-from urm.textio import MAX_STEP_BOUND, _Bad, _fields, _init_values, _term
+from urm import textio
+from urm.textio import MAX_STEP_BOUND, _Bad, _fields, _init_values, _naturals, _term
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
@@ -245,7 +246,9 @@ def _per_field_config(text: str):
     return tuple(values)
 
 
-# Characters that must send a line down the per-field path.
+# Characters that send a line down the per-field path, all but the space:
+# `_naturals` keeps a space on its one pass, where `int` strips it from a
+# field's edges as `_fields` does and refuses it inside a field.
 NOT_DIGITS = [" ", "\t", "\x1c", "+", "-", "_", "\u0661", "\uff15", "#", "\n"]
 
 
@@ -290,6 +293,66 @@ def test_parse_config_agrees_with_the_per_field_reader():
     assert wrong == []
     # both the accepted and the refused lines are well represented
     assert 4000 < fast < 16000
+
+
+@pytest.mark.parametrize("text, values", [
+    ("", None),
+    (",", None),
+    (" ", None),
+    ("1,", None),
+    (",1", None),
+    ("1 2", None),
+    (" 1 , 2 ", (1, 2)),
+    ("+1", None),
+    ("-1", None),
+    ("1_0", None),
+    ("\u0661", None),
+    ("\t1", None),
+    pytest.param("9" * 4300, (int("9" * 4300),), id="4300 nines"),
+    pytest.param("9" * 4301, None, id="4301 nines"),
+])
+def test_naturals_converts_only_a_comma_list_of_naturals(text, values):
+    assert _naturals(text) == values
+
+
+def test_spaced_lists_of_naturals_take_the_one_pass(monkeypatch):
+    """Spaces inside a list, and any blank at a line's edges (a carriage
+    return left by CRLF text), leave a list of naturals on `_naturals`' one
+    pass."""
+    def per_field(*args):
+        raise AssertionError("read field by field")
+
+    monkeypatch.setattr(textio, "_fields", per_field)
+    assert parse_config("\t5, 3 ,0\r\n") == FiniteConfig((5, 3, 0))
+    assert parse_cert("kind: diverges\r\ninit: 5, 3 ,0\r\nhead: 1\r\nbound: 5\r\n").init == (
+        SymValue(offset=5), SymValue(offset=3), SymValue(offset=0))
+
+
+@pytest.mark.parametrize("where", ["random", "end"])
+def test_a_wide_line_with_one_defect_agrees_with_the_per_field_reader(where):
+    """One character the one pass refuses, or one number past the int digit
+    limit, in a line of 10^5 fields: at a random character and at the start
+    of a random field, where a sign or a blank would still convert, or at
+    the very end."""
+    rng = random.Random(29)
+    fields = [str(rng.randrange(1000)) for _ in range(10**5)]
+    line = ",".join(fields)
+    starts = [0, *(at + 1 for at, char in enumerate(line) if char == ",")]
+    texts = []
+    for char in NOT_DIGITS:
+        spots = (rng.randint(0, len(line)), rng.choice(starts)) if where == "random" else (len(line),)
+        texts.extend(line[:at] + char + line[at:] for at in spots)
+    at = rng.randrange(len(fields)) if where == "random" else len(fields) - 1
+    texts.append(",".join([*fields[:at], "9" * 4301, *fields[at + 1:]]))
+    wrong = []
+    for text in texts:
+        try:
+            got = parse_config(text).values
+        except SourceError as err:
+            got = (err.line, err.column, err.message)
+        if got != _per_field_config(text):
+            wrong.append(text[-40:])
+    assert wrong == []
 
 
 def test_init_values_agree_with_the_per_field_reader():

@@ -12,7 +12,9 @@ where the question is decidable) and from certificate checking.
 
 There are two concrete interpreters.  `step` is the rule-level relation,
 and `trace` alone drives it; `decide_abstract` and the CLI's
-`--show-steps` consume `trace`'s states.  `_execute` runs the program's
+`--show-steps` consume `trace`'s states.  `step` dispatches on the
+instruction's class tag, `_tag`, and copies the configuration with its
+one changed register through `Config._with`.  `_execute` runs the program's
 compiled code, `Program._code`, computed once per program, as a list
 loop over the registers it mentions, for speed, for both `run` (over a
 `Config`) and `run_finite` (over the list view); the test suite checks
@@ -43,8 +45,6 @@ from .machine import (
     FiniteConfig,
     Jump,
     Program,
-    Succ,
-    Zero,
     _JUMP,
     _SUCC,
     _ZERO,
@@ -136,20 +136,21 @@ def step(s: MachineState) -> MachineState:
     if not 1 <= pc <= n:
         raise PcOutOfRange(f"pc {pc} not in [1..{n}]")
     instr = instructions[pc - 1]
+    tag = instr._tag
     c = s.config
     entries = c._entries
     nxt = pc + 1 if pc < n else 0
-    # the instruction's constructor has checked its operands, so the update
+    # the instruction's constructor has checked its operands, so the write
     # skips `zr`/`sc`/`mv`'s checks
-    if isinstance(instr, Jump):
+    if tag == _JUMP:
         if entries.get(instr.i, 0) == entries.get(instr.j, 0):
             nxt = instr.k
-    elif isinstance(instr, Zero):
-        c = c._updated(((instr.i, 0),))
-    elif isinstance(instr, Succ):
-        c = c._updated(((instr.i, entries.get(instr.i, 0) + 1),))
+    elif tag == _SUCC:
+        c = c._with(instr.i, entries.get(instr.i, 0) + 1)
+    elif tag == _ZERO:
+        c = c._with(instr.i, 0)
     else:
-        c = c._updated(((instr.j, entries.get(instr.i, 0)),))
+        c = c._with(instr.j, entries.get(instr.i, 0))
     return MachineState(p, nxt, c)
 
 

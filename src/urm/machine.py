@@ -119,9 +119,14 @@ class _Value:
 # anything else to the full check, which refuses it or, for an int subclass
 # other than bool, admits it.
 
+# Each instruction class's tag, its class attribute `_tag`, which a subclass
+# inherits: `step` and `Program._code` dispatch on it.  The jump's is last.
+_ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
+
 
 class Zero(_Value):
     __slots__ = __match_args__ = ("i",)
+    _tag = _ZERO
     i: int
 
     def __init__(self, i: int) -> None:
@@ -132,6 +137,7 @@ class Zero(_Value):
 
 class Succ(_Value):
     __slots__ = __match_args__ = ("i",)
+    _tag = _SUCC
     i: int
 
     def __init__(self, i: int) -> None:
@@ -142,6 +148,7 @@ class Succ(_Value):
 
 class Transfer(_Value):
     __slots__ = __match_args__ = ("i", "j")
+    _tag = _TRANSFER
     i: int
     j: int
 
@@ -156,6 +163,7 @@ class Transfer(_Value):
 
 class Jump(_Value):
     __slots__ = __match_args__ = ("i", "j", "k")
+    _tag = _JUMP
     i: int
     j: int
     k: int
@@ -177,9 +185,6 @@ _transfer_i, _transfer_j = Transfer._setters
 _jump_i, _jump_j, _jump_k = Jump._setters
 Instruction = Zero | Succ | Transfer | Jump
 
-# The tags of `Program._code`, one per instruction class; the jump's is last.
-_ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
-
 
 class Program(_Value):
     """A finite, non-empty instruction sequence; positions are 1-based."""
@@ -197,6 +202,14 @@ class Program(_Value):
             if not isinstance(instr, (Zero, Succ, Transfer, Jump)):
                 raise ValueError(f"not an instruction: {instr!r}")
         _program_instructions(self, instructions)
+
+    @classmethod
+    def _of(cls, instructions: tuple[Instruction, ...]) -> Program:
+        """From a non-empty tuple of instructions; `__init__`'s checks are
+        skipped."""
+        new = object.__new__(cls)
+        _program_instructions(new, instructions)
+        return new
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -232,18 +245,16 @@ class Program(_Value):
     def _code(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """The compiled program, over register slots, slot s standing for
         `registers[s]`.  Each entry is (tag, a, b, jump target, next
-        position), the next position being 0 after the last instruction."""
+        position), the next position being 0 after the last instruction; the
+        tag is the instruction's `_tag`, and b and the target are 0 where
+        it has no such operand."""
         slot = {reg: s for s, reg in enumerate(self.registers)}
         n = len(self.instructions)
         code = []
         for pos, instr in enumerate(self.instructions, start=1):
-            nxt = pos + 1 if pos < n else 0
-            if isinstance(instr, Jump):
-                code.append((_JUMP, slot[instr.i], slot[instr.j], instr.k, nxt))
-            elif isinstance(instr, Transfer):
-                code.append((_TRANSFER, slot[instr.i], slot[instr.j], 0, nxt))
-            else:
-                code.append((_SUCC if isinstance(instr, Succ) else _ZERO, slot[instr.i], 0, 0, nxt))
+            tag = instr._tag
+            b = slot[instr.j] if tag >= _TRANSFER else 0
+            code.append((tag, slot[instr.i], b, instr.k if tag == _JUMP else 0, pos + 1 if pos < n else 0))
         return tuple(code)
 
 
@@ -274,6 +285,18 @@ class Config:
                 entries[reg] = val
             else:
                 entries.pop(reg, None)
+        new = object.__new__(Config)
+        new._entries = entries
+        return new
+
+    def _with(self, reg: int, val: int) -> Config:
+        """Copy with register `reg` assigned `val`, the one-register
+        `_updated`; both must be valid."""
+        entries = self._entries.copy()
+        if val:
+            entries[reg] = val
+        else:
+            entries.pop(reg, None)
         new = object.__new__(Config)
         new._entries = entries
         return new
@@ -339,20 +362,20 @@ def compatible(sigma: FiniteConfig, p: Program) -> bool:
 def zr(c: Config, i: int) -> Config:
     """Config equal to `c` except register i holds 0."""
     _check_register(i)
-    return c._updated(((i, 0),))
+    return c._with(i, 0)
 
 
 def sc(c: Config, i: int) -> Config:
     """Config equal to `c` except register i is incremented."""
     _check_register(i)
-    return c._updated(((i, c._entries.get(i, 0) + 1),))
+    return c._with(i, c._entries.get(i, 0) + 1)
 
 
 def mv(c: Config, i: int, j: int) -> Config:
     """Config equal to `c` except register j holds the value of register i."""
     _check_register(i)
     _check_register(j)
-    return c._updated(((j, c._entries.get(i, 0)),))
+    return c._with(j, c._entries.get(i, 0))
 
 
 def include(sigma: FiniteConfig) -> Config:

@@ -5,9 +5,10 @@ configurations are comma-separated naturals, and certificates are a
 line-oriented `key: value` format.  All formats treat `#` as a comment
 to end of line and ignore blank lines.  Every reader splits the lines of
 `_content_lines` with `str.split` (a comma list of naturals with
-`_naturals`, any other with `_fields`), and a SourceError gives the
-1-based line and column of the offending token, computed only for the
-line that fails.
+`_naturals`, any other with `_fields`); `parse_program` reads the lines
+of a plain program text, one without comments or other whitespace than
+spaces and newlines, directly.  A SourceError gives the 1-based line and
+column of the offending token, computed only for the line that fails.
 
 Certificate grammar, by key, in any order:
 
@@ -51,7 +52,7 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # class, in constructor order (`__match_args__`); the first two operands
 # are registers, a jump's third its target.
 _SYNTAX = {"Z": Zero, "S": Succ, "T": Transfer, "J": Jump}
-_MNEMONIC = {kind: mnemonic for mnemonic, kind in _SYNTAX.items()}
+_MNEMONIC = {kind._tag: mnemonic for mnemonic, kind in _SYNTAX.items()}
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -123,22 +124,39 @@ def _refusal(line: str) -> _Bad:
     return _Bad(values.index(0) + 1, "register indices start at 1")
 
 
+# The bytes of a plain program text: mnemonics, ASCII digits, spaces and
+# newlines.  Such a text has no comment, and `int` reads each of its
+# operands exactly as the grammar does: a token of digits, or a refusal.
+_PLAIN = b"ZSTJ0123456789 \n"
+
+
 def parse_program(text: str) -> Program:
     """Program from assembly text; positions follow file order, and equal
-    lines share one instruction object."""
+    lines share one instruction object.  One `bytes.translate` pass over
+    the encoded text tests whether it is plain (`_PLAIN`): if so its lines
+    are read as they are, else through `_content_lines`, each line's
+    operands then tested for ASCII digits."""
+    plain = text.isascii() and not text.encode().translate(None, _PLAIN)
     instructions: list[Instruction] = []
     shared: dict[str, Instruction] = {}
-    for ln, line in _content_lines(text):
+    for ln, line in enumerate(text.split("\n"), start=1) if plain else _content_lines(text):
         instr = shared.get(line)
         if instr is None:
+            toks = line.split()
+            if not toks:  # a blank line of a plain text
+                continue
             # ASCII-digit operands: one conversion, the constructor refusing
             # register 0 (a ValueError, as is an int too long to convert)
-            # and a wrong arity (a TypeError).  A line it does not build is
-            # refused, and `_refusal` only places that error at its token.
-            mnemonic, *args = line.split()
+            # and a wrong arity (a TypeError).  A plain text's operands skip
+            # the digit test, as `int` refuses its every other token.  A line
+            # not built is refused, `_refusal` only placing that error.
+            mnemonic, *args = toks
             kind = _SYNTAX.get(mnemonic)
-            digits = "".join(args)
-            if kind is not None and digits.isascii() and digits.isdigit():
+            if not plain:
+                digits = "".join(args)
+                if not (digits.isascii() and digits.isdigit()):
+                    kind = None
+            if kind is not None:
                 try:
                     instr = kind(*map(int, args))
                 except (TypeError, ValueError):
@@ -149,13 +167,13 @@ def parse_program(text: str) -> Program:
         instructions.append(instr)
     if not instructions:
         raise SourceError(1, 1, "empty program")
-    return Program(tuple(instructions))
+    return Program._of(tuple(instructions))
 
 
 def print_program(p: Program) -> str:
     """Canonical assembly text; inverse of parse_program."""
     return "\n".join(
-        " ".join([_MNEMONIC[type(instr)], *(str(getattr(instr, name)) for name in instr.__match_args__)])
+        " ".join([_MNEMONIC[instr._tag], *(_decimal(getattr(instr, name)) for name in instr.__match_args__)])
         for instr in p
     )
 

@@ -33,6 +33,7 @@ from urm import (
     include,
     mv,
     parse_program,
+    print_program,
     restrict,
     run,
     run_finite,
@@ -89,6 +90,27 @@ def test_step_updates_as_zr_sc_and_mv():
         assert 0 not in nxt.config._entries.values()
         zeros += nxt.config.get(j if isinstance(instr, Transfer) else i) == 0
     assert zeros > 500
+
+
+def test_an_instruction_subclass_steps_compiles_and_runs_as_its_base():
+    """A subclass inherits its base's tag: `step`, `_code`, `run`,
+    `run_finite`, `decide_abstract` and `print_program` treat its instances
+    as the base's."""
+    subclasses = {base: type(f"My{base.__name__}", (base,), {"__slots__": ()})
+                  for base in (Zero, Succ, Transfer, Jump)}
+    # r4 := 0, then r3 := r1 - r2 + r3 by counting r2 up to r1, then r1 := r3
+    instrs = (Zero(4), Jump(1, 2, 6), Succ(2), Succ(3), Jump(1, 1, 2), Transfer(3, 1))
+    base = Program(instrs)
+    sub = Program(tuple(subclasses[type(instr)](*instr._astuple) for instr in instrs))
+    assert all(type(a) is not type(b) for a, b in zip(base, sub))
+    assert sub._code == base._code
+    assert print_program(sub) == print_program(base)
+    c = include(FiniteConfig((7, 2, 1, 9)))
+    assert [(s.pc, s.config) for s in trace(sub, c)] == [(s.pc, s.config) for s in trace(base, c)]
+    assert run(sub, c, 100) == run(base, c, 100) == Halted(include(FiniteConfig((6, 7, 6, 0))), 23)
+    assert run_finite(sub, restrict(c, sub), 100) == run_finite(base, restrict(c, base), 100)
+    jumps = Program((subclasses[Jump](1, 2, 2), subclasses[Jump](1, 1, 1)))
+    assert decide_abstract(jumps, c) == Diverges(cycle_entry_pc=1, cycle_length=2)
 
 
 def test_step_rejects_bad_positions_and_forms(u_minus):

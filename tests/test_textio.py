@@ -102,6 +102,13 @@ def test_print_program_canonical_form(u_minus, prog_b):
     assert print_program(u_minus) == MINUS_TEXT
 
 
+def test_print_program_writes_operands_of_any_length():
+    """Operands past the int digit limit are printed, as `format_config`
+    prints such values, though `parse_program` refuses them."""
+    big = 10**5000
+    assert print_program(Program((Succ(big), Jump(1, big + 1, 2)))) == f"S 1{'0' * 5000}\nJ 1 1{'0' * 4999}1 2"
+
+
 def test_program_round_trip_on_random_programs():
     rng = random.Random(99)
     for _ in range(50):
@@ -156,7 +163,11 @@ OPERANDS = ["0", "00", "01", "\u0663", "+1", "1_0", "-1", LONG, "9" * 4300, "x"]
 
 def _random_program_text(rng: random.Random) -> str:
     """A random program, some of its lines repeated and some mutated: an
-    operand replaced, dropped or added, or the mnemonic replaced."""
+    operand replaced, dropped or added, or the mnemonic replaced.  A share
+    of the texts is laid out plain, with single spaces and blank lines but
+    no comment, CR or other whitespace, so that unless a mutation put in
+    another character `parse_program` reads them on its whole-text path."""
+    plain = rng.random() < 0.5
     lines = []
     for instr in random_program(rng, max_len=6, max_reg=9):
         toks = print_program(Program((instr,))).split()
@@ -169,29 +180,40 @@ def _random_program_text(rng: random.Random) -> str:
             toks.append(rng.choice(["1", "0", "x"]))
         elif roll < 0.23:
             toks[0] = rng.choice(["Q", "s", "JJ", "Z1"])
-        lines.append(_spaced(rng, toks)[0] if rng.random() < 0.3 else " ".join(toks))
+        lines.append(_spaced(rng, toks)[0] if not plain and rng.random() < 0.3 else " ".join(toks))
         if rng.random() < 0.3:
             lines.append(lines[-1])
-    return _lay_out(rng, lines)[0]
+    if not plain:
+        return _lay_out(rng, lines)[0]
+    out = []
+    for line in lines:
+        out += rng.choice([[], [""], ["  "]]) + [line]
+    return "\n".join(out)
 
 
 def test_parse_program_agrees_with_the_per_token_reader():
     rng = random.Random(37)
     wrong = []
     accepted = 0
+    plain = {True: 0, False: 0}  # plain texts, by whether they were accepted
     for _ in range(3000):
         text = _random_program_text(rng)
+        ok = True
         try:
             got = parse_program(text).instructions
         except SourceError as err:
-            got = (err.line, err.column, err.message)
-        else:
-            accepted += 1
+            got, ok = (err.line, err.column, err.message), False
+        accepted += ok
+        if set(text) <= set("ZSTJ0123456789 \n"):
+            plain[ok] += 1
         if got != _per_token_program(text):
             wrong.append(text[:80])
     assert wrong == []
-    # both the accepted and the refused programs are well represented
+    # both the accepted and the refused programs are well represented, and
+    # so are both paths, the whole-text one with both outcomes
     assert 600 < accepted < 2400
+    assert 600 < plain[True] + plain[False] < 2400
+    assert min(plain.values()) > 200, plain
 
 
 def test_parse_config_basics():

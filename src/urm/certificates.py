@@ -328,7 +328,7 @@ def _rank_decreases(cs: ConstraintSet, before: tuple[SymValue, SymValue], after:
         return False
     goal = Atom(plus[0] if plus else None, minus[0] if minus else None, "<=", bound)
     ground = goal.trivial_value()
-    # not `entails` when ground: that holds on an infeasible set
+    # not `entails` when ground: every goal holds on an empty set
     return entails(cs, goal) if ground is None else ground
 
 

@@ -18,9 +18,10 @@ Every question about a set goes through the same two steps: `_range`
 reads the tightest interval [lo, hi] of one difference off the closure,
 and `_holds` says whether every value in that interval satisfies a
 relation.  `entails`, `decide_eq`, `_satisfiable` and the ground case of
-`Atom.trivial_value` differ only in the relation they ask.  A
-`ConstraintSet` keeps its atoms exactly as written, and its closure is
-computed once, on first use, and kept with the set
+`Atom.trivial_value` differ only in the relation they ask.  An empty set
+has the closure None, off which `_range` reads the empty interval, where
+every relation holds.  A `ConstraintSet` keeps its atoms as written; its
+closure is computed once, on first use, and kept with the set
 (`ConstraintSet.closure`).
 
 Disequalities are second-class: an `!=` atom is never used for bound
@@ -162,27 +163,26 @@ class ConstraintSet:
         return cls(frozenset(atoms))
 
     @cached_property
-    def closure(self) -> tuple[tuple[dict, dict], bool]:
+    def closure(self) -> tuple[dict, dict] | None:
         return _closure(self)
 
 
-def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
-    """Tightest difference bounds between equality classes; second part
-    is feasibility.
+def _closure(cs: ConstraintSet) -> tuple[dict, dict] | None:
+    """Tightest difference bounds between equality classes, as (class
+    map, closed rows); None when the set is empty.
 
     Nodes are the variables plus None for the literal zero.  The `=`
-    atoms first merge nodes into classes: the first part's class map
-    sends each node v to (root, offset) with value(v) = value(root) +
-    offset, and joining two members of one class at another offset
-    makes the set infeasible.  Every other bound is then an edge between
-    roots, with the offsets folded into its weight: an edge u -> v of
-    weight w records value(v) - value(u) <= w, and ambient nonnegativity
-    adds v -> None with weight 0 for every variable.  An atom without
-    variables lands on the zero class's self-loop, which a false one
-    makes negative.  The second part holds the roots' closed rows, so
-    the closure costs the cube of the number of classes, not of
-    variables.  It is exact: in a feasible set no other bound can tighten
-    a difference that `=` atoms fix.
+    atoms first merge nodes into classes: the class map sends each node
+    v to (root, offset) with value(v) = value(root) + offset, and joining
+    two members of one class at another offset empties the set.  Every
+    other bound is then an edge between roots, with the offsets folded
+    into its weight: an edge u -> v of weight w records value(v) -
+    value(u) <= w, and ambient nonnegativity adds v -> None with weight
+    0 for every variable.  The closed rows are the roots', so the closure
+    costs the cube of the number of classes, not of variables, and a
+    negative cycle among them, or a false atom without variables, empties
+    the set.  It is exact: in a nonempty set no other bound can tighten a
+    difference that `=` atoms fix.
     """
     link: dict = {}  # node -> (parent, d) with value(node) = value(parent) + d; roots absent
 
@@ -199,7 +199,6 @@ def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
             link[u] = (v, off)
         return v, off
 
-    feasible = True
     nodes: set[str | None] = {None}
     for a in cs.atoms:
         nodes.add(a.x)
@@ -209,7 +208,7 @@ def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
             if rx != ry:
                 link[rx] = (ry, oy + a.k - ox)
             elif ox != oy + a.k:
-                feasible = False
+                return None
     cls = {v: find(v) for v in nodes}
     roots = {r for r, _ in cls.values()}
     rows: dict = {u: {v: (0 if u == v else _INF) for v in roots} for u in roots}
@@ -229,7 +228,7 @@ def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
         elif a.rel == ">=":
             edge(a.x, a.y, -a.k)
         elif a.rel == "!=" and a.trivial_value() is False:
-            feasible = False
+            return None
     for w in roots:
         # finite entries only: an int beyond float range plus inf overflows
         reach = [(v, d) for v, d in rows[w].items() if d != _INF]
@@ -242,27 +241,31 @@ def _closure(cs: ConstraintSet) -> tuple[tuple[dict, dict], bool]:
                 cand = through + d
                 if cand < du[v]:
                     du[v] = cand
-    feasible = feasible and all(rows[u][u] >= 0 for u in roots)
-    return (cls, rows), feasible
+    if any(rows[u][u] < 0 for u in roots):
+        return None
+    return cls, rows
 
 
 def _satisfiable(cs: ConstraintSet) -> bool:
-    """False when the bounds of `cs` are infeasible, or pin the difference
-    of one of its `!=` atoms to exactly that atom's constant.
+    """False when the bounds of `cs` are empty (no closure), or pin the
+    difference of one of its `!=` atoms to exactly that atom's constant.
 
     Never false for a set with a model; but disequalities that empty the
     set only together (x in [0, 1], x != 0, x != 1) go undetected."""
-    dist, feasible = cs.closure
-    return feasible and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
+    dist = cs.closure
+    return dist is not None and not any(a.rel == "!=" and _holds(*_range(dist, a.x, a.y), "=", a.k) for a in cs.atoms)
 
 
-def _range(dist: tuple[dict, dict], x: str | None, y: str | None) -> tuple[float, float]:
+def _range(dist: tuple[dict, dict] | None, x: str | None, y: str | None) -> tuple[float, float]:
     """Tightest (lo, hi) with lo <= value(x) - value(y) <= hi, read off the
     closed rows between the two sides' classes and shifted by their
-    offsets; (0, 0) when x and y are the same side.
+    offsets; (0, 0) when x and y are the same side, and the empty
+    interval (inf, -inf), where `_holds` is true, for an empty set.
 
     A variable the closure lacks is unconstrained, so only the zero
     node's class, its nonnegativity, bounds the difference from it."""
+    if dist is None:
+        return _INF, -_INF
     if x == y:
         return 0, 0
     cls, rows = dist
@@ -282,18 +285,16 @@ def entails(cs: ConstraintSet, a: Atom) -> bool:
     contribute nothing, so the answer errs toward False where only
     disequality reasoning would close the gap.
     """
-    dist, feasible = cs.closure
-    return not feasible or _holds(*_range(dist, a.x, a.y), a.rel, a.k) or (a.rel == "!=" and a in cs.atoms)
+    return _holds(*_range(cs.closure, a.x, a.y), a.rel, a.k) or (a.rel == "!=" and a in cs.atoms)
 
 
 def decide_eq(a: SymValue, b: SymValue, cs: ConstraintSet) -> bool | None:
     """Three-valued equality of symbolic values; None means undecided."""
     if a.var == b.var:
         return a.offset == b.offset
-    dist, feasible = cs.closure
-    lo, hi = _range(dist, a.var, b.var)
+    lo, hi = _range(cs.closure, a.var, b.var)
     target = b.offset - a.offset
-    if not feasible or _holds(lo, hi, "=", target):
+    if _holds(lo, hi, "=", target):
         return True
     if _holds(lo, hi, "!=", target) or Atom(a.var, b.var, "!=", target) in cs.atoms:
         return False

@@ -43,7 +43,6 @@ from .errors import Incompatible, NotAbstractProgram, NotStandardForm, PcOutOfRa
 from .machine import (
     Config,
     FiniteConfig,
-    Jump,
     Program,
     _JUMP,
     _SUCC,
@@ -311,7 +310,7 @@ def decide_abstract(p: Program, c: Config) -> AbstractVerdict:
     """
     _require_standard(p)
     for instr in p:
-        if not isinstance(instr, Jump):
+        if instr._tag != _JUMP:
             raise NotAbstractProgram(f"non-jump instruction {instr!r}")
     seen: dict[int, int] = {}
     for steps, state in enumerate(trace(p, c)):

@@ -120,7 +120,7 @@ class _Value:
 # other than bool, admits it.
 
 # Each instruction class's tag, its class attribute `_tag`, which a subclass
-# inherits: `step` and `Program._code` dispatch on it.  The jump's is last.
+# inherits: the library reads an instruction's kind off it.  The jump's is last.
 _ZERO, _SUCC, _TRANSFER, _JUMP = range(4)
 
 
@@ -223,7 +223,7 @@ class Program(_Value):
     def standard(self) -> bool:
         """True iff every jump target k satisfies k <= len(self)."""
         n = len(self.instructions)
-        return all(instr.k <= n for instr in self.instructions if isinstance(instr, Jump))
+        return all(instr.k <= n for instr in self.instructions if instr._tag == _JUMP)
 
     @cached_property
     def registers(self) -> tuple[int, ...]:
@@ -232,7 +232,7 @@ class Program(_Value):
         seen: dict[int, None] = {}
         for instr in self.instructions:
             seen[instr.i] = None
-            if not isinstance(instr, (Zero, Succ)):
+            if instr._tag >= _TRANSFER:
                 seen[instr.j] = None
         return tuple(seen)
 

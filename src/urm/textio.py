@@ -191,11 +191,11 @@ def _fields(text: str, what: str, read: Callable[[str, int], object]) -> list:
 
 def _naturals(text: str) -> tuple[int, ...] | None:
     """The values of a comma list of naturals, or None for any other text.
-    One `bytes.translate` pass, which builds nothing for such a text, tests
-    that it holds only ASCII digits, commas and spaces; `int` then converts
-    each `bytes` field, stripping its spaces as `_fields` does, and refuses
-    an empty or blank field, a blank inside one and a number past the int
-    digit limit."""
+    One `bytes.translate` pass, which builds and frees one buffer the size
+    of the line, tests that it holds only ASCII digits, commas and spaces;
+    `int` then converts each `bytes` field, stripping its spaces as
+    `_fields` does, and refuses an empty or blank field, a blank inside one
+    and a number past the int digit limit."""
     if text.isascii():
         raw = text.encode()
         if not raw.translate(None, b"0123456789, "):

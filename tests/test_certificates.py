@@ -447,7 +447,7 @@ def test_certificates_are_hashable_values(samples_dir):
     """A certificate is a frozen value: it hashes, equal texts give one set
     member whatever their key order, and a copy hashes as the original."""
     texts = [path.read_text() for path in sorted(samples_dir.rglob("*.cert"))]
-    assert len(texts) == 15
+    assert len(texts) == 17
     certs = [parse_cert(text) for text in texts]
     assert len(set(certs)) == len(certs)
     for text, cert in zip(texts, certs):

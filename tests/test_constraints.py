@@ -19,7 +19,7 @@ from urm import (
     format_atom,
 )
 from urm import constraints
-from urm.constraints import _closure, _range, _satisfiable, parse_reg_var, reg_var
+from urm.constraints import REL_SYMBOLS, _closure, _range, _satisfiable, parse_reg_var, reg_var
 from oracles import atom_holds, atom_variables, closure_oracle, constraints_hold, sym_value
 
 
@@ -308,21 +308,45 @@ def _random_closure_case(rng: random.Random) -> ConstraintSet:
     return ConstraintSet.of(*atoms)
 
 
+def _assert_empty(cs: ConstraintSet, sides) -> None:
+    """An empty set has no closure, and reads the empty interval for every
+    pair of `sides`, on which every goal is entailed and any two values
+    are equal."""
+    inf = float("inf")
+    assert _closure(cs) is None, cs
+    assert not _satisfiable(cs)
+    for x in sides:
+        for y in sides:
+            assert _range(cs.closure, x, y) == (inf, -inf), (cs, x, y)
+    for rel in REL_SYMBOLS:
+        assert entails(cs, Atom("a", "b", rel, 3)), (cs, rel)
+    assert decide_eq(SymValue("a"), SymValue("b", 5), cs) is True
+
+
 def test_closure_matches_floyd_warshall_over_every_variable():
-    """Merging equality classes changes no answer: feasibility,
+    """Merging equality classes changes no answer: emptiness,
     `_satisfiable` and every pair's `_range` (a variable no atom mentions
-    included) equal those of a plain closure over every variable."""
+    included) equal those of a plain closure over every variable.  An
+    empty set's closure is None, from each of the three causes below as
+    from the random sets."""
     rng = random.Random(14)
     inf = float("inf")
     sides = ("a", "b", "c", "d", "e", "unmentioned", None)
+    for cause in (
+        (Atom("a", "b", "=", 1), Atom("b", "a", "=", 1)),  # a conflicting `=`
+        (Atom("a", "b", "<=", -1), Atom("b", "c", "<=", -1), Atom("c", "a", "<=", 1)),  # a negative cycle
+        (Atom(None, None, "!=", 0),),  # 0 != 0
+    ):
+        assert not closure_oracle(ConstraintSet.of(*cause))[1]
+        _assert_empty(ConstraintSet.of(*cause), sides)
     feasible_sets = 0
     for _ in range(4000):
         cs = _random_closure_case(rng)
-        dist, feasible = _closure(cs)
+        dist = _closure(cs)
         bound, expected = closure_oracle(cs)
-        assert feasible is expected, cs
-        if not feasible:
-            assert not _satisfiable(cs)
+        assert (dist is not None) is expected, cs
+        if dist is None:
+            _assert_empty(cs, sides)
             continue
         feasible_sets += 1
 
@@ -353,7 +377,7 @@ def test_unsatisfiable_sets_have_no_model():
                 for _ in range(rng.randint(1, 4))
             )
         )
-        if _closure(cs)[1] and not _satisfiable(cs):
+        if _closure(cs) is not None and not _satisfiable(cs):
             assert not any(constraints_hold(cs, point) for point in cube), cs
             by_disequality += 1
     assert by_disequality > 30
@@ -397,7 +421,7 @@ def test_entails_and_decide_eq_are_complete_on_random_bound_sets():
                 for _ in range(rng.randint(1, 4))
             )
         )
-        if not _closure(cs)[1]:
+        if _closure(cs) is None:
             continue
         models = [point for point in cube if constraints_hold(cs, point)]
         for _ in range(3):

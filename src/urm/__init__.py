@@ -10,26 +10,26 @@ the command-line front end.
 
 from importlib import import_module
 
+# The checker's modules and their public names, in README's order, defined first:
+# each takes its `__all__` from here.  Eager modules read them only from the
+# package, which loads each on first use (PEP 562), so `urm run` never does.
+_LAZY = {
+    "certificates": (
+        "sym_step", "SymState", "DivergenceCert", "TerminationCert", "check_divergence", "check_termination",
+        "CertReport", "Reason", "CONSTRAINTS_UNSATISFIABLE", "PREFIX_FAILED", "UNDECIDED_BRANCH",
+        "HALTED_DURING_LOOP", "LOOP_NOT_CLOSED", "INVARIANT_NOT_ESTABLISHED", "INVARIANT_NOT_PRESERVED",
+        "RANKING_NOT_NONNEGATIVE", "RANKING_NOT_DECREASING", "EXIT_DOES_NOT_HALT",
+    ),
+    "constraints": ("Atom", "ConstraintSet", "SymValue", "entails", "decide_eq", "reg_var", "format_atom"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
 # The eager modules' public names, each declared once in its module's `__all__`.
 from . import errors, evaluator, machine, textio
 from .errors import *
 from .evaluator import *
 from .machine import *
 from .textio import *
-
-# The certificate checker's modules, and the names this package takes from
-# them; each module loads when one of its names is first read, so that
-# running a program never imports the checker (PEP 562).
-_LAZY = {
-    "certificates": (
-        "CONSTRAINTS_UNSATISFIABLE", "EXIT_DOES_NOT_HALT", "HALTED_DURING_LOOP", "INVARIANT_NOT_ESTABLISHED",
-        "INVARIANT_NOT_PRESERVED", "LOOP_NOT_CLOSED", "PREFIX_FAILED", "RANKING_NOT_DECREASING",
-        "RANKING_NOT_NONNEGATIVE", "UNDECIDED_BRANCH", "CertReport", "DivergenceCert", "Reason", "SymState",
-        "TerminationCert", "check_divergence", "check_termination", "sym_step",
-    ),
-    "constraints": ("Atom", "ConstraintSet", "SymValue", "decide_eq", "entails", "format_atom", "reg_var"),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):

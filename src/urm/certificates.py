@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _LAZY
 from .constraints import (
     Atom,
     ConstraintSet,
@@ -50,6 +51,8 @@ from .constraints import (
 )
 from .errors import NotStandardForm, PcOutOfRange
 from .machine import Program, parse_reg_var, _JUMP, _SUCC, _TRANSFER
+
+__all__ = _LAZY["certificates"]
 
 PREFIX_FAILED = "PrefixFailed"
 UNDECIDED_BRANCH = "UndecidedBranch"

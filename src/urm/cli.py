@@ -14,15 +14,14 @@ import os
 import sys
 
 from functools import cache
-from typing import TYPE_CHECKING, Callable, NoReturn, TypeVar
+from typing import Callable, NoReturn, TypeVar
+
+import urm
 
 from .errors import NotAbstractProgram, PcOutOfRange, SourceError
 from .evaluator import Converges, Halted, decide_abstract, run, trace
 from .machine import Config, Program, compatible, include, restrict
 from .textio import _Bad, _content_lines, format_config, parse_cert, parse_config, parse_program
-
-if TYPE_CHECKING:
-    from .certificates import Reason
 
 DEFAULT_FUEL = 100000
 # `run` prints registers r1..r_rho, so its time, memory and output grow
@@ -160,29 +159,24 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_reason(reason: Reason) -> str:
-    from .constraints import format_atom
-
+def _format_reason(reason: urm.certificates.Reason) -> str:
     text = reason.code
     if reason.pc is not None:
         text += f" pc={reason.pc}"
     if reason.atom is not None:
-        text += f" atom={format_atom(reason.atom)}"
+        text += f" atom={urm.constraints.format_atom(reason.atom)}"
     return text
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
-    # the checker loads only here, so that the other subcommands run without it
-    from .certificates import CertReport, TerminationCert, check_divergence, check_termination
-
     p, _ = _load_program(args.program)
     text = _read(args.cert)
     cert = _parse(args.cert, parse_cert, text)
+    # read through the package: only this subcommand loads the checker
+    certs = urm.certificates
+    check = certs.check_termination if isinstance(cert, certs.TerminationCert) else certs.check_divergence
     try:
-        if isinstance(cert, TerminationCert):
-            report: CertReport = check_termination(p, cert)
-        else:
-            report = check_divergence(p, cert)
+        report = check(p, cert)
     except PcOutOfRange as err:
         # the loop head is past the program's end: placed at the `head:`
         # value, as `parse_cert` places `head: 0`

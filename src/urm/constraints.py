@@ -43,8 +43,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _LAZY
 from .errors import UnsupportedAtom
 from .machine import _decimal, parse_reg_var
+
+__all__ = _LAZY["constraints"]
 
 REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
 

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import re
 
-from functools import cache
-from types import ModuleType
 from typing import Callable, Iterator
+
+import urm
 
 from .errors import SourceError
 from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero, _decimal, parse_reg_var
@@ -248,21 +248,11 @@ def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
     return base, offset
 
 
-@cache
-def _checker() -> tuple[ModuleType, ModuleType]:
-    """The certificate checker's modules, `certificates` and `constraints`,
-    imported on the first certificate read, so that programs and
-    configurations are read without them."""
-    from . import certificates, constraints
-
-    return certificates, constraints
-
-
-def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[SymValue, ...]:
+def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[urm.constraints.SymValue, ...]:
     """The `init:` list `value`, one `SymValue` per distinct term.  A list
     that `_naturals` converts costs one C-level pass; any other is read
     field by field with `read`, which alone builds the positioned error."""
-    SymValue = _checker()[1].SymValue
+    SymValue = urm.constraints.SymValue
     naturals = _naturals(value.strip())
     if naturals is not None:
         shared = {n: SymValue(offset=n) for n in set(naturals)}
@@ -285,9 +275,8 @@ MAX_STEP_BOUND = 100000
 
 
 def parse_cert(text: str):
-    """Divergence or termination certificate from key-value text."""
-    certs, cons = _checker()
-    REL_SYMBOLS, Atom = cons.REL_SYMBOLS, cons.Atom
+    """Divergence or termination certificate from key-value text; loads the checker."""
+    REL_SYMBOLS, Atom = urm.constraints.REL_SYMBOLS, urm.constraints.Atom
     seen: dict[str, int] = {}  # a once-only key's line
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []
@@ -380,7 +369,7 @@ def parse_cert(text: str):
             raise SourceError(seen[key], 1, f"{key!r} is only for kind terminates")
         if key not in once and terminates:
             raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
-    cert = certs.TerminationCert if terminates else certs.DivergenceCert
-    return cert(param_constraints=cons.ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
+    cert = urm.certificates.TerminationCert if terminates else urm.certificates.DivergenceCert
+    return cert(param_constraints=urm.constraints.ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
                 loop_head=once["head"], invariant=tuple(invariant), step_bound=once["bound"],
                 **{key: once[key] for key in ("split", "ranking") if terminates})

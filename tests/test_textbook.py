@@ -9,15 +9,16 @@ import pathlib
 
 import pytest
 
-from urm import Config, Halted, OutOfFuel, TerminationCert, check_termination, parse_cert, parse_program, run
+from urm import (Config, Halted, OutOfFuel, TerminationCert, check_divergence, check_termination, parse_cert,
+                 parse_program, run)
 from oracles import naive_run
 
 TEXTBOOK = pathlib.Path(__file__).resolve().parent.parent / "samples" / "textbook"
 
 # program -> (arity, definition, registers of the start state, accepted
-# certificates); the inputs go to r1.. and every other register of the start
-# state is 0, and a definition reading None is undefined there: the run
-# never halts
+# certificates of either kind); the inputs go to r1.. and every other
+# register of the start state is 0, and a definition reading None is
+# undefined there: the run never halts
 CORPUS = {
     "add.urm": (2, lambda x, y: x + y, 3, ("add-term.cert",)),
     "pred.urm": (1, lambda x: max(x - 1, 0), 4, ("pred-term.cert",)),
@@ -31,6 +32,10 @@ CORPUS = {
     # divergence for odd x and termination for even x both rest on the
     # parity of r1 - r3, which no certificate can state (ROADMAP item 14)
     "half.urm": (1, lambda x: None if x % 2 else x // 2, 3, ()),
+    # an endless outer loop around a counting inner loop: divergence for
+    # every x leaves the inner loop's jump undecided (ROADMAP item 4), so
+    # only x = 0, where that jump is taken at once, is accepted
+    "nest.urm": (1, lambda x: None, 3, ("nest-zero-div.cert",)),
 }
 
 # certificate -> (program, reason code, pc) of a claim that holds but that
@@ -38,7 +43,14 @@ CORPUS = {
 REJECTED = {
     "mult-outer-term.cert": ("mult.urm", "UndecidedBranch", 3),
     "mult-inner-term.cert": ("mult.urm", "UndecidedBranch", 1),
+    "nest-div.cert": ("nest.urm", "UndecidedBranch", 2),
 }
+
+
+def _check(p, cert_name):
+    """The report on the certificate `cert_name`, checked as its kind says."""
+    cert = parse_cert((TEXTBOOK / cert_name).read_text())
+    return (check_termination if isinstance(cert, TerminationCert) else check_divergence)(p, cert)
 
 
 def test_the_corpus_is_exactly_these_files():
@@ -63,11 +75,10 @@ def test_outputs_match_the_definition_on_inputs_up_to_6(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_termination_certificates_are_accepted(name):
+    """And the divergence certificates too, each checked as its kind says."""
     p = parse_program((TEXTBOOK / name).read_text())
     for cert_name in CORPUS[name][3]:
-        cert = parse_cert((TEXTBOOK / cert_name).read_text())
-        assert isinstance(cert, TerminationCert)
-        report = check_termination(p, cert)
+        report = _check(p, cert_name)
         assert report.accepted, (cert_name, report.reason)
 
 
@@ -75,5 +86,5 @@ def test_termination_certificates_are_accepted(name):
 def test_rejected_certificates_keep_their_code_and_position(cert_name):
     name, code, pc = REJECTED[cert_name]
     p = parse_program((TEXTBOOK / name).read_text())
-    report = check_termination(p, parse_cert((TEXTBOOK / cert_name).read_text()))
+    report = _check(p, cert_name)
     assert (report.reason.code, report.reason.pc) == (code, pc), report.reason

@@ -12,7 +12,9 @@ edges of that graph: they first merge the variables into equality
 classes, each member a fixed offset from its class's root (the zero
 cycles of a difference-bound matrix collapsed, as in its minimal
 constraint systems), and the closure runs over the roots alone, so its
-cost follows the number of classes, not of variables.
+cost follows the number of classes, not of variables.  One walk over
+each component of the `=` atoms finds the classes, and ambient
+nonnegativity is one edge per class, from its member of least offset.
 
 Every question about a set goes through the same two steps: `_range`
 reads the tightest interval [lo, hi] of one difference off the closure,
@@ -174,68 +176,73 @@ def _closure(cs: ConstraintSet) -> tuple[dict, dict] | None:
     """Tightest difference bounds between equality classes, as (class
     map, closed rows); None when the set is empty.
 
-    Nodes are the variables plus None for the literal zero.  The `=`
-    atoms first merge nodes into classes: the class map sends each node
-    v to (root, offset) with value(v) = value(root) + offset, and joining
-    two members of one class at another offset empties the set.  Every
-    other bound is then an edge between roots, with the offsets folded
-    into its weight: an edge u -> v of weight w records value(v) -
-    value(u) <= w, and ambient nonnegativity adds v -> None with weight
-    0 for every variable.  The closed rows are the roots', so the closure
-    costs the cube of the number of classes, not of variables, and a
-    negative cycle among them, or a false atom without variables, empties
-    the set.  It is exact: in a nonempty set no other bound can tighten a
-    difference that `=` atoms fix.
+    Nodes are the variables plus None for the literal zero.  One pass over
+    the atoms lists each node's `=` neighbours with their offsets and
+    keeps the bound atoms; one walk per component of the `=` atoms then
+    gives every node its class, (root, offset) with value(v) =
+    value(root) + offset, and reaching a node again at another offset
+    empties the set.  Every bound is then an edge between roots, with the
+    offsets folded into its weight: an edge u -> v of weight w records
+    value(v) - value(u) <= w.  Ambient nonnegativity adds one edge per
+    class, to the zero node, weighted by the class's least variable
+    offset: the tightest of its members' `v >= 0`.  The closed rows are
+    the roots', so the closure costs the cube of the number of classes,
+    not of variables, and a negative cycle among them, or a false atom
+    without variables, empties the set.  It is exact: in a nonempty set
+    no other bound can tighten a difference that `=` atoms fix.
     """
-    link: dict = {}  # node -> (parent, d) with value(node) = value(parent) + d; roots absent
-
-    def find(v):
-        if v not in link:
-            return v, 0
-        path = []
-        while v in link:
-            path.append(v)
-            v = link[v][0]
-        off = 0
-        for u in reversed(path):
-            off += link[u][1]
-            link[u] = (v, off)
-        return v, off
-
-    nodes: set[str | None] = {None}
+    near: dict = {None: []}  # node -> [(neighbour, d)] with value(neighbour) = value(node) + d
+    bounds = []  # (u, v, w): value(v) - value(u) <= w
     for a in cs.atoms:
-        nodes.add(a.x)
-        nodes.add(a.y)
-        if a.rel == "=":
-            (rx, ox), (ry, oy) = find(a.x), find(a.y)
-            if rx != ry:
-                link[rx] = (ry, oy + a.k - ox)
-            elif ox != oy + a.k:
-                return None
-    cls = {v: find(v) for v in nodes}
-    roots = {r for r, _ in cls.values()}
-    rows: dict = {u: {v: (0 if u == v else _INF) for v in roots} for u in roots}
-
-    def edge(u, v, w):
+        x, y, rel, k = a.x, a.y, a.rel, a.k
+        nx, ny = near.setdefault(x, []), near.setdefault(y, [])
+        if rel == "=":
+            nx.append((y, -k))
+            ny.append((x, k))
+        elif rel == "<=":
+            bounds.append((y, x, k))
+        elif rel == ">=":
+            bounds.append((x, y, -k))
+        elif a.trivial_value() is False:
+            return None
+    # The walks start at the zero node, so None is its class's root at offset 0.
+    cls: dict = {}
+    least: dict = {}  # root -> least offset of a variable in its class (inf for None alone)
+    for root in near:
+        if root in cls:
+            continue
+        cls[root] = (root, 0)
+        low = _INF if root is None else 0
+        todo = [(root, 0)]
+        while todo:
+            u, ou = todo.pop()
+            for v, d in near[u]:
+                o = ou + d
+                c = cls.get(v)
+                if c is None:
+                    cls[v] = (root, o)
+                    todo.append((v, o))
+                    if o < low and v is not None:
+                        low = o
+                elif c[1] != o:
+                    return None
+        least[root] = low
+    rows: dict = {}
+    for r, low in least.items():
+        row = rows[r] = dict.fromkeys(least, _INF)
+        row[r] = 0
+        if low < row[None]:
+            row[None] = low
+    for u, v, w in bounds:
         (ru, ou), (rv, ov) = cls[u], cls[v]
         w += ou - ov
-        if w < rows[ru][rv]:
-            rows[ru][rv] = w
-
-    for v in nodes:
-        if v is not None:
-            edge(v, None, 0)
-    for a in cs.atoms:
-        if a.rel == "<=":
-            edge(a.y, a.x, a.k)
-        elif a.rel == ">=":
-            edge(a.x, a.y, -a.k)
-        elif a.rel == "!=" and a.trivial_value() is False:
-            return None
-    for w in roots:
+        row = rows[ru]
+        if w < row[rv]:
+            row[rv] = w
+    for w in rows:
         # finite entries only: an int beyond float range plus inf overflows
         reach = [(v, d) for v, d in rows[w].items() if d != _INF]
-        for u in roots:
+        for u in rows:
             du = rows[u]
             through = du[w]
             if through == _INF:
@@ -244,7 +251,7 @@ def _closure(cs: ConstraintSet) -> tuple[dict, dict] | None:
                 cand = through + d
                 if cand < du[v]:
                     du[v] = cand
-    if any(rows[u][u] < 0 for u in roots):
+    if any(rows[u][u] < 0 for u in rows):
         return None
     return cls, rows
 

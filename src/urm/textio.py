@@ -7,8 +7,11 @@ to end of line and ignore blank lines.  Every reader splits the lines of
 `_content_lines` with `str.split` (a comma list of naturals with
 `_naturals`, any other with `_fields`); `parse_program` reads the lines
 of a plain program text, one without comments or other whitespace than
-spaces and newlines, directly.  A SourceError gives the 1-based line and
-column of the offending token, computed only for the line that fails.
+spaces and newlines, directly, and `parse_cert` reads each `constraint:`
+and `invariant:` line with one match of the pattern `_ATOM_LINE`,
+splitting only a line that the pattern refuses.  A SourceError gives
+the 1-based line and column of the offending token, computed only for
+the line that fails.
 
 Certificate grammar, by key, in any order:
 
@@ -262,11 +265,21 @@ def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]])
     return tuple(map(shared.__getitem__, terms))
 
 
+# A `constraint:` or `invariant:` line, read by one match: its key, then
+# operand, relation and operand separated by whitespace.  An operand is a name
+# with an optional `+nat` offset, or a natural; the name is an identifier on
+# a `constraint:` line and a register `rI` on an `invariant:` line, where I
+# is a group of its own.  `\s` matches exactly the code points for which
+# `str.isspace` is true, on which `str.split` splits.  Groups: key, then per
+# operand name, register index, offset and constant, the relation between.
+_OPERAND = r"(?:((?(1)[A-Za-z][A-Za-z0-9_]*|r([1-9][0-9]*)))(?:\+([0-9]+))?|([0-9]+))"
+_ATOM_LINE = rf"\s*(?:(constraint)|invariant)\s*:\s*{_OPERAND}\s+([<>!]=|[<>=])\s+{_OPERAND}\s*"
+
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A
 # constraint set's closure holds a bound per pair of its equality classes,
-# so without `=` atoms its memory grows with the square of its atoms; at
-# 500 `urm cert` peaks near 50 MB.
+# so without `=` atoms its memory grows with the square of its atoms: on
+# 499 disjoint `a < b` constraints `urm cert` peaks near 51 MB.
 MAX_ATOM_LINES = 500
 # The largest `bound:`.  Each step of a loop walk stays in its trail, which
 # an accepted certificate prints, until the check ends; at this cap a
@@ -277,6 +290,7 @@ MAX_STEP_BOUND = 100000
 def parse_cert(text: str):
     """Divergence or termination certificate from key-value text; loads the checker."""
     REL_SYMBOLS, Atom = urm.constraints.REL_SYMBOLS, urm.constraints.Atom
+    match = re.compile(_ATOM_LINE).fullmatch  # compiled on the first call, then kept by `re`
     seen: dict[str, int] = {}  # a once-only key's line
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []
@@ -291,6 +305,23 @@ def parse_cert(text: str):
 
     try:
         for ln, line in _content_lines(text):
+            m = match(line)
+            if m is not None and len(constraints) + len(invariant) < MAX_ATOM_LINES:
+                param, x, xi, xo, xc, rel, y, yi, yo, yc = m.groups()
+                try:
+                    k = int(yo or yc or 0) - int(xo or xc or 0)
+                    if not param:  # each register index converts, as `_Lasso` converts it
+                        int(xi or 0), int(yi or 0)
+                except ValueError:  # a number past the int digit limit, placed below
+                    pass
+                else:
+                    if param:
+                        if x is not None and x not in uses:
+                            uses[x] = (ln, line, 0)
+                        if y is not None and y not in uses:
+                            uses[y] = (ln, line, 2)
+                    (constraints if param else invariant).append(Atom(x, y, rel, k))
+                    continue
             key, colon, value = line.partition(":")
             key = key.strip()
             # `init:` is a comma list, read by `_fields`; it may be wide
@@ -298,18 +329,16 @@ def parse_cert(text: str):
             if not colon:
                 raise _Bad(None, "expected 'key: value'")
             if key == "constraint" or key == "invariant":
+                # a line the pattern refused: its tokens only place the error
                 if len(constraints) + len(invariant) == MAX_ATOM_LINES:
                     raise _Bad(None, f"more than {MAX_ATOM_LINES} constraint and invariant lines")
                 if len(toks) != 3:
                     raise _Bad(0 if toks else None, "expected 'A rel B'")
                 if toks[1] not in REL_SYMBOLS:
                     raise _Bad(1, f"unknown relation {toks[1]!r}")
-                if key == "constraint":
-                    (vx, cx), (vy, cy) = param_term(toks[0], 0), param_term(toks[2], 2)
-                else:
-                    (vx, cx), (vy, cy) = _term(toks[0], 0, "register"), _term(toks[2], 2, "register")
-                (constraints if key == "constraint" else invariant).append(Atom(vx, vy, toks[1], cy - cx))
-                continue
+                for at in (0, 2):
+                    _term(toks[at], at, "parameter" if key == "constraint" else "register")
+                raise AssertionError(f"the atom-line pattern refused the valid line {line!r}")
             if key not in _ONCE:
                 raise _Bad(None, f"unknown key {key!r}")
             if key in seen:

@@ -686,6 +686,14 @@ def test_the_first_undeclared_parameter_in_file_order_is_reported():
 SPACES = [" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "　"]
 
 
+def test_the_pattern_whitespace_is_str_split_whitespace():
+    """`\\s`, which separates the tokens of an atom line read by
+    `textio._ATOM_LINE`, matches exactly the code points of `str.isspace`,
+    on which every other reader splits: checked over every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.sub(r"\S", "", every) == "".join(filter(str.isspace, every))
+
+
 def test_split_tokens_and_error_columns_agree_with_the_regex():
     rng = random.Random(23)
     for _ in range(5000):
@@ -807,6 +815,14 @@ def _lay_out(rng: random.Random, lines: list[tuple[int, str]]) -> tuple[str, lis
     return "\n".join(out), numbers
 
 
+def _value(tok: str) -> tuple[str | None, int]:
+    """The (variable, offset) that a `_random_cert` operand stands for."""
+    if tok.isdigit():
+        return None, int(tok)
+    name, _, offset = tok.partition("+")
+    return name, int(offset or 0)
+
+
 def _cert_line(rng: random.Random, key: str, toks: list[str]) -> str:
     return key + ":" + (" " + ",".join(toks) if key == "init" else _spaced(rng, toks)[0])
 
@@ -817,7 +833,15 @@ def test_every_mutated_token_is_refused_at_its_line():
         lines = _random_cert(rng)
         texts = [_cert_line(rng, key, toks) for key, toks in lines]
         layout = rng.random()
-        parse_cert(_lay_out(random.Random(layout), texts)[0])
+        cert = parse_cert(_lay_out(random.Random(layout), texts)[0])
+        atoms = {"constraint": [], "invariant": []}
+        for key, toks in lines:
+            if key in atoms:
+                (vx, cx), (vy, cy) = _value(toks[0]), _value(toks[2])
+                atoms[key].append(Atom(vx, vy, toks[1], cy - cx))
+        assert cert.param_constraints == ConstraintSet(frozenset(atoms["constraint"])), texts
+        assert cert.invariant == tuple(atoms["invariant"]), texts
+        assert cert.init == tuple(SymValue(*_value(tok)) for key, toks in lines if key == "init" for tok in toks)
         i, at = rng.choice([(i, at) for i, (key, toks) in enumerate(lines) for at in range(len(toks))
                             if (key, at) in MUTATIONS or (key, None) in MUTATIONS])
         key, toks = lines[i][0], list(lines[i][1])

@@ -47,6 +47,7 @@ from .constraints import (
     reg_var,
     _is_int,
     _satisfiable,
+    _slotted,
     _ZERO,
 )
 from .errors import NotStandardForm, PcOutOfRange
@@ -66,26 +67,33 @@ EXIT_DOES_NOT_HALT = "ExitDoesNotHalt"
 CONSTRAINTS_UNSATISFIABLE = "ConstraintsUnsatisfiable"
 
 
-@dataclass(frozen=True)
+@_slotted
 class SymState:
     """Symbolic configuration: position plus one symbolic value per slot,
-    slot s holding register `p.registers[s]` as in `Program._code`."""
+    slot s holding register `p.registers[s]` as in `Program._code`.  Like
+    `Atom`, `SymValue`, `Reason` and `CertReport`, a slotted dataclass; the
+    certificates have no slots, as they keep their `_operands` in a dict."""
 
     pc: int
     regs: tuple[SymValue, ...]
 
+    def __init__(self, pc: int, regs: tuple[SymValue, ...]) -> None:
+        _set_pc(self, pc)
+        _set_regs(self, regs)
 
-@dataclass(frozen=True)
+
+@_slotted
 class Reason:
     code: str
     pc: int | None = None
     atom: Atom | None = None
 
 
+_set_pc, _set_regs = SymState.pc.__set__, SymState.regs.__set__
 TrailEntry = tuple[int, str]
 
 
-@dataclass(frozen=True)
+@_slotted
 class CertReport:
     """A check's verdict, accepted exactly when it has no `reason`."""
 

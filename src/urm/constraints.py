@@ -51,26 +51,38 @@ from .machine import _decimal, parse_reg_var
 
 __all__ = _LAZY["constraints"]
 
-REL_SYMBOLS = ("<", "<=", "=", ">=", ">", "!=")
+_NORMAL = {"<": ("<=", -1), "<=": ("<=", 0), "=": ("=", 0), ">=": (">=", 0), ">": (">=", 1), "!=": ("!=", 0)}
+REL_SYMBOLS = tuple(_NORMAL)
 
 _INF = math.inf
 
-_set = object.__setattr__
 
-
-# `SymValue` and `Atom` are built many times per check, so each has its own
-# `__init__`: it checks and normalizes the arguments, then sets each field
-# once, past the frozen `__setattr__`.  They stay dataclasses, so
-# `dataclasses.replace` goes through the same checks; as in `machine`, a
-# plain int is tested inline, and `_is_int` then refuses a bool; a plain str
-# name is tested inline too.
+# The checker builds its values many times per check, so `SymValue` and `Atom`
+# are slotted dataclasses whose own `__init__` checks and normalizes the
+# arguments, then stores each field once through its slot descriptor's `__set__`,
+# bound after the class (`slots=True` returns a new one), as `SymState`'s does.
+# `dataclasses.replace` runs the same checks; as in `machine`, a plain int or
+# str is tested inline, and `_is_int` then refuses a bool.  `ConstraintSet`
+# and the certificates have no slots: they cache facts in a dict.
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, init=False)
+def _slotted(cls: type) -> type:
+    """`cls` as a frozen dataclass with slots.  Its `__setattr__` and `__delattr__` are
+    pointed at the new class: written for `cls`, they would refuse a new name with a
+    TypeError, not `FrozenInstanceError`."""
+    new = dataclass(cls, frozen=True, slots=True, init="__init__" not in vars(cls))
+    for fn in new.__setattr__, new.__delattr__:
+        for cell in fn.__closure__ or ():
+            if cell.cell_contents is cls:
+                cell.cell_contents = new
+    return new
+
+
+@_slotted
 class SymValue:
     """Register contents `var + offset`; the constant `offset` when `var`
     is None."""
@@ -85,14 +97,11 @@ class SymValue:
             raise ValueError("variable name must be non-empty")
         if offset.__class__ is not int and not _is_int(offset) or offset < 0:
             raise ValueError(f"offsets are naturals, got {offset!r}")
-        _set(self, "var", var)
-        _set(self, "offset", offset)
+        _set_var(self, var)
+        _set_offset(self, offset)
 
 
-_ZERO = SymValue()
-
-
-@dataclass(frozen=True, init=False)
+@_slotted
 class Atom:
     """Normalized fact `value(x) - value(y) rel k`, absent sides reading 0.
 
@@ -107,8 +116,10 @@ class Atom:
     k: int
 
     def __init__(self, x: str | None, y: str | None, rel: str, k: int) -> None:
-        if rel not in REL_SYMBOLS:
-            raise UnsupportedAtom(f"unknown relation {rel!r}")
+        try:
+            rel, shift = _NORMAL[rel]
+        except (KeyError, TypeError):  # TypeError: an unhashable relation
+            raise UnsupportedAtom(f"unknown relation {rel!r}") from None
         if k.__class__ is not int and not _is_int(k):
             raise ValueError(f"bound must be an int, got {k!r}")
         if (x.__class__ is not str and x is not None and not isinstance(x, str)
@@ -116,10 +127,7 @@ class Atom:
             raise ValueError(f"atom sides are variable names or None, got {x!r} and {y!r}")
         if x == "" or y == "":
             raise ValueError("variable name must be non-empty")
-        if rel == "<":
-            rel, k = "<=", k - 1
-        elif rel == ">":
-            rel, k = ">=", k + 1
+        k += shift
         if x == y:
             x = y = None
         if rel == "!=":
@@ -127,16 +135,21 @@ class Atom:
                 x, y, k = y, None, -k
             elif x is not None and y is not None and x > y:
                 x, y, k = y, x, -k
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "rel", rel)
-        _set(self, "k", k)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_rel(self, rel)
+        _set_k(self, k)
 
     def trivial_value(self) -> bool | None:
         """Truth value if the atom mentions no variables, else None."""
         if self.x is not None or self.y is not None:
             return None
         return _holds(0, 0, self.rel, self.k)
+
+
+_set_var, _set_offset = SymValue.var.__set__, SymValue.offset.__set__
+_set_x, _set_y, _set_rel, _set_k = Atom.x.__set__, Atom.y.__set__, Atom.rel.__set__, Atom.k.__set__
+_ZERO = SymValue()
 
 
 def _holds(lo: float, hi: float, rel: str, k: int) -> bool:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -457,9 +459,9 @@ def test_certificates_are_hashable_values(samples_dir):
 
 
 def test_checker_values_are_frozen_dataclasses():
-    """`Atom`, `SymValue` and `SymState` keep a frozen
-    dataclass's interface, although `Atom` and `SymValue` build through their
-    own `__init__`, and `dataclasses.replace` runs their checks again."""
+    """`Atom`, `SymValue` and `SymState` keep a frozen dataclass's
+    interface, although they build through their own `__init__`, and
+    `dataclasses.replace` runs the checks of `Atom` and `SymValue` again."""
     cases = [
         (Atom, {"x": "a", "y": "b", "rel": "<=", "k": 0}, "Atom(x='a', y='b', rel='<=', k=0)"),
         (SymValue, {"var": "v", "offset": 2}, "SymValue(var='v', offset=2)"),
@@ -482,6 +484,36 @@ def test_checker_values_are_frozen_dataclasses():
         dataclasses.replace(SymValue("v"), offset=-1)
     with pytest.raises(TypeError):
         Atom("a", "b", "<=")
+
+
+SLOTTED = [
+    Atom("r1", "r2", "<", 3),
+    Atom(None, "a", "!=", 2),
+    SymValue("v", 2),
+    SymValue(),
+    SymState(3, (SymValue("v"), SymValue(None, 4))),
+    Reason(INVARIANT_NOT_PRESERVED, pc=2, atom=Atom("r2", "r1", "<=", 4)),
+    CertReport(((1, "jf·r"), (2, "s·r")), Reason(LOOP_NOT_CLOSED)),
+    CertReport(),
+]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=repr)
+def test_checker_values_have_slots(value):
+    """`Atom`, `SymValue`, `SymState`, `Reason` and `CertReport` keep their
+    fields in slots, with no instance dict, and still copy, pickle and
+    refuse assignment, to a field or to a new name, as frozen dataclasses."""
+    assert not hasattr(value, "__dict__")
+    twins = [copy.copy(value), copy.deepcopy(value)]
+    twins += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    for name in (*(f.name for f in dataclasses.fields(value)), "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
 
 
 def test_the_two_kinds_are_apart(samples_dir):

@@ -54,6 +54,10 @@ def test_constraint_sets_hold_a_frozenset():
 def test_strict_relations_normalize_to_weak_ones():
     assert Atom("a", "b", "<", 0) == Atom("a", "b", "<=", -1)
     assert Atom("a", "b", ">", 0) == Atom("a", "b", ">=", 1)
+    # a str subclass normalizes as its text does, and so does `replace`
+    assert Atom("a", "b", _Name("<"), 5) == Atom("a", "b", "<=", 4)
+    assert Atom("a", "b", _Name(">"), 5) == Atom("a", "b", ">=", 6)
+    assert dataclasses.replace(Atom("a", "b", "<=", 0), rel=">") == Atom("a", "b", ">=", 1)
 
 
 def test_equal_sides_cancel_to_a_ground_atom():
@@ -69,8 +73,11 @@ def test_disequalities_are_canonically_oriented():
 
 
 def test_unknown_relations_are_rejected():
-    with pytest.raises(UnsupportedAtom):
-        Atom("a", "b", "<>", 0)
+    # an unhashable relation too, not with a TypeError
+    for rel in ("<>", ["<="], None, "=<", ""):
+        with pytest.raises(UnsupportedAtom) as refused:
+            Atom("a", "b", rel, 0)
+        assert str(refused.value) == f"unknown relation {rel!r}"
     # these used to be accepted and to fail later with a TypeError, or not at all
     for rel, k in (("<=", "1"), ("<", 0.5), ("=", True), (">=", None), ("!=", 2.0)):
         with pytest.raises(ValueError, match="bound must be an int"):

@@ -24,8 +24,9 @@ ranking.  `init` (r1 first), `invariant`, `split` and `ranking` are
 tuples, so a certificate hashes.
 
 Each invariant operand is resolved to its register index once, when the
-certificate is constructed; the checks read those indices and never a
-register name.
+certificate is constructed, or by `parse_cert`, which reads it off the
+line and hands it to `_Lasso._of`; the checks read those indices and
+never a register name.
 
 Rejection reports carry a single reason code and, where useful, the
 offending program position or invariant atom.  Parameter constraints
@@ -110,7 +111,8 @@ class _Lasso:
     """The lasso both certificate kinds claim: from `init` (r1 first, as
     the `init:` line writes it) under `param_constraints`, a prefix to
     `loop_head`, then a body under `invariant`, each phase at most
-    `step_bound` symbolic steps."""
+    `step_bound` symbolic steps.  `parse_cert` builds through `_of`, which
+    skips the checks the parser has made, as `Program._of` does."""
 
     param_constraints: ConstraintSet
     init: tuple[SymValue, ...]
@@ -134,6 +136,15 @@ class _Lasso:
         # each atom's (x, y) register indices, kept as `Program` keeps its
         # facts: no field, so equality and `repr` see only the claim
         object.__setattr__(self, "_operands", tuple((_reg_index(a.x), _reg_index(a.y)) for a in self.invariant))
+
+    @classmethod
+    def _of(cls, operands: tuple[tuple[int, int], ...], **fields) -> _Lasso:
+        """From the `fields` that `parse_cert` has checked and `operands`, the
+        register indices it has read off the invariant's atoms; the checks
+        of `__post_init__` are skipped."""
+        new = object.__new__(cls)
+        new.__dict__.update(fields, _operands=operands)
+        return new
 
 
 @dataclass(frozen=True)

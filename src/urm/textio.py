@@ -4,14 +4,15 @@ Programs are one instruction per line (`Z i`, `S i`, `T i j`, `J i j k`),
 configurations are comma-separated naturals, and certificates are a
 line-oriented `key: value` format.  All formats treat `#` as a comment
 to end of line and ignore blank lines.  Every reader splits the lines of
-`_content_lines` with `str.split` (a comma list of naturals with
-`_naturals`, any other with `_fields`); `parse_program` reads the lines
-of a plain program text, one without comments or other whitespace than
-spaces and newlines, directly, and `parse_cert` reads each `constraint:`
-and `invariant:` line with one match of the pattern `_ATOM_LINE`,
-splitting only a line that the pattern refuses.  A SourceError gives
-the 1-based line and column of the offending token, computed only for
-the line that fails.
+`_content_lines` (a text with no `#` is only split into lines) with
+`str.split` (a comma list of naturals with `_naturals`, any other with
+`_fields`); `parse_program` reads the lines of a plain program text, one
+without comments or other whitespace than spaces and newlines, directly,
+and `parse_cert` reads each line by one match: `constraint:` and
+`invariant:` of `_ATOM_LINE`, `params:` of `_PARAMS`, `init:` (a
+`findall`) of `_INIT_FIELD`, splitting only a line its pattern refuses.
+A SourceError gives the 1-based line and column of the offending token,
+computed only for the line that fails.
 
 Certificate grammar, by key, in any order:
 
@@ -59,9 +60,12 @@ _MNEMONIC = {kind._tag: mnemonic for mnemonic, kind in _SYNTAX.items()}
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line without its comment) for each line with content."""
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
+    """(line number, line without its comment) for each line with content;
+    the lines of a text with no `#` are only split and tested for content."""
+    lines = text.split("\n")
+    if "#" in text:
+        lines = (raw.split("#", 1)[0] for raw in lines)
+    for ln, line in enumerate(lines, start=1):
         if line.strip():
             yield ln, line
 
@@ -251,17 +255,22 @@ def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
     return base, offset
 
 
-def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]]) -> tuple[urm.constraints.SymValue, ...]:
+def _init_values(value: str) -> tuple[urm.constraints.SymValue, ...]:
     """The `init:` list `value`, one `SymValue` per distinct term.  A list
-    that `_naturals` converts costs one C-level pass; any other is read
-    field by field with `read`, which alone builds the positioned error."""
+    that `_naturals` converts costs one C-level pass, and one whose every
+    field `_INIT_FIELD` matches one `findall`; any other is read field by
+    field with `_fields` and `_term`, which alone build the positioned error."""
     SymValue = urm.constraints.SymValue
     naturals = _naturals(value.strip())
     if naturals is not None:
         shared = {n: SymValue(offset=n) for n in set(naturals)}
         return tuple(map(shared.__getitem__, naturals))
-    terms = _fields(value, "a value", read)
-    shared = {term: SymValue(*term) for term in set(terms)}
+    terms = re.compile(_INIT_FIELD).findall(value)  # compiled on the first call, then kept by `re`
+    if len(terms) == value.count(",") + 1:
+        shared = {term: SymValue(term[0] or None, int(term[1] or term[2] or 0)) for term in set(terms)}
+    else:
+        terms = _fields(value, "a value", lambda tok, at: _term(tok, at, "parameter"))
+        shared = {term: SymValue(*term) for term in set(terms)}
     return tuple(map(shared.__getitem__, terms))
 
 
@@ -274,6 +283,15 @@ def _init_values(value: str, read: Callable[[str, int], tuple[str | None, int]])
 # operand name, register index, offset and constant, the relation between.
 _OPERAND = r"(?:((?(1)[A-Za-z][A-Za-z0-9_]*|r([1-9][0-9]*)))(?:\+([0-9]+))?|([0-9]+))"
 _ATOM_LINE = rf"\s*(?:(constraint)|invariant)\s*:\s*{_OPERAND}\s+([<>!]=|[<>=])\s+{_OPERAND}\s*"
+# A `params:` value: identifiers separated by whitespace, none a register name
+# as `parse_reg_var` reads one (`r0`, `r01` and `r1x` are not).
+_PARAMS = r"\s*(?:(?!r[1-9][0-9]*(?!\S))[A-Za-z][A-Za-z0-9_]*(?:\s+|\Z))*"
+# An `init:` field, from the list's start or a comma through the next comma or
+# the end: a name with an optional `+nat`, or a natural.  No natural has a
+# leading zero and no offset is 0, so that distinct fields are distinct terms,
+# and none has over 640 digits, which `int` converts under any digit limit.
+# Groups: name, offset, constant.
+_INIT_FIELD = r"(?:\A|(?<=,))\s*(?:([A-Za-z][A-Za-z0-9_]*)(?:\+([1-9][0-9]{0,639}))?|(0|[1-9][0-9]{0,639}))\s*(?:,|\Z)"
 
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A
@@ -295,13 +313,8 @@ def parse_cert(text: str):
     once: dict = {}  # a once-only key's value
     constraints: list[Atom] = []
     invariant: list[Atom] = []
+    operands: list[tuple[int, int]] = []  # each invariant atom's (x, y) register indices
     uses: dict[str, tuple[int, str, int]] = {}  # a parameter's first (line number, line, token)
-
-    def param_term(tok: str, at: int) -> tuple[str | None, int]:
-        var, offset = _term(tok, at, "parameter")
-        if var is not None and var not in uses:
-            uses[var] = (ln, line, at)
-        return var, offset
 
     try:
         for ln, line in _content_lines(text):
@@ -310,21 +323,24 @@ def parse_cert(text: str):
                 param, x, xi, xo, xc, rel, y, yi, yo, yc = m.groups()
                 try:
                     k = int(yo or yc or 0) - int(xo or xc or 0)
-                    if not param:  # each register index converts, as `_Lasso` converts it
-                        int(xi or 0), int(yi or 0)
+                    i, j = int(xi or 0), int(yi or 0)  # 0 for a constant side
                 except ValueError:  # a number past the int digit limit, placed below
                     pass
                 else:
+                    atom = Atom(x, y, rel, k)
                     if param:
                         if x is not None and x not in uses:
                             uses[x] = (ln, line, 0)
                         if y is not None and y not in uses:
                             uses[y] = (ln, line, 2)
-                    (constraints if param else invariant).append(Atom(x, y, rel, k))
+                        constraints.append(atom)
+                    else:  # the indices follow the sides as `Atom` normalized them
+                        invariant.append(atom)
+                        operands.append((i, j) if atom.x == x else (j, i) if atom.x == y else (0, 0))
                     continue
             key, colon, value = line.partition(":")
             key = key.strip()
-            # `init:` is a comma list, read by `_fields`; it may be wide
+            # `init:` is a comma list, read by `_init_values`; it may be wide
             toks = value.split() if key != "init" else []
             if not colon:
                 raise _Bad(None, "expected 'key: value'")
@@ -349,7 +365,10 @@ def parse_cert(text: str):
                     raise _Bad(0, "kind must be 'diverges' or 'terminates'")
                 once[key] = toks[0]
             elif key == "params":
-                names = once[key] = set()
+                names = once[key] = set(toks)
+                if len(names) == len(toks) and re.compile(_PARAMS).fullmatch(value):
+                    continue
+                names.clear()  # a repeated name, or a line the pattern refuses: its tokens place the error
                 for at, tok in enumerate(toks):
                     if not _IDENT.match(tok):
                         raise _Bad(at, f"invalid parameter name {tok!r}")
@@ -359,7 +378,10 @@ def parse_cert(text: str):
                         raise _Bad(at, f"duplicate parameter {tok!r}")
                     names.add(tok)
             elif key == "init":
-                once[key] = _init_values(value, param_term)
+                once[key] = _init_values(value)
+                for at, v in enumerate(once[key]):
+                    if v.var is not None and v.var not in uses:
+                        uses[v.var] = (ln, line, at)
             elif key in ("head", "bound"):
                 if len(toks) != 1:
                     raise _Bad(0, f"expected a single {'position' if key == 'head' else 'step bound'}")
@@ -399,6 +421,6 @@ def parse_cert(text: str):
         if key not in once and terminates:
             raise SourceError(1, 1, f"missing {key!r} line for kind terminates")
     cert = urm.certificates.TerminationCert if terminates else urm.certificates.DivergenceCert
-    return cert(param_constraints=urm.constraints.ConstraintSet(frozenset(constraints)), init=once.get("init", ()),
-                loop_head=once["head"], invariant=tuple(invariant), step_bound=once["bound"],
-                **{key: once[key] for key in ("split", "ranking") if terminates})
+    return cert._of(tuple(operands), param_constraints=urm.constraints.ConstraintSet(frozenset(constraints)),
+                    init=once.get("init", ()), loop_head=once["head"], invariant=tuple(invariant),
+                    step_bound=once["bound"], **{key: once[key] for key in ("split", "ranking") if terminates})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -31,7 +32,7 @@ from urm import (
     print_program,
 )
 from urm import textio
-from urm.textio import MAX_STEP_BOUND, _Bad, _fields, _init_values, _naturals, _term
+from urm.textio import MAX_STEP_BOUND, _Bad, _content_lines, _fields, _init_values, _naturals, _term
 from oracles import random_program
 
 MINUS_TEXT = "J 1 2 5\nS 2\nS 3\nJ 1 1 1\nT 3 1"
@@ -378,8 +379,9 @@ def test_a_wide_line_with_one_defect_agrees_with_the_per_field_reader(where):
 
 
 def test_init_values_agree_with_the_per_field_reader():
-    """An `init:` list of naturals is converted in one pass; it reads as
-    `_fields` does, and any other list, or an error, is left to it."""
+    """An `init:` list of naturals is converted in one pass, and one whose
+    fields the pattern takes by one `findall`; both read as `_fields` does,
+    and any other list, or an error, is left to it."""
     def read(tok, at):
         return _term(tok, at, "parameter")
 
@@ -397,13 +399,13 @@ def test_init_values_agree_with_the_per_field_reader():
     accepted = 0
     for _ in range(5000):
         value = _random_config_text(rng).replace(",", rng.choice([",", ", ", " , ", ",  "]))
-        got = outcome(lambda v: _init_values(v, read), value)
+        got = outcome(_init_values, value)
         accepted += isinstance(got[0], SymValue)
         if got != outcome(per_field, value):
             wrong.append(value[:80])
     assert wrong == []
     assert 600 < accepted < 4000
-    values = _init_values(" 0, 00 ,7,07 ", read)
+    values = _init_values(" 0, 00 ,7,07 ")
     assert values == (SymValue(offset=0), SymValue(offset=0), SymValue(offset=7), SymValue(offset=7))
     assert values[0] is values[1] and values[2] is values[3]
 
@@ -769,12 +771,12 @@ LONG_REG = "r" + LONG
 # index (None: any token of that key).
 MUTATIONS = {
     ("kind", None): ["loops", LONG],
-    ("params", None): [LONG, "r1", "2x"],
+    ("params", None): [LONG, "r1", "2x", "q q", "r10", LONG_REG],
     ("constraint", 0): ["", LONG, "zz", "r01", "m+"],
     ("constraint", 1): ["", "~", "=>"],
     ("invariant", 0): ["", LONG, LONG_REG, "r01", "m"],
     ("invariant", 1): ["", "~"],
-    ("init", None): ["", LONG, "zz", "r01"],
+    ("init", None): ["", LONG, "zz", "r01", "n+" + LONG],
     ("head", None): [LONG, "x", "-1"],
     ("bound", None): [LONG, "x", "0x1"],
     ("split", 0): ["", LONG_REG, "r01"],
@@ -806,12 +808,14 @@ def _token_starts(line: str, start: int = 0) -> set[int]:
 
 def _lay_out(rng: random.Random, lines: list[tuple[int, str]]) -> tuple[str, list[int]]:
     """The text of `lines` with blank and comment lines between them, and
-    each one's line number."""
+    each one's line number; about half the texts have no `#`, their blank
+    lines and line ends only whitespace."""
+    plain = rng.random() < 0.5
     out, numbers = [], []
     for line in lines:
-        out += rng.choice([[], [""], ["# note"], ["  # r1 < r2"]])
+        out += rng.choice([[], [""], ["\t "], ["\r"]] if plain else [[], [""], ["# note"], ["  # r1 < r2"]])
         numbers.append(len(out) + 1)
-        out.append(line + rng.choice(["", "  # note", "\r"]))
+        out.append(line + rng.choice(["", " \u3000", "\r"] if plain else ["", "  # note", "\r"]))
     return "\n".join(out), numbers
 
 
@@ -824,16 +828,21 @@ def _value(tok: str) -> tuple[str | None, int]:
 
 
 def _cert_line(rng: random.Random, key: str, toks: list[str]) -> str:
-    return key + ":" + (" " + ",".join(toks) if key == "init" else _spaced(rng, toks)[0])
+    """The line `key: toks`, its tokens (an `init:` line's comma fields)
+    spaced by random whitespace."""
+    return key + ":" + (",".join(_spaced(rng, [tok])[0] for tok in toks) if key == "init" else _spaced(rng, toks)[0])
 
 
 def test_every_mutated_token_is_refused_at_its_line():
     rng = random.Random(31)
+    uncommented = 0
     for _ in range(600):
         lines = _random_cert(rng)
         texts = [_cert_line(rng, key, toks) for key, toks in lines]
         layout = rng.random()
-        cert = parse_cert(_lay_out(random.Random(layout), texts)[0])
+        text = _lay_out(random.Random(layout), texts)[0]
+        uncommented += "#" not in text
+        cert = parse_cert(text)
         atoms = {"constraint": [], "invariant": []}
         for key, toks in lines:
             if key in atoms:
@@ -860,8 +869,43 @@ def test_every_mutated_token_is_refused_at_its_line():
         toks[i][at] = rng.choice(["Q", "", "z"]) if at == 0 else rng.choice(["", LONG, "r01", "-1", "x"])
         texts = [_spaced(rng, line)[0] for line in toks]
         text, numbers = _lay_out(rng, texts)
+        uncommented += "#" not in text
         with pytest.raises(SourceError) as info:
             parse_program(text)
         line = text.split("\n")[numbers[i] - 1]
         assert info.value.line == numbers[i], (text, info.value)
         assert info.value.column in _token_starts(line), (line, info.value)
+    # the texts without a `#` take `_content_lines`' split-only path
+    assert uncommented >= 1200 / 3
+
+
+def test_parameter_names_may_look_like_registers_that_are_not():
+    """A register name is `r` and a natural without a leading zero, so
+    `r0`, `r01`, `r1x` and `R1` are parameter names."""
+    cert = parse_cert(D + "params: r0 r01 r1x R1\ninit: r0, r01+1, r1x, R1\nhead: 1\nbound: 1")
+    assert cert.init == (SymValue("r0"), SymValue("r01", 1), SymValue("r1x"), SymValue("R1"))
+
+
+def test_a_parsed_certificate_equals_one_built_through_its_checks(samples_dir):
+    """`parse_cert` builds through `_Lasso._of`, which skips the checks the
+    parser has made; the certificate equals the one that the public
+    constructor builds from its fields, register indices included."""
+    rng = random.Random(37)
+    texts = [path.read_text() for path in sorted(samples_dir.rglob("*.cert"))]
+    texts += [_lay_out(rng, [_cert_line(rng, key, toks) for key, toks in _random_cert(rng)])[0] for _ in range(600)]
+    for text in texts:
+        cert = parse_cert(text)
+        built = type(cert)(**{field.name: getattr(cert, field.name) for field in dataclasses.fields(cert)})
+        assert (cert, hash(cert), repr(cert)) == (built, hash(built), repr(built)), text
+        assert cert._operands == built._operands, text
+
+
+def test_content_lines_of_a_text_without_comments():
+    """A text with no `#` is only split into lines, yielding each with
+    content as the comment path does: blank lines, lines of whitespace and
+    a CRLF file's lone `\\r` are skipped."""
+    rng = random.Random(41)
+    for _ in range(3000):
+        text = "\n".join("".join(rng.choices(SPACES + ["", "", "x", "S 1"], k=rng.randint(0, 3)))
+                          for _ in range(rng.randint(0, 8)))
+        assert list(_content_lines(text)) == [(ln, raw) for ln, raw in enumerate(text.split("\n"), 1) if raw.strip()]

@@ -125,16 +125,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     start = include(sigma) if sigma is not None else Config()
     if args.show_steps:
         # `trace` yields one state per step taken, so these are exactly the
-        # states `run` steps from; printed first, so that they stream.
-        # `range`, unlike `islice`, takes a fuel above sys.maxsize.  A jump
-        # hands its configuration on, so registers are formatted once for
-        # each run of states that share one `Config`.
+        # states `run` steps from; written first, a line at a time, so that
+        # they stream.  `range`, unlike `islice`, takes a fuel above
+        # sys.maxsize.  A jump hands its configuration on, so registers are
+        # formatted once for each run of states that share one `Config`.
         config = registers = None
+        write = sys.stdout.write
         for _, state in zip(range(args.fuel), trace(p, start)):
             if state.config is not config:
                 config = state.config
                 registers = format_config(restrict(config, p).values)
-            print(f"{state.pc} {registers}")
+            write(f"{state.pc} {registers}\n")
     outcome = run(p, start, args.fuel)
     if isinstance(outcome, Halted):
         print(f"halted: {format_config(restrict(outcome.final, p).values)}")

@@ -13,12 +13,12 @@ where the question is decidable) and from certificate checking.
 There are two concrete interpreters.  `step` is the rule-level relation,
 and `trace` alone drives it; `decide_abstract` and the CLI's
 `--show-steps` consume `trace`'s states.  `step` dispatches on the
-instruction's class tag, `_tag`, and copies the configuration with its
-one changed register through `Config._with`.  `_execute` runs the program's
-compiled code, `Program._code`, computed once per program, as a list
-loop over the registers it mentions, for speed, for both `run` (over a
-`Config`) and `run_finite` (over the list view); the test suite checks
-that the two interpreters agree.
+instruction's class tag, `_tag`, copies the configuration with its one
+changed register through `Config._with`, and builds its state without a
+type call.  `_execute` runs the program's compiled code, `Program._code`,
+computed once per program, as a list loop over the registers it mentions,
+for both `run` (over a `Config`) and `run_finite` (over the list view);
+the test suite checks that the two interpreters agree.
 
 `run` also leaps over counting loops.  Whenever it takes a backward
 jump (one whose target is at or before itself), `_leap` walks one
@@ -128,7 +128,8 @@ def step(s: MachineState) -> MachineState:
     """Apply one instruction; config changes only for Zero/Succ/Transfer.
     The next state is at position 0 when the step halts."""
     p = s.program
-    _require_standard(p)
+    if not p.standard:
+        raise NotStandardForm("program is not in standard form")
     instructions = p.instructions
     n = len(instructions)
     pc = s.pc
@@ -150,7 +151,11 @@ def step(s: MachineState) -> MachineState:
         c = c._with(instr.i, 0)
     else:
         c = c._with(instr.j, entries.get(instr.i, 0))
-    return MachineState(p, nxt, c)
+    new = object.__new__(MachineState)
+    _state_program(new, p)
+    _state_pc(new, nxt)
+    _state_config(new, c)
+    return new
 
 
 def _leap(code: tuple[tuple[int, int, int, int, int], ...], regs: list[int], head: int, budget: int) -> int:

@@ -23,6 +23,7 @@ states and results, are immutable slotted classes on the private base
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -392,7 +393,7 @@ def restrict(c: Config, p: Program) -> FiniteConfig:
     entries = c._entries
     rho = p.rho
     if len(entries) >= rho:
-        return FiniteConfig._of(tuple(entries.get(i, 0) for i in range(1, rho + 1)))
+        return FiniteConfig._of(tuple(map(entries.get, range(1, rho + 1), repeat(0))))
     values = [0] * rho
     for reg, val in entries.items():
         if reg <= rho:

@@ -157,8 +157,8 @@ def parse_program(text: str) -> Program:
             # and a wrong arity (a TypeError).  A plain text's operands skip
             # the digit test, as `int` refuses its every other token.  A line
             # not built is refused, `_refusal` only placing that error.
-            mnemonic, *args = toks
-            kind = _SYNTAX.get(mnemonic)
+            args = toks[1:]
+            kind = _SYNTAX.get(toks[0])
             if not plain:
                 digits = "".join(args)
                 if not (digits.isascii() and digits.isdigit()):
@@ -233,8 +233,11 @@ def parse_config(text: str) -> FiniteConfig:
 
 
 def format_config(values) -> str:
-    """Comma-separated register values, e.g. "5,3,0"."""
-    return ",".join(map(_decimal, values))
+    """Comma-separated register values, e.g. "5,3,0"; `_decimal` converts them past the int digit limit."""
+    try:
+        return ",".join(map(str, values))
+    except ValueError:
+        return ",".join(map(_decimal, values))
 
 
 def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:

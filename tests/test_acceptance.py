@@ -31,6 +31,7 @@ from urm.certificates import (
     HALTED_DURING_LOOP,
     INVARIANT_NOT_ESTABLISHED,
     INVARIANT_NOT_PRESERVED,
+    RANKING_NOT_DECREASING,
     RANKING_NOT_NONNEGATIVE,
     TerminationCert,
     UNDECIDED_BRANCH,
@@ -240,6 +241,12 @@ def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
         ("minus.urm", "rejected/minus-div-window.cert", INVARIANT_NOT_PRESERVED, None, Atom("r2", "r1", "<=", 4)),
         # r4 is no register of minus.urm: its value comes from `init:` by position
         ("minus.urm", "rejected/minus-div-r4.cert", INVARIANT_NOT_ESTABLISHED, None, Atom("r4", None, "=", 8)),
+        # false termination claims: each program diverges for every m > n.  The
+        # first needs the ranking's decrease read with a variable left over
+        # (r1 takes r3's value), the second the continue case to keep the
+        # split value r1 = r2 + 1, at which the jump at 4 enters an endless loop
+        ("rejected/chase.urm", "rejected/chase-term.cert", RANKING_NOT_DECREASING, None, None),
+        ("rejected/stall.urm", "rejected/stall-term.cert", UNDECIDED_BRANCH, 4, None),
     ]
     for prog_name, cert_name, code, pc, atom in cases:
         p, cert = _load(samples_dir, prog_name, cert_name)
@@ -250,7 +257,7 @@ def test_criterion_08_rejections_carry_the_expected_codes(samples_dir):
         assert report.reason.atom == atom
     print(f"criterion 8 PASS: {len(cases)} rejected certificates with codes "
           f"{UNDECIDED_BRANCH}, {HALTED_DURING_LOOP}, {RANKING_NOT_NONNEGATIVE}, "
-          f"{INVARIANT_NOT_ESTABLISHED}, {INVARIANT_NOT_PRESERVED}")
+          f"{RANKING_NOT_DECREASING}, {INVARIANT_NOT_ESTABLISHED}, {INVARIANT_NOT_PRESERVED}")
 
 
 def _random_operand(rng, names):

@@ -359,6 +359,33 @@ def test_termination_ranking_must_decrease(u_minus):
     assert report.reason.code == RANKING_NOT_DECREASING
 
 
+V = SymValue
+
+
+@pytest.mark.parametrize("atoms, before, after, decreases", [
+    # r3 - (r2+1) <= r1 - r2 - 1 leaves r3 - r1 <= 0 to the constraints
+    ((Atom("r3", "r1", "<=", 0),), (V("r1"), V("r2")), (V("r3"), V("r2", 1)), True),
+    ((Atom("r3", "r1", "=", 1),), (V("r1"), V("r2")), (V("r3"), V("r2", 1)), False),
+    # 5 - 0 <= r1 - 0 - 1: one variable left, with coefficient -1
+    ((Atom("r1", None, ">=", 6),), (V("r1"), V()), (V(offset=5), V()), True),
+    ((Atom("r1", None, ">=", 5),), (V("r1"), V()), (V(offset=5), V()), False),
+    # (r3+2) - r4 <= 5 - r4 - 1: one variable left, with coefficient +1 ...
+    ((Atom("r3", None, "<=", 2),), (V(offset=5), V("r4")), (V("r3", 2), V("r4")), True),
+    ((Atom("r3", None, "<=", 3),), (V(offset=5), V("r4")), (V("r3", 2), V("r4")), False),
+    # ... and outside the bound fragment: a coefficient of 2, two variables of
+    # one sign or of both, even where the constraints entail one atom of them
+    ((Atom("r2", "r1", "<", 0),), (V("r1"), V("r2")), (V("r2"), V("r1")), False),
+    ((Atom("r3", "r1", "<", 0),), (V("r1"), V("r2")), (V("r3"), V()), False),
+    ((Atom("r3", "r2", "<", 0),), (V("r1"), V()), (V("r3"), V("r2")), False),
+    ((Atom("r3", "r1", "<", -9), Atom("r2", "r4", "<", -9)), (V("r1"), V("r2")), (V("r3"), V("r4")), False),
+])
+def test_rank_decreases_reads_the_variables_left_after_cancelling(atoms, before, after, decreases):
+    """A decrease whose variables do not cancel is one atom asked of the
+    constraints: true only when they entail it, and false outside the
+    fragment of one variable per sign."""
+    assert certificates._rank_decreases(ConstraintSet.of(*atoms), before, after) is decreases
+
+
 def test_termination_exit_case_must_halt():
     p = Program((Jump(1, 2, 4), Succ(2), Jump(1, 1, 1), Jump(3, 3, 4)))
     cert = TerminationCert(
@@ -449,7 +476,7 @@ def test_certificates_are_hashable_values(samples_dir):
     """A certificate is a frozen value: it hashes, equal texts give one set
     member whatever their key order, and a copy hashes as the original."""
     texts = [path.read_text() for path in sorted(samples_dir.rglob("*.cert"))]
-    assert len(texts) == 19
+    assert len(texts) == 21
     certs = [parse_cert(text) for text in texts]
     assert len(set(certs)) == len(certs)
     for text, cert in zip(texts, certs):

@@ -128,6 +128,10 @@ def test_values_past_the_int_to_str_limit_print_in_full(capsys, tmp_path):
     for extra, steps in (((), ""), (("--show-steps",), f"1 {NINES}\n")):
         code, out, _ = _run(capsys, "run", str(prog), "--init", NINES, *extra)
         assert (code, out) == (0, f"{steps}halted: {big}\nsteps: 1\n"), extra
+    # a state line past the limit too, not only the `halted:` line
+    prog.write_text("S 1\nS 1\n")
+    code, out, _ = _run(capsys, "run", str(prog), "--init", NINES, "--show-steps")
+    assert (code, out.split("\n")[1]) == (0, f"2 {big}")
     prog.write_text("J 1 1 1\n")
     # `>` normalizes to `>=` one above the stated bound
     cert.write_text(f"kind: diverges\ninit: 0\nhead: 1\ninvariant: r1 > {NINES}\nbound: 1\n")
@@ -440,6 +444,21 @@ def test_cert_register_names_take_ascii_digits_only(capsys, samples_dir, tmp_pat
         code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
         want = f"{cert}: line 7, column 8: expected a register like r1, got '{name}'\n"
         assert (code, err) == (1, want), name
+
+
+def test_cert_errors_point_at_the_operand_at_fault(capsys, samples_dir, tmp_path):
+    """An undeclared parameter on the left of a `constraint:` line, and a
+    `split:` line without `> k`, are placed at their operand."""
+    cert = tmp_path / "term.cert"
+    text = (samples_dir / "minus-term.cert").read_text()
+    for old, new, want in (
+        ("params: m n z\nconstraint: m >= n", "params: m n\nconstraint: q < n",
+         "line 3, column 13: undeclared parameter 'q'"),
+        ("split: r1 - r2 > 0", "split: r1 - r2 >= 0", "line 7, column 16: expected '> k' after the register pair"),
+    ):
+        cert.write_text(text.replace(old, new))
+        code, _, err = _run(capsys, "cert", str(samples_dir / "minus.urm"), str(cert))
+        assert (code, err) == (1, f"{cert}: {want}\n")
 
 
 def test_cert_head_outside_program_exits_1(capsys, samples_dir, tmp_path):

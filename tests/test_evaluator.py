@@ -114,10 +114,30 @@ def test_an_instruction_subclass_steps_compiles_and_runs_as_its_base():
 
 
 def test_step_rejects_bad_positions_and_forms(u_minus):
-    with pytest.raises(PcOutOfRange):
-        step(MachineState(u_minus, 0, Config()))
-    with pytest.raises(PcOutOfRange):
-        step(MachineState(u_minus, 6, Config()))
+    for pc in (0, 6):
+        with pytest.raises(PcOutOfRange, match=rf"^pc {pc} not in \[1\.\.5\]$"):
+            step(MachineState(u_minus, pc, Config()))
+    with pytest.raises(NotStandardForm, match=r"^program is not in standard form$"):
+        step(MachineState(Program((Succ(1), Jump(1, 1, 3))), 1, Config()))
+
+
+@pytest.mark.parametrize("instructions, pc, regs, want_pc, want_regs", [
+    ((Zero(2), Jump(1, 1, 1)), 1, {1: 3, 2: 4}, 2, {1: 3}),
+    ((Succ(2), Jump(1, 1, 1)), 1, {1: 3}, 2, {1: 3, 2: 1}),
+    ((Transfer(1, 3), Jump(1, 1, 1)), 1, {1: 3, 3: 7}, 2, {1: 3, 3: 3}),
+    ((Jump(1, 2, 3), Zero(1), Succ(1)), 1, {1: 2, 2: 2}, 3, {1: 2, 2: 2}),  # taken
+    ((Jump(1, 2, 3), Zero(1), Succ(1)), 1, {1: 2}, 2, {1: 2}),  # failed
+    ((Jump(1, 1, 0), Zero(1)), 1, {1: 5}, 0, {1: 5}),  # taken to 0
+    ((Jump(1, 1, 1), Succ(1)), 2, {1: 5}, 0, {1: 6}),  # halting last line
+])
+def test_step_builds_the_state_the_constructor_builds(instructions, pc, regs, want_pc, want_regs):
+    """`step` builds its state without calling `MachineState`; the result
+    is the one the constructor gives, with its hash and `repr`."""
+    p = Program(instructions)
+    got = step(MachineState(p, pc, Config(regs)))
+    want = MachineState(p, want_pc, Config(want_regs))
+    assert type(got) is MachineState
+    assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
 
 
 def test_every_driver_requires_standard_form():

@@ -6,11 +6,14 @@ line-oriented `key: value` format.  All formats treat `#` as a comment
 to end of line and ignore blank lines.  Every reader splits the lines of
 `_content_lines` (a text with no `#` is only split into lines) with
 `str.split` (a comma list of naturals with `_naturals`, any other with
-`_fields`); `parse_program` reads the lines of a plain program text, one
-without comments or other whitespace than spaces and newlines, directly,
-and `parse_cert` reads each line by one match: `constraint:` and
-`invariant:` of `_ATOM_LINE`, `params:` of `_PARAMS`, `init:` (a
-`findall`) of `_INIT_FIELD`, splitting only a line its pattern refuses.
+`_fields`); `_naturals` hands a list of at least `_JSON_FIELDS` fields
+to `json.loads`, importing json on the first such list, so a narrow one
+never pays that import.  `parse_program` reads the lines of a plain
+program text, one without comments or other whitespace than spaces and
+newlines, directly, and `parse_cert` reads each line by one match:
+`constraint:` and `invariant:` of `_ATOM_LINE`, `params:` of `_PARAMS`,
+`init:` (a `findall`) of `_INIT_FIELD`, splitting only a line its
+pattern refuses.
 A SourceError gives the 1-based line and column of the offending token,
 computed only for the line that fails.
 
@@ -196,16 +199,36 @@ def _fields(text: str, what: str, read: Callable[[str, int], object]) -> list:
     return out
 
 
+# The fewest fields of a comma list that `_naturals` hands to `json.loads`,
+# importing json on the first such line: from 40,000 to 48,000 one-digit
+# fields on, json's conversion saves more than its import costs (CPython 3.11).
+_JSON_FIELDS = 65536
+
+
 def _naturals(text: str) -> tuple[int, ...] | None:
     """The values of a comma list of naturals, or None for any other text.
     One `bytes.translate` pass, which builds and frees one buffer the size
-    of the line, tests that it holds only ASCII digits, commas and spaces;
-    `int` then converts each `bytes` field, stripping its spaces as
-    `_fields` does, and refuses an empty or blank field, a blank inside one
-    and a number past the int digit limit."""
+    of the line, tests that it holds only ASCII digits, commas and spaces.
+    A line of at least `_JSON_FIELDS` fields is then read by `json.loads`,
+    kept only when it gives one value per field (json reads a blank line as
+    none); a line json refuses (a leading zero, an empty field, a number
+    past the int digit limit), and any narrower one, is left to `int`, which
+    converts each `bytes` field, stripping its spaces as `_fields` does, and
+    refuses an empty or blank field, a blank inside one and a number past
+    the int digit limit."""
     if text.isascii():
         raw = text.encode()
         if not raw.translate(None, b"0123456789, "):
+            fields = raw.count(b",") + 1
+            if fields >= _JSON_FIELDS:
+                import json  # only for a wide line: `urm run --init 5,3,0` never pays its import
+                try:
+                    values = json.loads(f"[{text}]")
+                except ValueError:
+                    pass
+                else:
+                    if len(values) == fields:
+                        return tuple(values)
             try:
                 return tuple(map(int, raw.split(b",")))
             except ValueError:
@@ -215,8 +238,9 @@ def _naturals(text: str) -> tuple[int, ...] | None:
 
 def parse_config(text: str) -> FiniteConfig:
     """Finite configuration from comma-separated naturals.  A line that
-    `_naturals` converts costs one C-level pass; any other is read field by
-    field with `_fields`, which alone builds the positioned error."""
+    `_naturals` converts costs one C-level pass (json's, importing json,
+    from `_JSON_FIELDS` fields on); any other is read field by field with
+    `_fields`, which alone builds the positioned error."""
     lines = list(_content_lines(text))
     if not lines:
         raise SourceError(1, 1, "empty input")

@@ -638,6 +638,27 @@ except AttributeError as err:
     assert child.stdout.decode() == "module 'urm' has no attribute 'no_such_name'\n"
 
 
+def test_only_a_wide_comma_list_imports_json():
+    """A fresh `urm` imports no json to start, read a narrow configuration
+    or run with one; the first line of `_JSON_FIELDS` fields imports it and
+    reads the values `int` reads."""
+    child = _fresh("""
+import sys
+import urm.cli
+from urm import parse_config
+from urm.textio import _JSON_FIELDS
+assert "json" not in sys.modules
+assert parse_config("5,3,0").values == (5, 3, 0)
+assert urm.cli.main(["run", "samples/minus.urm", "--init", "5,3,0"]) == 0
+assert "json" not in sys.modules
+line = ",".join(str(i * 7919 % 10007) for i in range(_JSON_FIELDS))
+assert parse_config(line).values == tuple(map(int, line.split(",")))
+print(_JSON_FIELDS, "json" in sys.modules)
+""")
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode().splitlines() == ["halted: 2,5,2", "steps: 10", "65536 True"]
+
+
 def test_reading_a_checker_module_from_the_package_loads_it_alone():
     """In a fresh `urm`, `urm.constraints` is the module itself, and reading
     it leaves `urm.certificates` unloaded."""

@@ -318,6 +318,26 @@ def test_parse_config_agrees_with_the_per_field_reader():
     assert 4000 < fast < 16000
 
 
+def _json_for_every_line(monkeypatch) -> list[str]:
+    """Set `_JSON_FIELDS` to 0, so that `_naturals` hands every line that
+    passes its byte test to `json.loads`; the list returned collects the
+    texts json is given."""
+    import json
+
+    loads, given = json.loads, []
+
+    def spy(s, *args, **kwargs):
+        given.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    monkeypatch.setattr(textio, "_JSON_FIELDS", 0)
+    return given
+
+
+# Lines that json reads unlike the grammar: a blank line is `[]` to json, a
+# leading zero and an empty field are errors to it, and its int conversion
+# has the same digit limit.
 @pytest.mark.parametrize("text, values", [
     ("", None),
     (",", None),
@@ -333,8 +353,17 @@ def test_parse_config_agrees_with_the_per_field_reader():
     ("\t1", None),
     pytest.param("9" * 4300, (int("9" * 4300),), id="4300 nines"),
     pytest.param("9" * 4301, None, id="4301 nines"),
+    ("   ", None),
+    ("1,,2", None),
+    ("01,2", (1, 2)),
+    ("00", (0,)),
+    ("0 1", None),
 ])
-def test_naturals_converts_only_a_comma_list_of_naturals(text, values):
+def test_naturals_converts_only_a_comma_list_of_naturals(monkeypatch, text, values):
+    """Both conversions give the same values: `int` per field, and json,
+    here given every line."""
+    assert _naturals(text) == values
+    _json_for_every_line(monkeypatch)
     assert _naturals(text) == values
 
 
@@ -378,10 +407,33 @@ def test_a_wide_line_with_one_defect_agrees_with_the_per_field_reader(where):
     assert wrong == []
 
 
-def test_init_values_agree_with_the_per_field_reader():
-    """An `init:` list of naturals is converted in one pass, and one whose
-    fields the pattern takes by one `findall`; both read as `_fields` does,
-    and any other list, or an error, is left to it."""
+@pytest.mark.parametrize("where, column, message", [
+    ("empty last field", 209997, "expected a natural number"),
+    ("x last", 209998, "expected a natural number, got 'x'"),
+    ("5000 digits", 150001, "number too long (5000 digits)"),
+])
+def test_a_line_wide_enough_for_json_places_its_error_as_before(where, column, message):
+    """A line of 70,000 fields, past `_JSON_FIELDS`, that json refuses (or
+    whose bytes already do) is read field by field, its error placed where
+    the per-field reader places it."""
+    assert textio._JSON_FIELDS < 70000
+    fields = ["10"] * 70000
+    if where == "5000 digits":
+        fields[50000] = "9" * 5000
+    else:
+        fields[-1] = "" if where == "empty last field" else "x"
+    text = ",".join(fields)
+    with pytest.raises(SourceError) as info:
+        parse_config(text)
+    got = (info.value.line, info.value.column, info.value.message)
+    assert got == (1, column, message) == _per_field_config(text)
+
+
+def test_init_values_agree_with_the_per_field_reader(monkeypatch):
+    """An `init:` list of naturals is converted in one pass, by `int` or,
+    here given every such list, by json, and one whose fields the pattern
+    takes by one `findall`; all read as `_fields` does, and any other list,
+    or an error, is left to it."""
     def read(tok, at):
         return _term(tok, at, "parameter")
 
@@ -395,19 +447,18 @@ def test_init_values_agree_with_the_per_field_reader():
         return tuple(SymValue(*term) for term in _fields(value, "a value", read))
 
     rng = random.Random(17)
-    wrong = []
-    accepted = 0
-    for _ in range(5000):
-        value = _random_config_text(rng).replace(",", rng.choice([",", ", ", " , ", ",  "]))
-        got = outcome(_init_values, value)
-        accepted += isinstance(got[0], SymValue)
-        if got != outcome(per_field, value):
-            wrong.append(value[:80])
-    assert wrong == []
-    assert 600 < accepted < 4000
-    values = _init_values(" 0, 00 ,7,07 ")
-    assert values == (SymValue(offset=0), SymValue(offset=0), SymValue(offset=7), SymValue(offset=7))
-    assert values[0] is values[1] and values[2] is values[3]
+    values = [_random_config_text(rng).replace(",", rng.choice([",", ", ", " , ", ",  "])) for _ in range(5000)]
+    expected = [outcome(per_field, value) for value in values]
+    assert 600 < sum(isinstance(want[0], SymValue) for want in expected) < 4000
+    for conversion in ("int", "json"):
+        if conversion == "json":  # json is given every list of naturals, and refuses some
+            given = _json_for_every_line(monkeypatch)
+        wrong = [value[:80] for value, want in zip(values, expected) if outcome(_init_values, value) != want]
+        assert wrong == [], conversion
+        shared = _init_values(" 0, 00 ,7,07 ")
+        assert shared == (SymValue(offset=0), SymValue(offset=0), SymValue(offset=7), SymValue(offset=7))
+        assert shared[0] is shared[1] and shared[2] is shared[3]
+    assert 1000 < len(given) < 4000
 
 
 def test_parse_config_memory_follows_its_result():

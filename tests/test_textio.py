@@ -299,7 +299,8 @@ def _random_config_text(rng: random.Random) -> str:
     return text
 
 
-def test_parse_config_agrees_with_the_per_field_reader():
+def test_parse_config_agrees_with_the_per_field_reader(monkeypatch):
+    given = _int_for_narrow_lines(monkeypatch)
     rng = random.Random(13)
     wrong = []
     fast = 0
@@ -313,15 +314,13 @@ def test_parse_config_agrees_with_the_per_field_reader():
             fast += 1
         if got != _per_field_config(text):
             wrong.append(text[:80])
-    assert wrong == []
+    assert wrong == [] == given
     # both the accepted and the refused lines are well represented
     assert 4000 < fast < 16000
 
 
-def _json_for_every_line(monkeypatch) -> list[str]:
-    """Set `_JSON_FIELDS` to 0, so that `_naturals` hands every line that
-    passes its byte test to `json.loads`; the list returned collects the
-    texts json is given."""
+def _json_given(monkeypatch) -> list[str]:
+    """The list of the texts `json.loads` is given from now on."""
     import json
 
     loads, given = json.loads, []
@@ -331,8 +330,25 @@ def _json_for_every_line(monkeypatch) -> list[str]:
         return loads(s, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", spy)
-    monkeypatch.setattr(textio, "_JSON_FIELDS", 0)
     return given
+
+
+def _json_for_every_line(monkeypatch) -> list[str]:
+    """Set `_JSON_MIN` and `_JSON_FIELDS` to 0, so that `_naturals` hands
+    every line that passes its byte test to `json.loads`; the list returned
+    collects the texts json is given."""
+    monkeypatch.setattr(textio, "_JSON_MIN", 0)
+    monkeypatch.setattr(textio, "_JSON_FIELDS", 0)
+    return _json_given(monkeypatch)
+
+
+def _int_for_narrow_lines(monkeypatch) -> list[str]:
+    """Set the process's total of wide fields to 0, whatever earlier tests
+    read, so that `_naturals` leaves every line that the test reads to
+    `int` while their fields total less than `_JSON_FIELDS`; the list
+    returned collects the texts json is given."""
+    monkeypatch.setattr(textio, "_json_total", 0)
+    return _json_given(monkeypatch)
 
 
 # Lines that json reads unlike the grammar: a blank line is `[]` to json, a
@@ -362,9 +378,13 @@ def _json_for_every_line(monkeypatch) -> list[str]:
 def test_naturals_converts_only_a_comma_list_of_naturals(monkeypatch, text, values):
     """Both conversions give the same values: `int` per field, and json,
     here given every line."""
+    given = _int_for_narrow_lines(monkeypatch)
     assert _naturals(text) == values
-    _json_for_every_line(monkeypatch)
+    assert given == []
+    given = _json_for_every_line(monkeypatch)
     assert _naturals(text) == values
+    # json is given each line of digits, commas and spaces
+    assert given == ([] if text.strip("0123456789, ") else [f"[{text}]"])
 
 
 def test_spaced_lists_of_naturals_take_the_one_pass(monkeypatch):
@@ -451,14 +471,26 @@ def test_init_values_agree_with_the_per_field_reader(monkeypatch):
     expected = [outcome(per_field, value) for value in values]
     assert 600 < sum(isinstance(want[0], SymValue) for want in expected) < 4000
     for conversion in ("int", "json"):
-        if conversion == "json":  # json is given every list of naturals, and refuses some
-            given = _json_for_every_line(monkeypatch)
+        # the json pass gives json every list of naturals, and json refuses some
+        given = (_int_for_narrow_lines if conversion == "int" else _json_for_every_line)(monkeypatch)
         wrong = [value[:80] for value, want in zip(values, expected) if outcome(_init_values, value) != want]
         assert wrong == [], conversion
         shared = _init_values(" 0, 00 ,7,07 ")
         assert shared == (SymValue(offset=0), SymValue(offset=0), SymValue(offset=7), SymValue(offset=7))
         assert shared[0] is shared[1] and shared[2] is shared[3]
-    assert 1000 < len(given) < 4000
+        assert given == [] if conversion == "int" else 1000 < len(given) < 4000
+
+    # fields with leading zeros and `+0` offsets: one `findall`, equal terms sharing one value
+    def not_per_field(*args):
+        raise AssertionError("read field by field")
+
+    value = "m, n+1, n+01, 07, 7, m+0, m+00, n+001"
+    expected = per_field(value)
+    monkeypatch.setattr(textio, "_fields", not_per_field)
+    shared = _init_values(value)
+    assert shared == expected == (SymValue("m"), SymValue("n", 1), SymValue("n", 1), SymValue(offset=7),
+                                  SymValue(offset=7), SymValue("m"), SymValue("m"), SymValue("n", 1))
+    assert shared[0] is shared[5] is shared[6] and shared[1] is shared[2] is shared[7] and shared[3] is shared[4]
 
 
 def test_parse_config_memory_follows_its_result():

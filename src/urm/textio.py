@@ -6,10 +6,10 @@ line-oriented `key: value` format.  All formats treat `#` as a comment
 to end of line and ignore blank lines.  Every reader splits the lines of
 `_content_lines` (a text with no `#` is only split into lines) with
 `str.split` (a comma list of naturals with `_naturals`, any other with
-`_fields`); `_naturals` hands a list of at least `_JSON_MIN` (1,024)
-fields to `json.loads` once such lists have totalled `_JSON_FIELDS`
-(65,536) fields in the process, importing json then, so a process that
-reads one list narrower than that never pays the import.
+`_fields`); `_naturals` hands a list of at least `_JSON_FIELDS` (65,536)
+fields to `json.loads`, importing json on the first such list, and one of
+at least `_JSON_MIN` (1,024) fields once json is loaded, so a process that
+reads only narrower lists never pays the import.
 `parse_program` reads the lines of a plain program text, one without
 comments or other whitespace than spaces and newlines, directly, and
 `parse_cert` reads each line by one match:
@@ -44,6 +44,7 @@ certificate has at most `MAX_ATOM_LINES` (500) `constraint` and
 from __future__ import annotations
 
 import re
+import sys
 
 from typing import Callable, Iterator
 
@@ -201,47 +202,41 @@ def _fields(text: str, what: str, read: Callable[[str, int], object]) -> list:
     return out
 
 
-# `_naturals` reads a comma list of at least `_JSON_MIN` fields with
-# `json.loads` once the lists of that width it has read in this process,
-# this one included, total `_JSON_FIELDS` fields, importing json then: a
-# line of that many fields pays the import alone (json saves more than it
-# costs from 40,000-48,000 one-digit fields on, CPython 3.11), and narrower
-# ones once their conversion has covered it.  From 1,024 fields on, json
-# with its import paid is no slower than `int` on CPython 3.10-3.13.
-_JSON_MIN = 1024
+# The fewest fields of a comma list that `_naturals` hands to `json.loads`,
+# importing json on the first such line: from 40,000 to 48,000 one-digit
+# fields on, json's conversion saves more than its import costs (CPython 3.11).
 _JSON_FIELDS = 65536
-_json_total = 0  # the fields of the lists of `_JSON_MIN` or more read so far
+# The fewest fields of a comma list that `_naturals` hands to json once this
+# process has loaded it: from 1,024 fields on, json with its import paid is
+# no slower than `int` on CPython 3.10-3.13.
+_JSON_MIN = 1024
 
 
 def _naturals(text: str) -> tuple[int, ...] | None:
     """The values of a comma list of naturals, or None for any other text.
     One `bytes.translate` pass, which builds and frees one buffer the size
     of the line, tests that it holds only ASCII digits, commas and spaces.
-    A line of at least `_JSON_MIN` fields adds its field count to the
-    process's total, and once that reaches `_JSON_FIELDS` (at once for a
-    line of that many fields) it is read by `json.loads`, kept only when it
-    gives one value per field (json reads a blank line as none); a line
-    json refuses (a leading zero, an empty field, a number past the int
-    digit limit), and any other, is left to `int`, which converts each
+    A line of at least `_JSON_FIELDS` fields, or of at least `_JSON_MIN`
+    once json is in `sys.modules`, is then read by `json.loads`, kept only
+    when it gives one value per field (json reads a blank line as none); a
+    line json refuses (a leading zero, an empty field, a number past the
+    int digit limit), and any other, is left to `int`, which converts each
     `bytes` field, stripping its spaces as `_fields` does, and refuses an
     empty or blank field, a blank inside one and a number past the int
     digit limit."""
-    global _json_total
     if text.isascii():
         raw = text.encode()
         if not raw.translate(None, b"0123456789, "):
             fields = raw.count(b",") + 1
-            if fields >= _JSON_MIN:
-                _json_total += fields
-                if _json_total >= _JSON_FIELDS:
-                    import json  # only past the total: `urm run --init 5,3,0` never pays its import
-                    try:
-                        values = json.loads(f"[{text}]")
-                    except ValueError:
-                        pass
-                    else:
-                        if len(values) == fields:
-                            return tuple(values)
+            if fields >= _JSON_FIELDS or fields >= _JSON_MIN and "json" in sys.modules:
+                import json  # loaded already, or for a wide line: `urm run --init 5,3,0` never pays its import
+                try:
+                    values = json.loads(f"[{text}]")
+                except ValueError:
+                    pass
+                else:
+                    if len(values) == fields:
+                        return tuple(values)
             try:
                 return tuple(map(int, raw.split(b",")))
             except ValueError:
@@ -251,10 +246,10 @@ def _naturals(text: str) -> tuple[int, ...] | None:
 
 def parse_config(text: str) -> FiniteConfig:
     """Finite configuration from comma-separated naturals.  A line that
-    `_naturals` converts costs one C-level pass (json's for a line of
-    `_JSON_MIN` fields or more once such lines have totalled `_JSON_FIELDS`
-    fields, importing json then); any other is read field by field with
-    `_fields`, which alone builds the positioned error."""
+    `_naturals` converts costs one C-level pass (json's, importing json,
+    from `_JSON_FIELDS` fields on, and from `_JSON_MIN` once json is
+    loaded); any other is read field by field with `_fields`, which alone
+    builds the positioned error."""
     lines = list(_content_lines(text))
     if not lines:
         raise SourceError(1, 1, "empty input")
@@ -309,9 +304,9 @@ def _init_values(value: str) -> tuple[urm.constraints.SymValue, ...]:
     terms = re.compile(_INIT_FIELD).findall(value)  # compiled on the first call, then kept by `re`
     if len(terms) == value.count(",") + 1:
         # each distinct field converted once; equal terms (`n+1`, `n+01`) share one value
-        read = {field: (field[0] or None, int(field[1] or field[2] or 0)) for field in set(terms)}
-        values = {term: SymValue(*term) for term in set(read.values())}
-        shared = {field: values[term] for field, term in read.items()}
+        values = {}
+        shared = {field: values.setdefault(term := (field[0] or None, int(field[1] or field[2] or 0)), SymValue(*term))
+                  for field in set(terms)}
     else:
         terms = _fields(value, "a value", lambda tok, at: _term(tok, at, "parameter"))
         shared = {term: SymValue(*term) for term in set(terms)}

@@ -300,7 +300,7 @@ def _random_config_text(rng: random.Random) -> str:
 
 
 def test_parse_config_agrees_with_the_per_field_reader(monkeypatch):
-    given = _int_for_narrow_lines(monkeypatch)
+    given = _int_for_every_line(monkeypatch)
     rng = random.Random(13)
     wrong = []
     fast = 0
@@ -342,12 +342,12 @@ def _json_for_every_line(monkeypatch) -> list[str]:
     return _json_given(monkeypatch)
 
 
-def _int_for_narrow_lines(monkeypatch) -> list[str]:
-    """Set the process's total of wide fields to 0, whatever earlier tests
-    read, so that `_naturals` leaves every line that the test reads to
-    `int` while their fields total less than `_JSON_FIELDS`; the list
+def _int_for_every_line(monkeypatch) -> list[str]:
+    """Set `_JSON_MIN` and `_JSON_FIELDS` past any line's width, so that
+    `_naturals` leaves every line to `int` though json is loaded; the list
     returned collects the texts json is given."""
-    monkeypatch.setattr(textio, "_json_total", 0)
+    monkeypatch.setattr(textio, "_JSON_MIN", sys.maxsize)
+    monkeypatch.setattr(textio, "_JSON_FIELDS", sys.maxsize)
     return _json_given(monkeypatch)
 
 
@@ -378,7 +378,7 @@ def _int_for_narrow_lines(monkeypatch) -> list[str]:
 def test_naturals_converts_only_a_comma_list_of_naturals(monkeypatch, text, values):
     """Both conversions give the same values: `int` per field, and json,
     here given every line."""
-    given = _int_for_narrow_lines(monkeypatch)
+    given = _int_for_every_line(monkeypatch)
     assert _naturals(text) == values
     assert given == []
     given = _json_for_every_line(monkeypatch)
@@ -398,6 +398,21 @@ def test_spaced_lists_of_naturals_take_the_one_pass(monkeypatch):
     assert parse_config("\t5, 3 ,0\r\n") == FiniteConfig((5, 3, 0))
     assert parse_cert("kind: diverges\r\ninit: 5, 3 ,0\r\nhead: 1\r\nbound: 5\r\n").init == (
         SymValue(offset=5), SymValue(offset=3), SymValue(offset=0))
+
+
+def test_a_list_of_json_min_fields_goes_to_json_only_once_json_is_loaded(monkeypatch):
+    """Below `_JSON_FIELDS`, a list of `_JSON_MIN` fields or more is read by
+    json while json is in `sys.modules`, and by `int` when it is not; a
+    narrower one is read by `int` either way."""
+    given = _json_given(monkeypatch)
+    line = ",".join(["7"] * textio._JSON_MIN)
+    assert textio._JSON_MIN < textio._JSON_FIELDS
+    assert _naturals(line[2:]) == (7,) * (textio._JSON_MIN - 1)
+    assert _naturals(line) == (7,) * textio._JSON_MIN
+    assert given == [f"[{line}]"]
+    monkeypatch.delitem(sys.modules, "json")
+    assert _naturals(line) == (7,) * textio._JSON_MIN
+    assert given == [f"[{line}]"]
 
 
 @pytest.mark.parametrize("where", ["random", "end"])
@@ -472,7 +487,7 @@ def test_init_values_agree_with_the_per_field_reader(monkeypatch):
     assert 600 < sum(isinstance(want[0], SymValue) for want in expected) < 4000
     for conversion in ("int", "json"):
         # the json pass gives json every list of naturals, and json refuses some
-        given = (_int_for_narrow_lines if conversion == "int" else _json_for_every_line)(monkeypatch)
+        given = (_int_for_every_line if conversion == "int" else _json_for_every_line)(monkeypatch)
         wrong = [value[:80] for value, want in zip(values, expected) if outcome(_init_values, value) != want]
         assert wrong == [], conversion
         shared = _init_values(" 0, 00 ,7,07 ")

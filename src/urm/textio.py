@@ -12,10 +12,10 @@ at least `_JSON_MIN` (1,024) fields once json is loaded, so a process that
 reads only narrower lists never pays the import.
 `parse_program` reads the lines of a plain program text, one without
 comments or other whitespace than spaces and newlines, directly, and
-`parse_cert` reads each line by one match:
-`constraint:` and `invariant:` of `_ATOM_LINE`, `params:` of `_PARAMS`,
-`init:` (a `findall`) of `_INIT_FIELD`, splitting only a line its
-pattern refuses.
+`parse_cert` reads a `constraint:` or `invariant:` line by one match of
+`_ATOM_LINE` and a `params:` line by one of `_PARAMS`, splitting only a
+line its pattern refuses, and an `init:` line as `parse_config` reads a
+configuration (`_naturals`, else `_fields`).
 A SourceError gives the 1-based line and column of the offending token,
 computed only for the line that fails.
 
@@ -56,7 +56,9 @@ from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Z
 __all__ = ("parse_program", "print_program", "parse_config", "format_config", "parse_cert")
 
 _TOKEN = re.compile(r"\S+")
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# A parameter name, the one lexicon of `params:`, `constraint:` and `init:`.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT = re.compile(rf"{_NAME}\Z")
 
 # The instruction syntax: a mnemonic, then one natural per field of its
 # class, in constructor order (`__match_args__`); the first two operands
@@ -292,24 +294,18 @@ def _term(tok: str, at: int, names: str) -> tuple[str | None, int]:
 
 
 def _init_values(value: str) -> tuple[urm.constraints.SymValue, ...]:
-    """The `init:` list `value`, one `SymValue` per distinct term.  A list
-    that `_naturals` converts costs one C-level pass, and one whose every
-    field `_INIT_FIELD` matches one `findall`; any other is read field by
-    field with `_fields` and `_term`, which alone build the positioned error."""
+    """The `init:` list `value`, one `SymValue` per distinct term, read as
+    `parse_config` reads a configuration: a list that `_naturals` converts
+    costs one C-level pass, and any other is read field by field with
+    `_fields` and `_term`, which alone build the positioned error; equal
+    terms (`n+1`, `n+01`) share one value."""
     SymValue = urm.constraints.SymValue
     naturals = _naturals(value.strip())
     if naturals is not None:
         shared = {n: SymValue(offset=n) for n in set(naturals)}
         return tuple(map(shared.__getitem__, naturals))
-    terms = re.compile(_INIT_FIELD).findall(value)  # compiled on the first call, then kept by `re`
-    if len(terms) == value.count(",") + 1:
-        # each distinct field converted once; equal terms (`n+1`, `n+01`) share one value
-        values = {}
-        shared = {field: values.setdefault(term := (field[0] or None, int(field[1] or field[2] or 0)), SymValue(*term))
-                  for field in set(terms)}
-    else:
-        terms = _fields(value, "a value", lambda tok, at: _term(tok, at, "parameter"))
-        shared = {term: SymValue(*term) for term in set(terms)}
+    terms = _fields(value, "a value", lambda tok, at: _term(tok, at, "parameter"))
+    shared = {term: SymValue(*term) for term in set(terms)}
     return tuple(map(shared.__getitem__, terms))
 
 
@@ -320,16 +316,11 @@ def _init_values(value: str) -> tuple[urm.constraints.SymValue, ...]:
 # is a group of its own.  `\s` matches exactly the code points for which
 # `str.isspace` is true, on which `str.split` splits.  Groups: key, then per
 # operand name, register index, offset and constant, the relation between.
-_OPERAND = r"(?:((?(1)[A-Za-z][A-Za-z0-9_]*|r([1-9][0-9]*)))(?:\+([0-9]+))?|([0-9]+))"
+_OPERAND = rf"(?:((?(1){_NAME}|r([1-9][0-9]*)))(?:\+([0-9]+))?|([0-9]+))"
 _ATOM_LINE = rf"\s*(?:(constraint)|invariant)\s*:\s*{_OPERAND}\s+([<>!]=|[<>=])\s+{_OPERAND}\s*"
 # A `params:` value: identifiers separated by whitespace, none a register name
 # as `parse_reg_var` reads one (`r0`, `r01` and `r1x` are not).
-_PARAMS = r"\s*(?:(?!r[1-9][0-9]*(?!\S))[A-Za-z][A-Za-z0-9_]*(?:\s+|\Z))*"
-# An `init:` field, from the list's start or a comma through the next comma or
-# the end: a name with an optional `+nat`, or a natural.  No natural has over
-# 640 digits, which `int` converts under any digit limit.  Groups: name,
-# offset, constant.
-_INIT_FIELD = r"(?:\A|(?<=,))\s*(?:([A-Za-z][A-Za-z0-9_]*)(?:\+([0-9]{1,640}))?|([0-9]{1,640}))\s*(?:,|\Z)"
+_PARAMS = rf"\s*(?:(?!r[1-9][0-9]*(?!\S)){_NAME}(?:\s+|\Z))*"
 
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A

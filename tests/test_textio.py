@@ -466,9 +466,8 @@ def test_a_line_wide_enough_for_json_places_its_error_as_before(where, column, m
 
 def test_init_values_agree_with_the_per_field_reader(monkeypatch):
     """An `init:` list of naturals is converted in one pass, by `int` or,
-    here given every such list, by json, and one whose fields the pattern
-    takes by one `findall`; all read as `_fields` does, and any other list,
-    or an error, is left to it."""
+    here given every such list, by json, as `_fields` reads it; any other
+    list, or an error, is left to `_fields`."""
     def read(tok, at):
         return _term(tok, at, "parameter")
 
@@ -495,17 +494,35 @@ def test_init_values_agree_with_the_per_field_reader(monkeypatch):
         assert shared[0] is shared[1] and shared[2] is shared[3]
         assert given == [] if conversion == "int" else 1000 < len(given) < 4000
 
-    # fields with leading zeros and `+0` offsets: one `findall`, equal terms sharing one value
-    def not_per_field(*args):
-        raise AssertionError("read field by field")
-
+    # fields with leading zeros and `+0` offsets: equal terms share one value
     value = "m, n+1, n+01, 07, 7, m+0, m+00, n+001"
-    expected = per_field(value)
-    monkeypatch.setattr(textio, "_fields", not_per_field)
     shared = _init_values(value)
-    assert shared == expected == (SymValue("m"), SymValue("n", 1), SymValue("n", 1), SymValue(offset=7),
-                                  SymValue(offset=7), SymValue("m"), SymValue("m"), SymValue("n", 1))
+    assert shared == (SymValue("m"), SymValue("n", 1), SymValue("n", 1), SymValue(offset=7),
+                      SymValue(offset=7), SymValue("m"), SymValue("m"), SymValue("n", 1))
     assert shared[0] is shared[5] is shared[6] and shared[1] is shared[2] is shared[7] and shared[3] is shared[4]
+
+    # a natural of 641 digits among names converts; one of 5,000 is placed where `_fields` places it
+    big = "9" * 641
+    assert _init_values(f"m, {big}, n") == (SymValue("m"), SymValue(offset=int(big)), SymValue("n"))
+    assert outcome(_init_values, f"m, {LONG}, n") == (1, f"number too long ({len(LONG)} digits)")
+    with pytest.raises(SourceError) as info:
+        parse_cert(f"kind: diverges\nparams: m n\ninit: m, {LONG}, n\nhead: 1\nbound: 5\n")
+    assert (info.value.line, info.value.column) == (3, len("init: m, ") + 1)
+
+
+def test_a_wide_init_line_places_its_error_as_the_per_field_reader():
+    """A named `init:` line of 10^5 fields whose last field is bad is
+    refused where the per-field reader places that field: a position
+    depends only on the fields' widths, so `_per_field_config` reads the
+    line with its key blanked and each good field a natural as wide."""
+    fields = ["m", "n+1", "3"] * 33333 + ["x+"]
+    line = "init: " + ", ".join(fields)
+    twin = " " * len("init: ") + ", ".join(["0" * len(field) for field in fields[:-1]] + ["x+"])
+    with pytest.raises(SourceError) as info:
+        parse_cert(f"kind: diverges\nparams: m n\n{line}\nhead: 1\nbound: 5\n")
+    _, column, message = _per_field_config(twin)
+    assert message == "expected a natural number, got 'x+'"
+    assert (info.value.line, info.value.column, info.value.message) == (3, column, "missing offset after '+' in 'x+'")
 
 
 def test_parse_config_memory_follows_its_result():

@@ -46,13 +46,12 @@ from .constraints import (
     decide_eq,
     entails,
     reg_var,
-    _is_int,
     _satisfiable,
     _slotted,
     _ZERO,
 )
-from .errors import NotStandardForm, PcOutOfRange
-from .machine import Program, parse_reg_var, _JUMP, _SUCC, _TRANSFER
+from .errors import PcOutOfRange
+from .machine import Program, parse_reg_var, _is_int, _require_standard, _JUMP, _SUCC, _TRANSFER
 
 __all__ = _LAZY["certificates"]
 
@@ -204,8 +203,7 @@ def sym_step(p: Program, s: SymState, cs: ConstraintSet) -> tuple[SymState, str]
     step halts, "·r" otherwise.  So "s·r" is a non-final increment and
     "jt·l" a taken jump to position 0.
     """
-    if not p.standard:
-        raise NotStandardForm("symbolic execution requires standard form")
+    _require_standard(p)
     code = p._code
     n = len(code)
     pc = s.pc
@@ -292,8 +290,7 @@ def _enter_loop(p: Program, cert: _Lasso) -> tuple[SymState, dict[int, int]]:
     `_universe` holds the variable named after it, so that the invariant's
     atoms are assumed as written, and the register -> slot map: a state has
     a slot per universe register, then a `_ZERO` slot that all others read."""
-    if not p.standard:
-        raise NotStandardForm("certificates require a standard-form program")
+    _require_standard(p)
     if cert.loop_head > len(p):
         raise PcOutOfRange(f"loop head {cert.loop_head} outside 1..{len(p)}")
     # no input meets the constraints, so any claim would hold vacuously

@@ -34,9 +34,9 @@ analysis on a disequality have to be rewritten with strict bounds.
 
 All variables range over naturals; `x >= 0` is ambient and never stated.
 A certificate names register i by the variable `reg_var(i)`, `ri`;
-`parse_reg_var` (from `machine`, where the parser finds it without this
-module) reads such a name back, and the certificate checker substitutes
-symbolic values for its registers by index.
+`parse_reg_var` reads such a name back by `machine._REGISTER`, which the
+parser's certificate patterns embed, and the certificate checker
+substitutes symbolic values for its registers by index.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import cached_property
 
 from . import _LAZY
 from .errors import UnsupportedAtom
-from .machine import _decimal, parse_reg_var
+from .machine import _decimal, _is_int, parse_reg_var
 
 __all__ = _LAZY["constraints"]
 
@@ -62,12 +62,8 @@ _INF = math.inf
 # arguments, then stores each field once through its slot descriptor's `__set__`,
 # bound after the class (`slots=True` returns a new one), as `SymState`'s does.
 # `dataclasses.replace` runs the same checks; as in `machine`, a plain int or
-# str is tested inline, and `_is_int` then refuses a bool.  `ConstraintSet`
-# and the certificates have no slots: they cache facts in a dict.
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# str is tested inline, and `machine._is_int` then refuses a bool.
+# `ConstraintSet` and the certificates have no slots: they cache facts in a dict.
 
 
 def _slotted(cls: type) -> type:
@@ -330,11 +326,6 @@ def reg_var(i: int) -> str:
 
 
 def format_atom(a: Atom) -> str:
-    k = _decimal(a.k)
-    if a.x is None and a.y is None:
-        return f"0 {a.rel} {k}"
-    if a.y is None:
-        return f"{a.x} {a.rel} {k}"
-    if a.x is None:
-        return f"0 - {a.y} {a.rel} {k}"
-    return f"{a.x} - {a.y} {a.rel} {k}"
+    """`x - y rel k`, an absent x read as 0 and an absent y left out."""
+    minus_y = "" if a.y is None else f" - {a.y}"
+    return f"{a.x or 0}{minus_y} {a.rel} {_decimal(a.k)}"

@@ -17,15 +17,20 @@ couples soundly with a program whose register operands all fall inside
 The instructions, `Program` and `FiniteConfig`, like the evaluator's
 states and results, are immutable slotted classes on the private base
 `_Value`, which gives them a frozen dataclass's equality, hashing and
-`repr` without importing `dataclasses`.
+`repr` without importing `dataclasses`.  Each value rule that other modules
+share is written once here: `_is_int`, `_REGISTER` (a register's name, which
+`textio`'s patterns embed), `Instruction` and `_require_standard`.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
+
+from .errors import NotStandardForm
 
 __all__ = (
     "Zero", "Succ", "Transfer", "Jump", "Instruction", "Program", "Config", "FiniteConfig", "zr", "sc", "mv",
@@ -33,26 +38,31 @@ __all__ = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_register(value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"register index must be a positive integer, got {value!r}")
 
 
 def _check_natural(value: int, what: str, *args: object) -> None:
     """`what` is formatted with `args` only when the check fails, so that
     bulk checks of valid values build no message."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ValueError(f"{what.format(*args)} must be a natural number, got {value!r}")
+
+
+# `rI`, I a group of ASCII digits without a leading zero: one name per register.
+_REGISTER = r"r([1-9][0-9]*)"
 
 
 def parse_reg_var(name: str) -> int | None:
     """Register index of a `rI` variable name, as `constraints.reg_var`
-    writes one, or None.  I is in ASCII digits without a leading zero, so
-    each register has one name."""
-    digits = name[1:]
-    if name[:1] == "r" and digits.isascii() and digits.isdigit() and digits[0] != "0":
-        return int(digits)
-    return None
+    writes one, or None; ValueError for an index past the int digit limit."""
+    m = re.fullmatch(_REGISTER, name)
+    return int(m[1]) if m else None
 
 
 # `str` refuses an int of more digits than sys.get_int_max_str_digits(),
@@ -200,7 +210,7 @@ class Program(_Value):
         if not instructions:
             raise ValueError("a program must contain at least one instruction")
         for instr in instructions:
-            if not isinstance(instr, (Zero, Succ, Transfer, Jump)):
+            if not isinstance(instr, Instruction):
                 raise ValueError(f"not an instruction: {instr!r}")
         _program_instructions(self, instructions)
 
@@ -353,6 +363,11 @@ class FiniteConfig(_Value):
 
 
 (_program_instructions,), (_finite_values,) = Program._setters, FiniteConfig._setters
+
+
+def _require_standard(p: Program) -> None:
+    if not p.standard:
+        raise NotStandardForm("program is not in standard form")
 
 
 def compatible(sigma: FiniteConfig, p: Program) -> bool:

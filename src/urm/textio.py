@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 import urm
 
 from .errors import SourceError
-from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero, _decimal, parse_reg_var
+from .machine import FiniteConfig, Instruction, Jump, Program, Succ, Transfer, Zero, _decimal, _REGISTER, parse_reg_var
 
 __all__ = ("parse_program", "print_program", "parse_config", "format_config", "parse_cert")
 
@@ -316,11 +316,10 @@ def _init_values(value: str) -> tuple[urm.constraints.SymValue, ...]:
 # is a group of its own.  `\s` matches exactly the code points for which
 # `str.isspace` is true, on which `str.split` splits.  Groups: key, then per
 # operand name, register index, offset and constant, the relation between.
-_OPERAND = rf"(?:((?(1){_NAME}|r([1-9][0-9]*)))(?:\+([0-9]+))?|([0-9]+))"
+_OPERAND = rf"(?:((?(1){_NAME}|{_REGISTER}))(?:\+([0-9]+))?|([0-9]+))"
 _ATOM_LINE = rf"\s*(?:(constraint)|invariant)\s*:\s*{_OPERAND}\s+([<>!]=|[<>=])\s+{_OPERAND}\s*"
-# A `params:` value: identifiers separated by whitespace, none a register name
-# as `parse_reg_var` reads one (`r0`, `r01` and `r1x` are not).
-_PARAMS = rf"\s*(?:(?!r[1-9][0-9]*(?!\S)){_NAME}(?:\s+|\Z))*"
+# A `params:` value: whitespace-separated identifiers, none a register name.
+_PARAMS = rf"\s*(?:(?!{_REGISTER}(?!\S)){_NAME}(?:\s+|\Z))*"
 
 _ONCE = frozenset(("kind", "params", "init", "head", "split", "ranking", "bound"))  # keys at most once
 # The most `constraint:` and `invariant:` lines a certificate may have.  A

@@ -25,10 +25,13 @@ from urm import (
     PcOutOfRange,
     Program,
     Succ,
+    SymState,
     SymValue,
+    TerminationCert,
     Transfer,
     Zero,
     check_divergence,
+    check_termination,
     decide_abstract,
     include,
     mv,
@@ -39,6 +42,7 @@ from urm import (
     run_finite,
     sc,
     step,
+    sym_step,
     trace,
     zr,
 )
@@ -141,17 +145,24 @@ def test_step_builds_the_state_the_constructor_builds(instructions, pc, regs, wa
 
 
 def test_every_driver_requires_standard_form():
-    p = Program((Jump(1, 1, 5),))
-    s = MachineState(p, 1, Config())
-    with pytest.raises(NotStandardForm):
-        run(p, Config(), 10)
-    with pytest.raises(NotStandardForm):
-        step(s)
-    states = trace(p, Config())
-    with pytest.raises(NotStandardForm):
-        next(states)
-    with pytest.raises(NotStandardForm):
-        decide_abstract(p, Config())
+    """The concrete and the symbolic interpreters refuse a program with a
+    jump past its end in the same words, those of
+    `machine._require_standard`, which `step` tests inline."""
+    p = Program((Succ(1), Jump(1, 1, 9)))
+    lasso = dict(param_constraints=ConstraintSet(), init=(), loop_head=1, invariant=(), step_bound=1)
+    refusals = {
+        "step": lambda: step(MachineState(p, 1, Config())),
+        "trace": lambda: next(trace(p, Config())),
+        "run": lambda: run(p, Config(), 10),
+        "decide_abstract": lambda: decide_abstract(p, Config()),
+        "sym_step": lambda: sym_step(p, SymState(1, (SymValue(),)), ConstraintSet()),
+        "check_divergence": lambda: check_divergence(p, DivergenceCert(**lasso)),
+        "check_termination": lambda: check_termination(p, TerminationCert(split=(1, 1, 0), ranking=(1, 1), **lasso)),
+    }
+    for entry, refuse in refusals.items():
+        with pytest.raises(NotStandardForm, match=r"^program is not in standard form$"):
+            refuse()
+            pytest.fail(f"{entry} ran a program that is not in standard form")
 
 
 def test_run_on_the_subtraction_example(u_minus):

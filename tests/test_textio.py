@@ -32,6 +32,7 @@ from urm import (
     print_program,
 )
 from urm import textio
+from urm.machine import parse_reg_var
 from urm.textio import MAX_STEP_BOUND, _Bad, _content_lines, _fields, _init_values, _naturals, _term
 from oracles import random_program
 
@@ -999,6 +1000,34 @@ def test_parameter_names_may_look_like_registers_that_are_not():
     `r0`, `r01`, `r1x` and `R1` are parameter names."""
     cert = parse_cert(D + "params: r0 r01 r1x R1\ninit: r0, r01+1, r1x, R1\nhead: 1\nbound: 1")
     assert cert.init == (SymValue("r0"), SymValue("r01", 1), SymValue("r1x"), SymValue("R1"))
+
+
+def test_one_register_grammar():
+    """`machine._REGISTER` is the one register-name syntax: `parse_reg_var`
+    gives a name an index exactly when the atom-line pattern reads that
+    index off `invariant: NAME < 1` and `params: NAME` clashes with a
+    register.  A name here has no whitespace, `+` or `#`, which end it."""
+    rng = random.Random(4040)
+    alphabet = "rrrrR0123456789x_-<=:,!\u0663\u00b2\uff11\u00e9"
+    names = ["r", "r0", "r01", "r1x", "R1", "r\u0663", "r\u00b2", "r1", "r10", "r7" + "0" * 640, "r" + "1" * 4300]
+    names += ["r" + "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 8))) for _ in range(1000)]
+    names += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(2000)]
+    match = re.compile(textio._ATOM_LINE).fullmatch
+    indices = 0
+    for name in names:
+        index = parse_reg_var(name)
+        m = match(f"invariant: {name} < 1")
+        assert (int(m[3]) if m and m[3] else None) == index, name
+        with pytest.raises(SourceError) as info:
+            parse_cert(f"params: {name}\n")
+        assert (info.value.message == f"parameter {name!r} clashes with a register name") == (index is not None), name
+        indices += index is not None
+    assert 500 < indices < len(names) - 500
+    for name in ("r" + "1" * 4301, "r" + LONG):
+        with pytest.raises(ValueError):
+            parse_reg_var(name)
+        with pytest.raises(SourceError, match=rf"number too long \({len(name) - 1} digits\)$"):
+            parse_cert(f"params: {name}\n")
 
 
 def test_a_parsed_certificate_equals_one_built_through_its_checks(samples_dir):
